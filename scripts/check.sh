@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: project static analysis, pyflakes (when
-# available), and the full test suite. Run from the repo root.
+# available), the full test suite, and the end-to-end benchmark's smoke
+# tests. Run from the repo root.
 #
 # The analyzer step runs every registered pass. To iterate on a single
 # pass while developing, invoke it directly:
@@ -46,3 +47,8 @@ fi
 
 echo "== pytest =="
 python -m pytest tests/ -q
+
+echo "== benchmarks/e2e smoke =="
+# The benchmark's own --quick tests: a rename of anything it imports
+# from src/ fails here, not in the benchmark run.
+python -m pytest -q benchmarks/e2e

@@ -82,11 +82,12 @@ __all__ = [
 
 ANNOTATION = "analyze: allow-unlocked"
 
-#: Constructors that create a lock object (``threading.X()`` or the
-#: sanitizer's tracked wrapper).
-_LOCK_CTORS = frozenset({"Lock", "RLock", "TrackedRLock", "Condition",
-                         "Semaphore", "BoundedSemaphore"})
-_REENTRANT_CTORS = frozenset({"RLock", "TrackedRLock"})
+#: Constructors that create a lock object (``threading.X()``, the
+#: sanitizer's tracked wrapper, or ``repro.common.locking``'s helper
+#: that picks between the two).
+_LOCK_CTORS = frozenset({"Lock", "RLock", "TrackedRLock", "guarded_lock",
+                         "Condition", "Semaphore", "BoundedSemaphore"})
+_REENTRANT_CTORS = frozenset({"RLock", "TrackedRLock", "guarded_lock"})
 
 #: Method names that are lock protocol, not ordinary calls.
 _LOCK_METHODS = frozenset({"acquire", "release", "locked", "held",
@@ -252,6 +253,23 @@ def build_lock_model(graph: ProjectCallGraph) -> LockModel:
                                       stmt.lineno, ctor)
                     model.local_locks.setdefault(
                         (path, qualname), {})[target.id] = lock_id
+
+    # A subclass of a lock-owning class shares the base's locks and
+    # fields (one level: ``AggStore(GenerationalStore)``), so its own
+    # ``with self._lock`` and field accesses are checked, not skipped.
+    owners = {cls: (path, cls) for path, cls in model.class_locks}
+    for mod in graph.modules:
+        for node in ast.walk(mod.tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for base in node.bases:
+                base_key = owners.get((attr_chain(base) or [""])[-1])
+                if base_key is not None:
+                    key = (mod.path, node.name)
+                    model.class_locks.setdefault(key, {}).update(
+                        model.class_locks[base_key])
+                    model.class_fields.setdefault(key, set()).update(
+                        model.class_fields.get(base_key, ()))
     return model
 
 
@@ -758,13 +776,11 @@ THREAD_ENTRIES = (
     "join_thread",
     "StarJoinMapper.map", "StarJoinMapper.process_record",
     "Tracer.span", "Tracer.start", "Tracer._finish", "Span.finish",
-    "HashTableCache.get", "HashTableCache.put",
-    "HashTableCache.invalidate", "HashTableCache.stats",
-    "HashTableCache.__len__",
-    "ClydesdaleServer.submit", "ClydesdaleServer.session",
-    "ClydesdaleServer.stats", "ClydesdaleServer.close",
-    "ClydesdaleServer._run", "ClydesdaleServer._submit",
-    "ServerSession.submit", "ServerSession.execute",
+    "GenerationalStore.get", "GenerationalStore.put",
+    "GenerationalStore.invalidate", "GenerationalStore.stats",
+    "GenerationalStore.current_generation", "GenerationalStore.__len__",
+    "ResultCache.lookup", "ResultCache.store",
+    "AggStore.fetch", "AggStore.peek", "AggStore.admit", "AggStore.stats",
     "Frontend.session", "Frontend.stats", "Frontend.close",
     "Frontend.reload_catalog", "Frontend.invalidate_caches",
     "Frontend.worker_stats", "Frontend.explain",
@@ -774,12 +790,6 @@ THREAD_ENTRIES = (
     "ShapeRouter.route", "ShapeRouter.forget_worker",
     "ShapeRouter.add_worker", "ShapeRouter.workers",
     "ShapeRouter.assignments", "ShapeRouter.loads",
-    "ResultCache.lookup", "ResultCache.store",
-    "ResultCache.bump_generation", "ResultCache.stats",
-    "ResultCache.__len__",
-    "AggStore.fetch", "AggStore.peek", "AggStore.admit",
-    "AggStore.invalidate", "AggStore.current_generation",
-    "AggStore.stats", "AggStore.__len__",
     "WorkerHandle.request", "WorkerHandle.post", "WorkerHandle.alive",
     "WorkerHandle.mark_dead", "WorkerHandle.ensure_respawned",
     "WorkerHandle.kill", "WorkerHandle.shutdown",

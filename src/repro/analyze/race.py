@@ -79,7 +79,7 @@ class RaceLintPass(AnalysisPass):
     # thread-local allowance (``self._local.stack``); the shared span
     # list and id counter must stay behind ``self._lock``.
     DEFAULT_TARGETS = ("repro/core/joinjob.py", "repro/mapreduce/runtime.py",
-                       "repro/trace/tracer.py", "repro/serve/cache.py")
+                       "repro/trace/tracer.py", "repro/serve/store.py")
     DEFAULT_ENTRIES = ("join_thread", "map", "process_record",
                        "span", "start", "finish", "_finish",
                        "get", "put", "invalidate")

@@ -193,7 +193,7 @@ KEY_CACHE_HT_BYTES = _config(
         "least-recently-used tables are evicted past the budget.")
 KEY_SERVE_MAX_CONCURRENT = _config(
     "clydesdale.serve.max.concurrent", kind="int", default=4,
-    doc="Queries a ClydesdaleServer runs concurrently (worker slots).")
+    doc="Queries each frontend worker runs concurrently (worker slots).")
 KEY_SERVE_QUEUE_DEPTH = _config(
     "clydesdale.serve.queue.depth", kind="int", default=8,
     doc="Admitted-but-waiting queries a server holds before rejecting "
@@ -355,7 +355,7 @@ CTR_HIVE_GROUPBY_ROWS_IN = _counter(COUNTER_GROUP_HIVE, "groupby_rows_in")
 class LockRank:
     """One declared lock in the global acquisition hierarchy."""
 
-    name: str            # runtime name, e.g. "serve.cache"
+    name: str            # runtime name, e.g. "serve.store"
     rank: int            # acquisition order; must strictly increase
     site: str            # "<repo path>:<Owner>.<attr>" creating the lock
     doc: str
@@ -377,8 +377,8 @@ LOCK_FRONTEND_WORKER = _lock_rank(
     "Serializes one worker's request pipe: exactly one frontend thread "
     "talks to a worker process at a time. Never held while another "
     "worker's lock is taken. The frontend's locks never nest in code; "
-    "their ranks sit between server.engine and server.admission so "
-    "every cross-layer acquisition stays rank-increasing.")
+    "they are ranked so every cross-layer acquisition the analyzer can "
+    "imagine stays rank-increasing.")
 LOCK_FRONTEND_ROUTER = _lock_rank(
     "frontend.router", 14,
     "src/repro/serve/routing.py:ShapeRouter._lock",
@@ -389,36 +389,15 @@ LOCK_FRONTEND_ADMISSION = _lock_rank(
     "src/repro/serve/frontend.py:Frontend._lock",
     "Guards frontend admission state: attached sessions, in-flight/"
     "retry/rejection counters, routing tallies, the closed flag, and "
-    "the cache generation. The frontend calls into the router, "
-    "workers, and caches, never the reverse.")
-LOCK_FRONTEND_RESULTS = _lock_rank(
-    "frontend.results", 18,
-    "src/repro/serve/frontend.py:ResultCache._lock",
-    "Guards the frontend result cache: LRU entries, byte budget, "
-    "hit/miss/stale counters, and the generation stamp.")
-LOCK_SERVE_AGGSTORE = _lock_rank(
-    "serve.aggstore", 19,
-    "src/repro/serve/aggstore.py:AggStore._lock",
-    "Guards the materialized aggregate store: family index, rollup "
-    "entries, byte budget, benefit/hit counters, and the generation "
-    "stamp. Taken inside server.engine (a session consults the store "
-    "mid-execute) and never held while serve.cache or any engine lock "
-    "is acquired — the store serves from materialized rows only.")
-LOCK_SERVER_ENGINE = _lock_rank(
-    "server.engine", 10,
-    "src/repro/serve/server.py:ClydesdaleServer._engine_lock",
-    "Serializes engine execution in ClydesdaleServer._run; held across "
-    "a whole query, so it must come before every lock the engine takes.")
-LOCK_SERVER_ADMISSION = _lock_rank(
-    "server.admission", 20,
-    "src/repro/serve/server.py:ClydesdaleServer._lock",
-    "Guards server admission state: sessions, in-flight/quota counters, "
-    "per-session shares, and the closed flag.")
-LOCK_SERVE_CACHE = _lock_rank(
-    "serve.cache", 30,
-    "src/repro/serve/cache.py:HashTableCache._lock",
-    "Guards the cross-query hash-table cache: regions, LRU order, byte "
-    "budget, hit/miss/eviction counters, and the generation stamp.")
+    "the generation clock. The frontend calls into the router, "
+    "workers, and stores, never the reverse.")
+LOCK_SERVE_STORE = _lock_rank(
+    "serve.store", 30,
+    "src/repro/serve/store.py:GenerationalStore._lock",
+    "Guards one generation-stamped store (hash-table cache, result "
+    "cache, or aggregate store): regions, recency order, byte budget, "
+    "counters, and the generation stamp. A leaf: no store ever takes "
+    "another lock — another store's included — while holding its own.")
 LOCK_TRACER = _lock_rank(
     "trace.tracer", 40,
     "src/repro/trace/tracer.py:Tracer._lock",

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.common.errors import MapReduceError, QueryError, SanitizerError
 from repro.common.schema import Schema
+from repro.core.canonical import CanonicalQuery
 from repro.core.expressions import TruePredicate, _ColumnsRowGetter
 from repro.core.hashtable import DimensionHashTable
 from repro.storage.columnvector import gather_values
@@ -105,14 +106,11 @@ def load_query_config(conf: JobConf) -> tuple[StarQuery, Schema, dict[str, Schem
 def resolve_aux_columns(query: StarQuery, join,
                         dim_schemas: dict[str, Schema]) -> list[str]:
     """Group-by columns supplied by a join's whole (snowflake) branch,
-    in group-by order."""
-    names: list[str] = []
-    for column in query.group_by:
-        for table in join.all_tables():
-            if column in dim_schemas[table] and column not in names:
-                names.append(column)
-                break
-    return names
+    sorted: a table's payload layout must not depend on how the query
+    spelled its GROUP BY, or equal tables would miss the cache."""
+    tables = join.all_tables()
+    return sorted({column for column in query.group_by
+                   if any(column in dim_schemas[t] for t in tables)})
 
 
 class StarJoinMapper(Mapper):
@@ -210,9 +208,9 @@ class StarJoinMapper(Mapper):
         """Resolve hash tables through the session's cross-query cache.
 
         The cache region is this task's node (tables are node-resident);
-        the key is the exact build recipe — join structure including
-        predicates, plus the auxiliary columns this query gathers — so a
-        different predicate or projection can never alias a cached
+        the key is :meth:`CanonicalQuery.table_key` — the normalised
+        build recipe plus the auxiliary columns this query gathers — so
+        a different predicate or projection can never alias a cached
         table. Subsumes the per-job ``jvm_state`` reuse path: a warm
         query performs no build at all (``ht_builds`` stays 0).
         """
@@ -221,10 +219,10 @@ class StarJoinMapper(Mapper):
         hits = 0
         misses = 0
         per_entry = context.conf.get_float(KEY_HT_BYTES_PER_ENTRY, 64.0)
+        canonical = CanonicalQuery(query)
         for join in query.joins:
-            aux = resolve_aux_columns(query, join, dim_schemas)
-            key = ("clydesdale.ht",
-                   json.dumps(join.to_dict(), sort_keys=True), tuple(aux))
+            key = canonical.table_key(
+                join, resolve_aux_columns(query, join, dim_schemas))
             hit = cache.get(context.node_id, key)
             if hit is not None:
                 hits += 1

@@ -1,8 +1,9 @@
-"""The serving layer: sessions, the hash-table cache, and the server.
+"""The serving layer: sessions, the generation-stamped stores (hash
+tables, results, aggregates), and the multi-worker frontend.
 
 Import from here (or use :func:`repro.api.connect`):
 
->>> from repro.serve import Session, HashTableCache, ClydesdaleServer
+>>> from repro.serve import Session, HashTableCache, Frontend
 
 Submodules load lazily so ``repro.core`` can reach
 ``repro.serve.cache`` without a circular import.
@@ -17,7 +18,6 @@ __all__ = [
     "AggStoreStats",
     "BACKENDS",
     "CacheStats",
-    "ClydesdaleServer",
     "Engine",
     "ExplainReport",
     "Frontend",
@@ -27,8 +27,6 @@ __all__ = [
     "Provenance",
     "ResultCache",
     "ResultCacheStats",
-    "ServerSession",
-    "ServerStats",
     "Session",
     "SessionStats",
     "ShapeRouter",
@@ -43,7 +41,6 @@ _EXPORTS = {
     "AggStoreStats": ("repro.serve.aggstore", "AggStoreStats"),
     "BACKENDS": ("repro.serve.session", "BACKENDS"),
     "CacheStats": ("repro.serve.cache", "CacheStats"),
-    "ClydesdaleServer": ("repro.serve.server", "ClydesdaleServer"),
     "Engine": ("repro.serve.session", "Engine"),
     "ExplainReport": ("repro.serve.session", "ExplainReport"),
     "Frontend": ("repro.serve.frontend", "Frontend"),
@@ -51,10 +48,8 @@ _EXPORTS = {
     "FrontendStats": ("repro.serve.frontend", "FrontendStats"),
     "HashTableCache": ("repro.serve.cache", "HashTableCache"),
     "Provenance": ("repro.serve.aggstore", "Provenance"),
-    "ResultCache": ("repro.serve.frontend", "ResultCache"),
-    "ResultCacheStats": ("repro.serve.frontend", "ResultCacheStats"),
-    "ServerSession": ("repro.serve.server", "ServerSession"),
-    "ServerStats": ("repro.serve.server", "ServerStats"),
+    "ResultCache": ("repro.serve.cache", "ResultCache"),
+    "ResultCacheStats": ("repro.serve.cache", "ResultCacheStats"),
     "Session": ("repro.serve.session", "Session"),
     "SessionStats": ("repro.serve.session", "SessionStats"),
     "ShapeRouter": ("repro.serve.routing", "ShapeRouter"),

@@ -19,12 +19,11 @@ and serves three kinds of requests without touching the fact table:
 * **miss** — execute, and optionally :meth:`AggStore.admit` the full
   (limit-free) result under a byte budget with benefit-aware eviction.
 
-A query's **family** is the canonical join-key signature of
-:func:`repro.serve.routing.query_shape` *plus* the canonicalized
-predicates: joins sorted by their canonical JSON, AND/OR conjuncts
-flattened and sorted, ``TruePredicate`` conjuncts dropped.  Two queries
-in the same family filter provably identical fact rows, which is what
-makes a rollup of one a byte-exact answer for the other.
+A query's **family** is :attr:`repro.core.canonical.CanonicalQuery.
+family` — the fact table, the normalised joins and the normalised fact
+predicate.  Two queries in the same family filter provably identical
+fact rows, which is what makes a rollup of one a byte-exact answer for
+the other.
 
 **Byte-identity is the bar, not approximation.** The reference engine
 emits groups in fact-scan insertion order and then runs a *stable* sort
@@ -39,33 +38,27 @@ exact, so re-aggregation is integer-only: any non-``int`` aggregate
 value (or a sum that could overflow int64) declines to a miss instead
 of serving a float whose addition order could differ from the engine's.
 
-Invalidation rides the same generation stamps as
-:class:`~repro.serve.cache.HashTableCache`: ``invalidate(generation=)``
-ignores stale/duplicate stamps so scale-out broadcasts need no barrier,
-and :meth:`admit` refuses results computed under a superseded stamp —
-a query that raced a ``reload_catalog`` can never materialize stale
-rows (mirrors :meth:`ResultCache.store`).
-
-Lock discipline: everything runs under one ``serve.aggstore`` lock
-(rank 19, declared in ``repro.common.keys``), taken *inside*
-``server.engine`` (10) — a session consults the store mid-execute —
-and never held while any other declared lock is acquired: the store
-serves from materialized rows only.
+Budget, eviction loop, stamps and the lock are
+:class:`~repro.serve.store.GenerationalStore`'s (region = family, key =
+group set x aggregate identities); this module keeps only the matching,
+rollup and ordering rules, the admission rules (no LIMIT, no AVG) and
+the eviction *policy*.  Every operation takes the store lock exactly
+once and serves from materialized rows only.
 """
 
 from __future__ import annotations
 
 import json
 import pickle
-import threading
 from dataclasses import dataclass
+from typing import Hashable
 
 import numpy as np
 
-from repro.common.errors import ValidationError
-from repro.common.keys import LOCK_SERVE_AGGSTORE
+from repro.core.canonical import CanonicalQuery
 from repro.core.query import Aggregate, OrderKey, StarQuery
 from repro.core.result import QueryResult, apply_order_by
+from repro.serve.store import GenerationalStore, StoreEntry, StoreStats
 
 #: Eviction scans this many oldest entries and drops the least useful.
 EVICT_SCAN = 8
@@ -80,53 +73,10 @@ _INT64_SAFE = 2 ** 62
 # --------------------------------------------------------------------- #
 
 
-def _normalize_pred_dict(data: dict) -> dict:
-    """Canonicalize a predicate dict: flatten nested AND/OR, drop TRUE
-    conjuncts, sort operands — so predicates that provably filter the
-    same rows compare equal regardless of how they were spelled."""
-    kind = data.get("kind")
-    if kind in ("and", "or"):
-        parts: list[dict] = []
-        for part in data["parts"]:
-            norm = _normalize_pred_dict(part)
-            if norm["kind"] == kind:
-                parts.extend(norm["parts"])
-            elif kind == "and" and norm["kind"] == "true":
-                continue
-            else:
-                parts.append(norm)
-        if not parts:
-            return {"kind": "true"}
-        parts.sort(key=lambda p: json.dumps(p, sort_keys=True))
-        if len(parts) == 1:
-            return parts[0]
-        return {"kind": kind, "parts": parts}
-    if kind == "not":
-        return {"kind": "not",
-                "inner": _normalize_pred_dict(data["inner"])}
-    return data
-
-
-def _canonical_join(join_dict: dict) -> dict:
-    out = dict(join_dict)
-    out["predicate"] = _normalize_pred_dict(join_dict["predicate"])
-    out["snowflake"] = [_canonical_join(dict(s))
-                        for s in join_dict.get("snowflake", [])]
-    return out
-
-
 def family_key(query: StarQuery) -> tuple:
-    """The subsumption family of ``query``: fact table, canonical joins,
-    canonical fact predicate.  Group-by, aggregates, order and limit are
-    deliberately excluded — those are what subsumption matches *across*.
-    """
-    joins = tuple(sorted(json.dumps(_canonical_join(j.to_dict()),
-                                    sort_keys=True)
-                         for j in query.joins))
-    fact_pred = json.dumps(
-        _normalize_pred_dict(query.fact_predicate.to_dict()),
-        sort_keys=True)
-    return (query.fact_table, joins, fact_pred)
+    """The subsumption family of ``query``
+    (:attr:`CanonicalQuery.family`)."""
+    return CanonicalQuery(query).family
 
 
 def agg_identity(agg: Aggregate) -> tuple:
@@ -184,6 +134,11 @@ class Provenance:
                 "scanned_rows": self.scanned_rows,
                 "declined": self.declined}
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "Provenance":
+        return cls(**{**data, "candidates": tuple(
+            tuple(c) for c in data.get("candidates", ()))})
+
 
 @dataclass(frozen=True)
 class AggDecision:
@@ -198,50 +153,32 @@ class AggDecision:
 
 
 @dataclass(frozen=True)
-class AggStoreStats:
-    """Immutable snapshot of aggregate-store effectiveness counters."""
+class AggStoreStats(StoreStats):
+    """:class:`StoreStats` (``hits`` = exact + rollup) plus how the
+    subsumption matcher served."""
 
     hits_exact: int = 0
     hits_rollup: int = 0
-    misses: int = 0
     declined: int = 0      # subsumable but tie/type-unsafe to serve
-    puts: int = 0
-    evictions: int = 0
-    stale_drops: int = 0   # admissions refused for a superseded stamp
-    rejected: int = 0      # results larger than the whole budget
-    invalidations: int = 0
     rolled_rows: int = 0   # materialized rows re-aggregated, lifetime
-    entries: int = 0
-    bytes_cached: int = 0
-    budget_bytes: int = 0
-    generation: int = 0
-
-    def hit_rate(self) -> float:
-        probes = self.hits_exact + self.hits_rollup + self.misses
-        return ((self.hits_exact + self.hits_rollup) / probes
-                if probes else 0.0)
 
 
 @dataclass
 class _AggEntry:
     group_set: frozenset
     group_cols: tuple[str, ...]     # stored column order of the keys
-    aggs: tuple[Aggregate, ...]     # stored aggregate column order
     agg_ids: tuple[tuple, ...]      # agg_identity per stored aggregate
     order_sem: tuple                # _order_semantics of the execution
     columns: tuple[str, ...]
     rows: list[tuple]               # full, ordered, limit-free
-    nbytes: int
     cost: float                     # simulated seconds of the execute
-    generation: int
-    hits: int = 0
-    seq: int = 0                    # admission order (eviction age)
 
-    def benefit(self) -> float:
-        """Reuse benefit per byte: how much simulated work this entry
-        saves, scaled by how often it was used and how much budget it
-        occupies. Eviction drops the lowest."""
-        return (1 + self.hits) * self.cost / max(1, self.nbytes)
+
+def _benefit(entry: StoreEntry) -> float:
+    """Reuse benefit per byte: how much simulated work this entry
+    saves, scaled by how often it was used and how much budget it
+    occupies. Eviction drops the lowest."""
+    return (1 + entry.hits) * entry.value.cost / max(1, entry.nbytes)
 
 
 # --------------------------------------------------------------------- #
@@ -249,53 +186,26 @@ class _AggEntry:
 # --------------------------------------------------------------------- #
 
 
-class AggStore:
+class AggStore(GenerationalStore):
     """Generation-stamped materialized aggregate store.
 
     ``budget_bytes`` bounds the pickled size of all materialized rows;
     past it, eviction scans the :data:`EVICT_SCAN` oldest entries and
-    drops the one with the lowest :meth:`_AggEntry.benefit` — plain LRU
-    would happily evict the expensive fine-grained entry every coarser
+    drops the one with the lowest :func:`_benefit` — plain LRU would
+    happily evict the expensive fine-grained entry every coarser
     dashboard panel rolls up from.
     """
 
-    #: Fields the lock guards; ``sanitize=True`` enforces this at
-    #: runtime via :func:`repro.analyze.sanitizer.guard_fields`.
-    GUARDED_FIELDS = ("_families", "_bytes", "_seq", "_hits_exact",
-                      "_hits_rollup", "_misses", "_declined", "_puts",
-                      "_evictions", "_stale_drops", "_rejected",
-                      "_invalidations", "_rolled_rows", "generation")
+    GUARDED_FIELDS = GenerationalStore.GUARDED_FIELDS + (
+        "_hits_exact", "_hits_rollup", "_declined", "_rolled_rows")
 
     def __init__(self, budget_bytes: int, *,
                  sanitize: bool = False) -> None:
-        if budget_bytes <= 0:
-            raise ValidationError(
-                f"aggstore budget must be positive, got {budget_bytes}")
-        self.budget_bytes = int(budget_bytes)
-        if sanitize:
-            # Dev-tool layer, imported only when the sanitizer is on.
-            from repro.analyze.sanitizer import TrackedRLock
-            self._lock = TrackedRLock(LOCK_SERVE_AGGSTORE)
-        else:
-            self._lock = threading.RLock()
-        #: family key -> list of entries, finest-first not guaranteed.
-        self._families: dict[tuple, list[_AggEntry]] = {}
-        self._bytes = 0
-        self._seq = 0
         self._hits_exact = 0
         self._hits_rollup = 0
-        self._misses = 0
         self._declined = 0
-        self._puts = 0
-        self._evictions = 0
-        self._stale_drops = 0
-        self._rejected = 0
-        self._invalidations = 0
         self._rolled_rows = 0
-        self.generation = 0
-        if sanitize:
-            from repro.analyze.sanitizer import guard_fields
-            guard_fields(self, self._lock, self.GUARDED_FIELDS)
+        super().__init__(budget_bytes, sanitize=sanitize)
 
     # ------------------------------------------------------------------ #
     # Matching and serving.
@@ -310,64 +220,67 @@ class AggStore:
         session's AVG finalizer); everyone else gets the tie-safe
         behavior documented in the module docstring.
         """
-        requested = frozenset(query.group_by)
+        family = family_key(query)
         with self._lock:
-            entries = self._families.get(family_key(query), [])
-            candidates = tuple(entry.group_cols for entry in entries)
-            exact, rollup = None, None
-            for entry in entries:
-                if not self._aggs_available(entry, query.aggregates):
-                    continue
-                if entry.group_set == requested:
-                    exact = entry
-                    break
-                if (entry.group_set > requested
-                        and (rollup is None
-                             or len(entry.rows) < len(rollup.rows))):
-                    rollup = entry
+            candidates, exact, rollup = self._match(family, query)
             if exact is not None:
-                decision = self._serve_exact(exact, query, candidates,
-                                             any_order)
+                served = exact
+                decision = self._serve_exact(exact.value, query,
+                                             candidates, any_order)
             elif rollup is not None:
+                served = rollup
                 decision = self._serve_rollup(rollup, query, candidates,
                                               any_order)
             else:
                 decision = AggDecision(kind="miss", candidates=candidates)
-            if decision.kind == "exact":
-                self._hits_exact += 1
-                exact.hits += 1
-            elif decision.kind == "rollup":
-                self._hits_rollup += 1
-                rollup.hits += 1
-                self._rolled_rows += decision.rolled_rows
-            else:
+            if decision.result is None:
                 self._misses += 1
                 if decision.declined is not None:
                     self._declined += 1
+                return decision
+            # Recency is admission order (``tick`` stays put); reuse
+            # shows up in the entry's benefit instead.
+            served.hits += 1
+            self._hits += 1
+            if decision.kind == "exact":
+                self._hits_exact += 1
+            else:
+                self._hits_rollup += 1
+                self._rolled_rows += decision.rolled_rows
             return decision
 
     def peek(self, query: StarQuery) -> AggDecision:
         """The decision :meth:`fetch` would make — without serving rows,
         bumping counters, or touching entry recency (EXPLAIN's view)."""
-        requested = frozenset(query.group_by)
+        family = family_key(query)
         with self._lock:
-            entries = self._families.get(family_key(query), [])
-            candidates = tuple(entry.group_cols for entry in entries)
-            kind = "miss"
-            for entry in entries:
-                if not self._aggs_available(entry, query.aggregates):
-                    continue
-                if entry.group_set == requested:
-                    kind = "exact"
-                    break
-                if entry.group_set > requested:
-                    kind = "rollup"
-            return AggDecision(kind=kind, candidates=candidates)
+            candidates, exact, rollup = self._match(family, query)
+        kind = ("exact" if exact is not None
+                else "rollup" if rollup is not None else "miss")
+        return AggDecision(kind=kind, candidates=candidates)
 
-    @staticmethod
-    def _aggs_available(entry: _AggEntry,
-                        aggregates: list[Aggregate]) -> bool:
-        return all(agg_identity(a) in entry.agg_ids for a in aggregates)
+    def _match(self, family: tuple, query: StarQuery) -> tuple[
+            tuple, StoreEntry | None, StoreEntry | None]:
+        """``family``'s group-by sets, its exact entry, and its smallest
+        subsuming entry — among entries holding every requested
+        aggregate (lock held)."""
+        requested = frozenset(query.group_by)
+        wanted = [agg_identity(a) for a in query.aggregates]
+        slots = self._regions.get(family, {}).values()
+        exact, rollup = None, None
+        for slot in slots:
+            entry = slot.value
+            if not all(agg in entry.agg_ids for agg in wanted):
+                continue
+            if entry.group_set == requested:
+                exact = slot
+                break
+            if (entry.group_set > requested
+                    and (rollup is None
+                         or len(entry.rows) < len(rollup.value.rows))):
+                rollup = slot
+        return (tuple(slot.value.group_cols for slot in slots),
+                exact, rollup)
 
     def _serve_exact(self, entry: _AggEntry, query: StarQuery,
                      candidates: tuple, any_order: bool) -> AggDecision:
@@ -394,8 +307,9 @@ class AggStore:
         return AggDecision(kind="exact", candidates=candidates,
                            result=self._result(query, ordered))
 
-    def _serve_rollup(self, entry: _AggEntry, query: StarQuery,
+    def _serve_rollup(self, slot: StoreEntry, query: StarQuery,
                       candidates: tuple, any_order: bool) -> AggDecision:
+        entry = slot.value
         group_pos = [entry.columns.index(c) for c in query.group_by]
         rows = entry.rows
         # First-seen group codes over the stored (finer) rows.
@@ -443,7 +357,7 @@ class AggStore:
         return AggDecision(
             kind="rollup", candidates=candidates,
             result=self._result(query, ordered),
-            rolled_rows=len(rows), rolled_bytes=entry.nbytes)
+            rolled_rows=len(rows), rolled_bytes=slot.nbytes)
 
     def _reorder(self, entry: _AggEntry, positions: list[int],
                  query: StarQuery
@@ -488,131 +402,57 @@ class AggStore:
             breakdown={})
 
     # ------------------------------------------------------------------ #
-    # Admission, eviction, invalidation.
+    # Admission rules and the eviction policy.
     # ------------------------------------------------------------------ #
 
     def admit(self, query: StarQuery, result: QueryResult, *,
               cost: float = 0.0,
               generation: int | None = None) -> bool:
         """Materialize ``result`` (a *complete*, limit-free execution of
-        ``query``) for future exact/rollup serves.
+        ``query``) for future exact/rollup serves, replacing an entry
+        with the same group set and aggregate identities.
 
         Returns False without storing when ``query`` carries a LIMIT
-        (a truncated answer cannot roll up), when ``generation`` — the
-        stamp the result was computed under — is superseded (a racing
-        ``reload_catalog`` wins), when AVG survived unrewritten, or when
-        the rows alone bust the whole budget."""
+        (a truncated answer cannot roll up), when AVG survived
+        unrewritten, or when the store refuses the ``put`` (superseded
+        ``generation`` stamp — a racing ``reload_catalog`` wins — or
+        rows that alone bust the whole budget)."""
         if query.limit is not None:
             return False
         if any(a.function == "avg" for a in query.aggregates):
             return False   # store-time invariant: AVG is SUM+COUNT
         rows = list(result.rows)
-        nbytes = len(pickle.dumps(rows))
-        key = (frozenset(query.group_by),
-               tuple(sorted(agg_identity(a) for a in query.aggregates)))
-        with self._lock:
-            if generation is not None and generation != self.generation:
-                self._stale_drops += 1
-                return False
-            if nbytes > self.budget_bytes:
-                self._rejected += 1
-                return False
-            fam = self._families.setdefault(family_key(query), [])
-            for i, entry in enumerate(fam):
-                if (entry.group_set, tuple(sorted(entry.agg_ids))) == key:
-                    self._bytes -= entry.nbytes
-                    del fam[i]
-                    break
-            self._seq += 1
-            fam.append(_AggEntry(
-                group_set=frozenset(query.group_by),
-                group_cols=tuple(query.group_by),
-                aggs=tuple(query.aggregates),
-                agg_ids=tuple(agg_identity(a) for a in query.aggregates),
-                order_sem=_order_semantics(query.order_by,
-                                           query.group_by,
-                                           query.aggregates),
-                columns=tuple(result.columns),
-                rows=rows,
-                nbytes=nbytes,
-                cost=float(cost),
-                generation=self.generation,
-                seq=self._seq))
-            self._bytes += nbytes
-            self._puts += 1
-            while self._bytes > self.budget_bytes:
-                self._evict_one()
-            return True
+        agg_ids = tuple(agg_identity(a) for a in query.aggregates)
+        entry = _AggEntry(
+            group_set=frozenset(query.group_by),
+            group_cols=tuple(query.group_by),
+            agg_ids=agg_ids,
+            order_sem=_order_semantics(query.order_by, query.group_by,
+                                       query.aggregates),
+            columns=tuple(result.columns),
+            rows=rows,
+            cost=float(cost))
+        return self.put(family_key(query),
+                        (entry.group_set, tuple(sorted(agg_ids))),
+                        entry, len(pickle.dumps(rows)),
+                        generation=generation)
 
-    def _evict_one(self) -> None:
-        """Drop the least-beneficial of the :data:`EVICT_SCAN` oldest
+    def _victim(self, region: Hashable) -> tuple[Hashable, Hashable]:
+        """The least beneficial of the :data:`EVICT_SCAN` oldest
         entries (LRU-by-benefit)."""
-        oldest: list[tuple[tuple, int, _AggEntry]] = []
-        for fam_key, entries in self._families.items():
-            for i, entry in enumerate(entries):
-                oldest.append((fam_key, i, entry))
-        oldest.sort(key=lambda item: item[2].seq)
-        scan = oldest[:EVICT_SCAN]
-        fam_key, index, entry = min(
-            scan, key=lambda item: item[2].benefit())
-        entries = self._families[fam_key]
-        del entries[index]
-        if not entries:
-            del self._families[fam_key]
-        self._bytes -= entry.nbytes
-        self._evictions += 1
-
-    def invalidate(self, generation: int | None = None) -> bool:
-        """Drop every materialized entry (catalog reload).
-
-        Same stamp semantics as :meth:`HashTableCache.invalidate`: no
-        argument advances the generation; a frontend-issued stamp at or
-        below the current one is a stale/duplicate broadcast and is
-        ignored, so invalidation never needs a pool-wide barrier.
-        Returns whether the invalidation was applied."""
-        with self._lock:
-            if generation is not None and generation <= self.generation:
-                return False
-            self._families.clear()
-            self._bytes = 0
-            self._invalidations += 1
-            self.generation = (self.generation + 1 if generation is None
-                               else generation)
-            return True
-
-    def current_generation(self) -> int:
-        """The live stamp (snapshot it before executing work whose
-        result will be :meth:`admit`\\ ted)."""
-        with self._lock:
-            return self.generation
-
-    # ------------------------------------------------------------------ #
+        oldest = sorted(
+            ((slot, family, key)
+             for family, slots in self._regions.items()
+             for key, slot in slots.items()),
+            key=lambda item: item[0].tick)[:EVICT_SCAN]
+        _, family, key = min(oldest, key=lambda item: _benefit(item[0]))
+        return family, key
 
     def stats(self) -> AggStoreStats:
         with self._lock:
             return AggStoreStats(
+                **self._snapshot(),
                 hits_exact=self._hits_exact,
                 hits_rollup=self._hits_rollup,
-                misses=self._misses,
                 declined=self._declined,
-                puts=self._puts,
-                evictions=self._evictions,
-                stale_drops=self._stale_drops,
-                rejected=self._rejected,
-                invalidations=self._invalidations,
-                rolled_rows=self._rolled_rows,
-                entries=sum(len(f) for f in self._families.values()),
-                bytes_cached=self._bytes,
-                budget_bytes=self.budget_bytes,
-                generation=self.generation)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return sum(len(f) for f in self._families.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        s = self.stats()
-        return (f"AggStore(entries={s.entries}, "
-                f"bytes={s.bytes_cached}/{s.budget_bytes}, "
-                f"exact={s.hits_exact}, rollup={s.hits_rollup}, "
-                f"misses={s.misses})")
+                rolled_rows=self._rolled_rows)

@@ -1,186 +1,45 @@
-"""Cross-query dimension hash-table cache (the serving layer's JVM reuse).
+"""The two plain configurations of :class:`~repro.serve.store.
+GenerationalStore`: built hash tables per node, whole results per
+frontend.
 
 Clydesdale's third trick — JVM reuse — amortizes the per-node hash build
 across the map tasks of *one* job.  A :class:`repro.serve.session.Session`
-goes one step further and keeps the built tables alive across *queries*:
-the cache is node-resident (one LRU region per cluster node, mirroring
-where the tables physically live), keyed by the exact build inputs
-``(table(s), predicate, columns)``, and bounded by a per-node byte budget
-(``clydesdale.cache.ht_bytes``).  A warm repeat of a query skips the
-build phase entirely; a catalog reload calls :meth:`HashTableCache.
-invalidate` so no stale dimension rows can ever be served.
+keeps the built tables alive across *queries* in a
+:class:`HashTableCache`: one region per cluster node (mirroring where
+the tables physically live), each bounded by ``clydesdale.cache.
+ht_bytes``, keyed by :meth:`repro.core.canonical.CanonicalQuery.
+table_key` (Clydesdale caches built
+:class:`~repro.core.hashtable.DimensionHashTable` objects, the Hive
+engine serialized mapjoin broadcast payloads under its own keys).  A
+warm repeat skips the build phase entirely.
 
-The cache is deliberately generic: values are opaque (Clydesdale caches
-built :class:`~repro.core.hashtable.DimensionHashTable` objects, the
-Hive engine caches serialized mapjoin broadcast payloads) and callers
-construct their own hashable keys.  Consumers reach it through
-``conf.ht_cache`` / engine plumbing, never by importing this module from
-``repro.core`` — the core layer stays independent of the serving layer.
-
-Thread safety: a server executes queries from several worker threads, so
-every method takes the cache lock; the race lint scans this module.
+A :class:`ResultCache` sits in front of the scale-out frontend's workers
+and answers a byte-identical repeat of a whole query
+(:attr:`~repro.core.canonical.CanonicalQuery.exact`) without reaching
+one.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Hashable
+from repro.core.result import QueryResult
+from repro.serve.store import GenerationalStore, StoreStats
 
-from repro.common.errors import ValidationError
-from repro.common.keys import LOCK_SERVE_CACHE
+CacheStats = StoreStats
+ResultCacheStats = StoreStats
 
 
-@dataclass(frozen=True)
-class CacheStats:
-    """Immutable snapshot of cache effectiveness counters."""
+class HashTableCache(GenerationalStore):
+    """Node-resident LRU cache of built dimension hash tables."""
 
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    evictions: int = 0
-    rejected: int = 0      # entries larger than the whole budget
-    invalidations: int = 0
-    entries: int = 0
-    bytes_cached: int = 0
-    budget_bytes: int = 0
-    regions: tuple[str, ...] = field(default_factory=tuple)
-
-    def hit_rate(self) -> float:
-        probes = self.hits + self.misses
-        return self.hits / probes if probes else 0.0
+    PER_REGION = True
 
 
-@dataclass
-class _Entry:
-    value: Any
-    nbytes: int
+class ResultCache(GenerationalStore):
+    """LRU cache of whole query results under one budget."""
 
+    def lookup(self, key: str) -> QueryResult | None:
+        return self.get(None, key)
 
-class HashTableCache:
-    """Node-resident LRU cache of built dimension hash tables.
-
-    ``budget_bytes`` bounds each region (one region per node — the
-    tables are node-resident, so the budget models per-node memory, not
-    cluster-wide memory).  ``get``/``put`` are O(1); eviction pops the
-    least-recently-used entry of the region being written.
-    """
-
-    #: Counter fields the lock guards; ``sanitize=True`` enforces this
-    #: at runtime via :func:`repro.analyze.sanitizer.guard_fields`.
-    GUARDED_FIELDS = ("_regions", "_bytes", "_hits", "_misses", "_puts",
-                      "_evictions", "_rejected", "_invalidations",
-                      "generation")
-
-    def __init__(self, budget_bytes: int, *,
-                 sanitize: bool = False) -> None:
-        if budget_bytes <= 0:
-            raise ValidationError(
-                f"cache budget must be positive, got {budget_bytes}")
-        self.budget_bytes = int(budget_bytes)
-        if sanitize:
-            # Dev-tool layer, imported only when the sanitizer is on.
-            from repro.analyze.sanitizer import TrackedRLock
-            self._lock = TrackedRLock(LOCK_SERVE_CACHE)
-        else:
-            self._lock = threading.RLock()
-        self._regions: dict[str, OrderedDict[Hashable, _Entry]] = {}
-        self._bytes: dict[str, int] = {}
-        self._hits = 0
-        self._misses = 0
-        self._puts = 0
-        self._evictions = 0
-        self._rejected = 0
-        self._invalidations = 0
-        self.generation = 0
-        if sanitize:
-            from repro.analyze.sanitizer import guard_fields
-            guard_fields(self, self._lock, self.GUARDED_FIELDS)
-
-    # ------------------------------------------------------------------ #
-
-    def get(self, region: str, key: Hashable) -> Any | None:
-        """The cached value, marking it most-recently-used; None on miss."""
-        with self._lock:
-            entries = self._regions.get(region)
-            entry = entries.get(key) if entries is not None else None
-            if entry is None:
-                self._misses += 1
-                return None
-            entries.move_to_end(key)
-            self._hits += 1
-            return entry.value
-
-    def put(self, region: str, key: Hashable, value: Any,
-            nbytes: int) -> bool:
-        """Insert ``value`` charged at ``nbytes``, evicting LRU entries
-        past the region budget. Returns False (and caches nothing) when
-        the value alone exceeds the whole budget."""
-        nbytes = max(0, int(nbytes))
-        with self._lock:
-            if nbytes > self.budget_bytes:
-                self._rejected += 1
-                return False
-            entries = self._regions.setdefault(region, OrderedDict())
-            old = entries.pop(key, None)
-            if old is not None:
-                self._bytes[region] -= old.nbytes
-            entries[key] = _Entry(value=value, nbytes=nbytes)
-            self._bytes[region] = self._bytes.get(region, 0) + nbytes
-            self._puts += 1
-            while self._bytes[region] > self.budget_bytes:
-                _, evicted = entries.popitem(last=False)
-                self._bytes[region] -= evicted.nbytes
-                self._evictions += 1
-            return True
-
-    def invalidate(self, generation: int | None = None) -> bool:
-        """Drop every cached table (catalog reload / explicit flush).
-
-        With no argument the cache's generation simply advances — the
-        in-process, single-owner behavior. ``generation=`` is the
-        scale-out path: a frontend stamps each reload with its own
-        generation and broadcasts it to every worker shard, and each
-        shard applies the stamp *independently* — a stamp at or below
-        the shard's current generation is a duplicate or stale message
-        and is ignored, so no cross-worker barrier is needed and a
-        retried broadcast can never double-invalidate. Returns whether
-        the invalidation was applied.
-        """
-        with self._lock:
-            if generation is not None and generation <= self.generation:
-                return False
-            self._regions.clear()
-            self._bytes.clear()
-            self._invalidations += 1
-            self.generation = (self.generation + 1 if generation is None
-                               else generation)
-            return True
-
-    # ------------------------------------------------------------------ #
-
-    def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                puts=self._puts,
-                evictions=self._evictions,
-                rejected=self._rejected,
-                invalidations=self._invalidations,
-                entries=sum(len(r) for r in self._regions.values()),
-                bytes_cached=sum(self._bytes.values()),
-                budget_bytes=self.budget_bytes,
-                regions=tuple(sorted(self._regions)),
-            )
-
-    def __len__(self) -> int:
-        with self._lock:
-            return sum(len(r) for r in self._regions.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        s = self.stats()
-        return (f"HashTableCache(entries={s.entries}, "
-                f"bytes={s.bytes_cached}/{s.budget_bytes}, "
-                f"hits={s.hits}, misses={s.misses})")
+    def store(self, key: str, value: QueryResult, nbytes: int,
+              generation: int | None = None) -> bool:
+        return self.put(None, key, value, nbytes, generation=generation)

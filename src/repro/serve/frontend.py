@@ -1,25 +1,26 @@
 """Scale-out serving: a multi-worker frontend with warm-shard routing.
 
-``ClydesdaleServer`` (PR 5) admits concurrent queries but executes them
-all in one process behind one engine lock.  This module shards that
-design: a :class:`Frontend` owns a pool of forked worker *processes*
+A :class:`Frontend` owns a pool of forked worker *processes*
 (:mod:`repro.serve.worker`), each with its own engine and hash-table
-cache shard, and routes every query by its canonical join-key signature
-(:func:`repro.serve.routing.query_shape`) so repeat shapes land on the
-worker whose shard is already warm — the repeat performs zero hash
-builds.  In front of the workers sits a :class:`ResultCache`: a
-byte-identical repeat of a whole query is answered without reaching a
-worker at all.  Every cache entry is stamped with the frontend's
-catalog generation; ``reload_catalog`` bumps the generation and
-broadcasts it to the workers as a fire-and-forget message, so
-invalidation never barriers the pool — stale entries simply die on
-their next touch, and each worker shard applies the stamp
-independently (see :meth:`HashTableCache.invalidate`).
+cache shard, and routes every query by its canonical shape
+(:attr:`repro.core.canonical.CanonicalQuery.shape`) so repeat shapes
+land on the worker whose shard is already warm — the repeat performs
+zero hash builds.  In front of the workers sit a
+:class:`~repro.serve.cache.ResultCache` (a byte-identical repeat of a
+whole query never reaches a worker) and an
+:class:`~repro.serve.aggstore.AggStore` (neither does a subsumed one).
 
-Admission mirrors the server: at most ``workers x max_concurrent +
-queue_depth`` queries in flight frontend-wide and ``session_quota`` per
-attached session; past either bound ``execute`` raises
-:class:`~repro.common.errors.AdmissionError`.  A worker that dies
+The frontend's ``generation`` is the only clock: ``reload_catalog``
+bumps it, stamps both frontend stores with it and broadcasts it to the
+workers as a fire-and-forget message, so invalidation never barriers
+the pool — every store applies the stamp independently and refuses
+work computed under a superseded one (see
+:class:`~repro.serve.store.GenerationalStore`).
+
+Admission is the serving layer's only one: at most ``workers x
+max_concurrent + queue_depth`` queries in flight frontend-wide and
+``session_quota`` per attached session; past either bound ``execute``
+raises :class:`~repro.common.errors.AdmissionError`.  A worker that dies
 mid-query (detected via its process sentinel, surfacing as
 :class:`~repro.common.errors.WorkerCrashError`) is taken out of
 rotation, its shapes re-pin to healthy workers, the query retries, and
@@ -29,19 +30,16 @@ and generation, so a crash never leaks a stale cache generation.
 Lock discipline (declared in ``repro.common.keys``): the frontend's
 locks are never held while taking one another; their declared ranks —
 ``frontend.worker`` (12) < ``frontend.router`` (14) <
-``frontend.admission`` (16) < ``frontend.results`` (18) — sit between
-``server.engine`` (10) and ``server.admission`` (20), so every
+``frontend.admission`` (16) < ``serve.store`` (30) — keep every
 acquisition the lockset/lock-order passes (and the runtime sanitizer)
-see stays rank-increasing.  The engine-side locks (``serve.cache`` and
-deeper) live in the *worker processes*, never under a frontend lock.
+see rank-increasing.  The engine-side locks live in the *worker
+processes*, never under a frontend lock.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import pickle
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
@@ -64,13 +62,15 @@ from repro.common.keys import (
     KEY_SERVE_WORKER_RETRIES,
     KEY_SERVE_WORKERS,
     LOCK_FRONTEND_ADMISSION,
-    LOCK_FRONTEND_RESULTS,
 )
+from repro.common.locking import guarded_lock
+from repro.core.canonical import CanonicalQuery
 from repro.core.query import StarQuery
 from repro.core.result import QueryResult
 from repro.mapreduce.fairshare import validate_shares
 from repro.serve.aggstore import AggStore, AggStoreStats, Provenance
-from repro.serve.routing import ShapeRouter, query_shape, result_key
+from repro.serve.cache import ResultCache, ResultCacheStats
+from repro.serve.routing import ShapeRouter, query_shape
 from repro.serve.session import ExplainReport, SessionStats
 from repro.serve.worker import WorkerHandle
 from repro.trace.tracer import (
@@ -78,10 +78,16 @@ from repro.trace.tracer import (
     CAT_FRONTEND,
     CAT_ROUTE,
     CAT_WORKER,
+    NULL_TRACER,
     STATUS_FAILED,
+    NullTracer,
     SpanTree,
     Tracer,
 )
+
+#: ``_advance`` without a catalog swap (``None`` is a valid catalog:
+#: workers regenerate the default data set).
+_KEEP_DATA = object()
 
 
 def _fresh_result(result: QueryResult) -> QueryResult:
@@ -99,159 +105,6 @@ def _result_nbytes(result: QueryResult) -> int:
     """The byte charge for caching ``result`` (its pickled size — the
     same wire format the worker shipped it in)."""
     return len(pickle.dumps(result))
-
-
-# --------------------------------------------------------------------- #
-# The frontend result cache.
-# --------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class ResultCacheStats:
-    """Immutable snapshot of result-cache effectiveness counters."""
-
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    evictions: int = 0
-    stale_drops: int = 0   # stale-generation lookup drops + store refusals
-    rejected: int = 0      # results larger than the whole budget
-    entries: int = 0
-    bytes_cached: int = 0
-    budget_bytes: int = 0
-    generation: int = 0
-
-
-@dataclass
-class _ResultEntry:
-    value: QueryResult
-    nbytes: int
-    generation: int
-
-
-class ResultCache:
-    """LRU cache of whole query results with generation-stamped entries.
-
-    ``bump_generation`` does **not** clear the cache — it only advances
-    the stamp, and entries from older generations are dropped lazily
-    when next touched.  That is what makes catalog reload barrier-free:
-    nothing blocks while a reload propagates, yet a stale result can
-    never be returned because :meth:`get` compares stamps first.
-    """
-
-    #: Fields the lock guards; ``sanitize=True`` enforces this at
-    #: runtime via :func:`repro.analyze.sanitizer.guard_fields`.
-    GUARDED_FIELDS = ("_entries", "_bytes", "_hits", "_misses", "_puts",
-                      "_evictions", "_stale_drops", "_rejected",
-                      "generation")
-
-    def __init__(self, budget_bytes: int, *,
-                 sanitize: bool = False) -> None:
-        if budget_bytes <= 0:
-            raise ValidationError(
-                f"result-cache budget must be positive, "
-                f"got {budget_bytes}")
-        self.budget_bytes = int(budget_bytes)
-        if sanitize:
-            # Dev-tool layer, imported only when the sanitizer is on.
-            from repro.analyze.sanitizer import TrackedRLock
-            self._lock = TrackedRLock(LOCK_FRONTEND_RESULTS)
-        else:
-            self._lock = threading.RLock()
-        self._entries: OrderedDict[str, _ResultEntry] = OrderedDict()
-        self._bytes = 0
-        self._hits = 0
-        self._misses = 0
-        self._puts = 0
-        self._evictions = 0
-        self._stale_drops = 0
-        self._rejected = 0
-        self.generation = 0
-        if sanitize:
-            from repro.analyze.sanitizer import guard_fields
-            guard_fields(self, self._lock, self.GUARDED_FIELDS)
-
-    def lookup(self, key: str) -> QueryResult | None:
-        """The cached result for ``key`` — only if its stamp matches
-        the current generation; stale entries are dropped here.
-
-        (Named ``lookup``/``store`` rather than ``get``/``put`` so the
-        lock-order analyzer's duck-typed call resolution never aliases
-        these with dict/:class:`HashTableCache` accessors used under
-        other locks.)"""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            if entry.generation != self.generation:
-                del self._entries[key]
-                self._bytes -= entry.nbytes
-                self._stale_drops += 1
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return entry.value
-
-    def store(self, key: str, value: QueryResult, nbytes: int,
-              generation: int | None = None) -> bool:
-        """Insert ``value`` stamped with the current generation,
-        evicting LRU entries past the budget. Returns False (caching
-        nothing) when the value alone exceeds the whole budget, or when
-        ``generation`` — the generation ``value`` was *computed* under
-        — no longer matches the current stamp: a result that raced with
-        a catalog reload must die here, not get stamped fresh."""
-        nbytes = max(0, int(nbytes))
-        with self._lock:
-            if generation is not None and generation != self.generation:
-                self._stale_drops += 1
-                return False
-            if nbytes > self.budget_bytes:
-                self._rejected += 1
-                return False
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= old.nbytes
-            self._entries[key] = _ResultEntry(
-                value=value, nbytes=nbytes, generation=self.generation)
-            self._bytes += nbytes
-            self._puts += 1
-            while self._bytes > self.budget_bytes:
-                _, evicted = self._entries.popitem(last=False)
-                self._bytes -= evicted.nbytes
-                self._evictions += 1
-            return True
-
-    def bump_generation(self) -> int:
-        """Advance the stamp; existing entries expire lazily."""
-        with self._lock:
-            self.generation += 1
-            return self.generation
-
-    def current_generation(self) -> int:
-        """The live stamp (snapshot it before dispatching work whose
-        result will be :meth:`store`\\ d)."""
-        with self._lock:
-            return self.generation
-
-    def stats(self) -> ResultCacheStats:
-        with self._lock:
-            return ResultCacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                puts=self._puts,
-                evictions=self._evictions,
-                stale_drops=self._stale_drops,
-                rejected=self._rejected,
-                entries=len(self._entries),
-                bytes_cached=self._bytes,
-                budget_bytes=self.budget_bytes,
-                generation=self.generation)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
 
 # --------------------------------------------------------------------- #
@@ -327,17 +180,9 @@ class FrontendSession:
         admission/routing counters and shared caches, plus the
         provenance of this session's most recent answer."""
         summary = self.last_summary or {}
-        prov_dict = summary.get("provenance")
         provenance = None
-        if prov_dict is not None:
-            provenance = Provenance(
-                source=prov_dict.get("source", "executed"),
-                candidates=tuple(tuple(c) for c in
-                                 prov_dict.get("candidates", ())),
-                rolled_rows=prov_dict.get("rolled_rows", 0),
-                rolled_bytes=prov_dict.get("rolled_bytes", 0),
-                scanned_rows=prov_dict.get("scanned_rows", 0),
-                declined=prov_dict.get("declined"))
+        if summary.get("provenance") is not None:
+            provenance = Provenance.from_dict(summary["provenance"])
         elif summary.get("source") == "result_cache":
             provenance = Provenance(source="result_cache")
         return SessionStats(
@@ -420,12 +265,6 @@ class Frontend:
             from repro.ssb.datagen import SSBGenerator
             data = SSBGenerator(scale_factor=scale_factor,
                                 seed=seed).generate()
-        if sanitize:
-            # Dev-tool layer, imported only when the sanitizer is on.
-            from repro.analyze.sanitizer import TrackedRLock
-            self._lock = TrackedRLock(LOCK_FRONTEND_ADMISSION)
-        else:
-            self._lock = threading.RLock()
         self._data = data
         self.generation = 0
         self._sessions: dict[str, FrontendSession] = {}
@@ -471,9 +310,8 @@ class Frontend:
         self._aggstore = (AggStore(agg_budget, sanitize=sanitize)
                           if agg_enabled and backend != "reference"
                           else None)
-        if sanitize:
-            from repro.analyze.sanitizer import guard_fields
-            guard_fields(self, self._lock, self.GUARDED_FIELDS)
+        self._lock = guarded_lock(self, LOCK_FRONTEND_ADMISSION,
+                                  self.GUARDED_FIELDS, sanitize)
 
     # ------------------------------------------------------------------ #
     # Sessions and lifecycle.
@@ -578,39 +416,35 @@ class Frontend:
         return dataclasses.replace(report, **changes)
 
     def reload_catalog(self, data: Any) -> int:
-        """Swap the catalog: bump the generation, expire the result
-        cache, and broadcast the reload to every worker **without a
-        barrier** — each worker applies its stamped reload before its
-        next query (pipe FIFO), and stale stamps are no-ops. Returns
-        the new generation."""
+        """Swap the catalog: bump the generation, stamp the frontend's
+        stores with it, and broadcast the reload to every worker
+        **without a barrier** — each worker applies its stamped reload
+        before its next query (pipe FIFO), and stale stamps are no-ops.
+        Returns the new generation."""
+        return self._advance(data)
+
+    def invalidate_caches(self) -> int:
+        """Expire the frontend's stores and every worker's shard (same
+        barrier-free broadcast as :meth:`reload_catalog`, without a
+        data swap)."""
+        return self._advance(_KEEP_DATA)
+
+    def _advance(self, data: Any) -> int:
         with self._lock:
             if self._closed:
                 raise AdmissionError("frontend is closed",
                                      reason="closed")
-            self._data = data
+            if data is not _KEEP_DATA:
+                self._data = data
             self.generation += 1
             gen = self.generation
-        if self._results is not None:
-            self._results.bump_generation()
-        if self._aggstore is not None:
-            self._aggstore.invalidate()
+        for store in (self._results, self._aggstore):
+            if store is not None:
+                store.invalidate(generation=gen)
+        msg = (("invalidate", gen) if data is _KEEP_DATA
+               else ("reload", data, gen))
         for wid in sorted(self._workers):
-            self._workers[wid].post(("reload", data, gen))
-        return gen
-
-    def invalidate_caches(self) -> int:
-        """Expire the result cache and every worker's shard (same
-        barrier-free broadcast as :meth:`reload_catalog`, without a
-        data swap)."""
-        with self._lock:
-            self.generation += 1
-            gen = self.generation
-        if self._results is not None:
-            self._results.bump_generation()
-        if self._aggstore is not None:
-            self._aggstore.invalidate()
-        for wid in sorted(self._workers):
-            self._workers[wid].post(("invalidate", gen))
+            self._workers[wid].post(msg)
         return gen
 
     def close(self) -> None:
@@ -668,49 +502,40 @@ class Frontend:
     def _execute(self, session: FrontendSession, query: StarQuery,
                  trace: bool | None) -> QueryResult:
         self._admit(session, query)
-        enabled = (bool(trace) if trace is not None
-                   else bool(session.trace))
-        tracer = Tracer() if enabled else None
-        root = None
-        if tracer is not None:
-            root = tracer.start(f"frontend:{query.name}", CAT_FRONTEND)
-            root.set("session", session.name)
-            root.set("backend", self.backend)
+        enabled = bool(session.trace if trace is None else trace)
+        tracer = Tracer() if enabled else NULL_TRACER
+        root = tracer.start(f"frontend:{query.name}", CAT_FRONTEND)
+        root.set("session", session.name)
+        root.set("backend", self.backend)
         try:
             result, summary = self._serve(session, query, tracer)
         except Exception:
-            if tracer is not None:
-                root.finish(STATUS_FAILED)
-                session.last_trace = tracer.tree()
+            root.finish(STATUS_FAILED)
             with self._lock:
                 self._failed += 1
             raise
         else:
-            if tracer is not None:
-                root.finish()
-                session.last_trace = tracer.tree()
-            else:
-                session.last_trace = None
+            root.finish()
             session.last_summary = summary
             with self._lock:
                 self._completed += 1
             return result
         finally:
+            session.last_trace = tracer.tree() if enabled else None
             with self._lock:
                 self._in_flight -= 1
                 session.in_flight -= 1
 
     def _serve(self, session: FrontendSession, query: StarQuery,
-               tracer: Tracer | None) -> tuple[QueryResult, dict]:
-        key = result_key(query)
+               tracer: Tracer | NullTracer,
+               ) -> tuple[QueryResult, dict]:
+        canonical = CanonicalQuery(query)
         gen_snapshot: int | None = None
         if self._results is not None:
-            cached = self._results.lookup(key)
+            cached = self._results.lookup(canonical.exact)
             if cached is not None:
-                if tracer is not None:
-                    with tracer.span("result_cache",
-                                     CAT_CACHE) as span:
-                        span.set("hit", True)
+                with tracer.span("result_cache", CAT_CACHE) as span:
+                    span.set("hit", True)
                 return _fresh_result(cached), {
                     "source": "result_cache", "worker": None,
                     "warm_route": None, "attempts": 0}
@@ -724,10 +549,9 @@ class Frontend:
             if decision.result is not None:
                 source = ("agg_exact" if decision.kind == "exact"
                           else "agg_rollup")
-                if tracer is not None:
-                    with tracer.span("aggstore", CAT_CACHE) as span:
-                        span.set("source", source)
-                        span.set("rolled_rows", decision.rolled_rows)
+                with tracer.span("aggstore", CAT_CACHE) as span:
+                    span.set("source", source)
+                    span.set("rolled_rows", decision.rolled_rows)
                 prov = Provenance(
                     source=source, candidates=decision.candidates,
                     rolled_rows=decision.rolled_rows,
@@ -740,37 +564,30 @@ class Frontend:
             # cache: a reload that lands mid-flight must keep the
             # stale answer out of the store.
             agg_gen = self._aggstore.current_generation()
-        shape = query_shape(query)
         attempts = 0
         while True:
-            route_span = (tracer.start("route", CAT_ROUTE)
-                          if tracer is not None else None)
+            route_span = tracer.start("route", CAT_ROUTE)
             try:
-                worker_id, warm = self._router.route(shape)
+                worker_id, warm = self._router.route(canonical.shape)
             except KeyError:
-                if route_span is not None:
-                    route_span.finish(STATUS_FAILED)
+                route_span.finish(STATUS_FAILED)
                 raise WorkerCrashError(
                     "no live workers to route to") from None
-            if route_span is not None:
-                route_span.set("worker", worker_id)
-                route_span.set("warm", warm)
-                route_span.finish()
+            route_span.set("worker", worker_id)
+            route_span.set("warm", warm)
+            route_span.finish()
             with self._lock:
                 if warm:
                     self._routed_warm += 1
                 else:
                     self._routed_cold += 1
             attempts += 1
-            worker_span = (tracer.start(f"worker:{worker_id}",
-                                        CAT_WORKER)
-                           if tracer is not None else None)
+            worker_span = tracer.start(f"worker:{worker_id}", CAT_WORKER)
             try:
                 result, summary = self._workers[worker_id].request(
                     ("execute", query, session.share))
             except WorkerCrashError as crash:
-                if worker_span is not None:
-                    worker_span.finish(STATUS_FAILED)
+                worker_span.finish(STATUS_FAILED)
                 with self._lock:
                     self._retries += 1
                 self._recover_worker(worker_id, crash.pid)
@@ -778,12 +595,10 @@ class Frontend:
                     raise
                 continue
             except Exception:
-                if worker_span is not None:
-                    worker_span.finish(STATUS_FAILED)
+                worker_span.finish(STATUS_FAILED)
                 raise
-            if worker_span is not None:
-                worker_span.set("attempts", attempts)
-                worker_span.finish()
+            worker_span.set("attempts", attempts)
+            worker_span.finish()
             break
         summary = dict(summary)
         summary["source"] = "worker"
@@ -809,7 +624,7 @@ class Frontend:
             executed_gen = summary.get("generation")
             if executed_gen is None:
                 executed_gen = gen_snapshot
-            self._results.store(key, _fresh_result(result),
+            self._results.store(canonical.exact, _fresh_result(result),
                                 _result_nbytes(result),
                                 generation=executed_gen)
         return result, summary

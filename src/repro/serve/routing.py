@@ -1,16 +1,14 @@
-"""Warm-shard routing: canonical query shapes and the shape router.
+"""Warm-shard routing: the shape router.
 
 Each worker process behind the frontend owns its own hash-table cache
 shard, so a query is only "warm" on the worker that has executed its
-*shape* before.  The shape is the canonical join-key signature — fact
-table, every join's full build recipe (dimension, keys, dimension
-predicate), and the group-by set that determines the auxiliary columns
-a hash table carries.  Two queries with the same shape build byte-wise
-identical hash tables (the cache key in
-:meth:`repro.core.joinjob.StarJoinMapper._tables_via_session_cache` is
-a function of exactly these inputs), so routing repeat shapes to the
-same worker turns the per-worker shard into a warm cache: the repeat
-performs no builds at all (``ht_builds == 0``).
+*shape* before.  The shape
+(:attr:`repro.core.canonical.CanonicalQuery.shape`) is cut from the
+same normalised joins as the hash-table cache key
+(:meth:`~repro.core.canonical.CanonicalQuery.table_key`), so two
+queries with the same shape find each other's tables: routing repeat
+shapes to the same worker turns the per-worker shard into a warm cache
+and the repeat performs no builds at all (``ht_builds == 0``).
 
 :class:`ShapeRouter` implements the policy: first sighting of a shape
 pins it to the least-loaded live worker (ties break on the lowest
@@ -23,38 +21,24 @@ lazily on their next arrival.
 
 from __future__ import annotations
 
-import json
-import threading
 from typing import Hashable
 
 from repro.common.keys import LOCK_FRONTEND_ROUTER
+from repro.common.locking import guarded_lock
+from repro.core.canonical import CanonicalQuery
 from repro.core.query import StarQuery
 
 
 def query_shape(query: StarQuery) -> tuple:
-    """The canonical join-key signature of ``query``.
-
-    Hashable, order-insensitive in the joins, and insensitive to
-    everything that does not change the hash tables a worker builds
-    (fact predicate, aggregates, order by, limit, query name). The
-    group-by set is included because it determines each hash table's
-    auxiliary payload columns (a superset of the per-dimension aux
-    columns, so distinct group-bys never alias a shape).
-    """
-    joins = tuple(sorted(
-        json.dumps(join.to_dict(), sort_keys=True)
-        for join in query.joins))
-    return (query.fact_table, joins, tuple(sorted(query.group_by)))
+    """The canonical join-key signature of ``query``
+    (:attr:`CanonicalQuery.shape`)."""
+    return CanonicalQuery(query).shape
 
 
 def result_key(query: StarQuery) -> str:
-    """The frontend result-cache key: the whole canonical query.
-
-    Unlike :func:`query_shape` this must capture *every* field that can
-    influence the returned rows (and the result's ``query_name``), so
-    it is the sorted-JSON rendering of the full query dict.
-    """
-    return json.dumps(query.to_dict(), sort_keys=True)
+    """The frontend result-cache key: the whole query
+    (:attr:`CanonicalQuery.exact`)."""
+    return CanonicalQuery(query).exact
 
 
 class ShapeRouter:
@@ -65,17 +49,10 @@ class ShapeRouter:
     GUARDED_FIELDS = ("_assignments", "_loads")
 
     def __init__(self, worker_ids, *, sanitize: bool = False):
-        if sanitize:
-            # Dev-tool layer, imported only when the sanitizer is on.
-            from repro.analyze.sanitizer import TrackedRLock
-            self._lock = TrackedRLock(LOCK_FRONTEND_ROUTER)
-        else:
-            self._lock = threading.RLock()
         self._loads: dict[int, int] = {wid: 0 for wid in worker_ids}
         self._assignments: dict[Hashable, int] = {}
-        if sanitize:
-            from repro.analyze.sanitizer import guard_fields
-            guard_fields(self, self._lock, self.GUARDED_FIELDS)
+        self._lock = guarded_lock(self, LOCK_FRONTEND_ROUTER,
+                                  self.GUARDED_FIELDS, sanitize)
 
     def route(self, shape: Hashable) -> tuple[int, bool]:
         """Route ``shape`` to ``(worker_id, warm)``.

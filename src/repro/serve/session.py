@@ -319,9 +319,8 @@ class Session:
         """Worker-facing execute: run ``query`` under a per-call
         fair-share grant without rebuilding the session.
 
-        ``ClydesdaleServer`` and the scale-out frontend's workers serve
-        many clients through one engine+cache pair; each client may
-        carry its own slot share. ``slot_share=None`` (or the session's
+        The scale-out frontend's workers serve many clients through one
+        engine+cache pair; each client may carry its own slot share. ``slot_share=None`` (or the session's
         own share) is plain :meth:`execute`; otherwise the engine and
         cache are borrowed under the caller's grant for this one call —
         the borrowed session deliberately carries **no aggregate
@@ -356,7 +355,7 @@ class Session:
 
         ``generation=`` threads a frontend-issued generation stamp
         through to the cache shard (see
-        :meth:`HashTableCache.invalidate`): a stale or duplicate stamp
+        :meth:`GenerationalStore.invalidate`): a stale or duplicate stamp
         is a no-op for the cache *and* the JVM pool, so per-worker
         shards invalidate independently without a global barrier and
         a replayed message never re-cools warm JVMs. Returns whether

@@ -36,13 +36,13 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import threading
 import time
 from multiprocessing.connection import wait as _conn_wait
 from typing import Any
 
 from repro.common.errors import WorkerCrashError
 from repro.common.keys import LOCK_FRONTEND_WORKER
+from repro.common.locking import guarded_lock
 
 #: Seconds a parent waits on a worker reply before declaring it dead.
 REQUEST_TIMEOUT_S = 300.0
@@ -165,19 +165,12 @@ class WorkerHandle:
         self.worker_id = worker_id
         self.backend = backend
         self._options = dict(options)
-        if sanitize:
-            # Dev-tool layer, imported only when the sanitizer is on.
-            from repro.analyze.sanitizer import TrackedRLock
-            self._lock = TrackedRLock(LOCK_FRONTEND_WORKER)
-        else:
-            self._lock = threading.RLock()
         self._conn = None
         self._process = None
         self._dead = True
         self.executes = 0
-        if sanitize:
-            from repro.analyze.sanitizer import guard_fields
-            guard_fields(self, self._lock, self.GUARDED_FIELDS)
+        self._lock = guarded_lock(self, LOCK_FRONTEND_WORKER,
+                                  self.GUARDED_FIELDS, sanitize)
         self.spawn(data)
 
     # ------------------------------------------------------------------ #

@@ -33,6 +33,11 @@ from repro.serve.aggstore import (
 )
 from repro.serve.session import ExplainReport, SessionStats
 from repro.ssb.queries import ssb_queries
+from tests.store_contract import (
+    AGG_STORE,
+    StoreBudgetContract,
+    StoreStampContract,
+)
 from tests.test_property_random_queries import star_queries
 
 # --------------------------------------------------------------------- #
@@ -304,10 +309,10 @@ class TestRollupServe:
 # --------------------------------------------------------------------- #
 
 
-class TestAdmission:
-    def test_budget_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            AggStore(0)
+class TestAdmission(StoreBudgetContract, StoreStampContract):
+    config = AGG_STORE
+
+    # What only the aggregate store adds to the store contract.
 
     def test_limit_refused(self):
         store = AggStore(1 << 20)
@@ -321,40 +326,14 @@ class TestAdmission:
             Aggregate("avg", Col("lo_revenue"), alias="a")])
         assert not store.admit(fine, _result(fine, [(1992, 5)]))
 
-    def test_oversize_rejected(self):
-        store = AggStore(16)
-        fine = _fine_query()
-        assert not store.admit(fine, _result(fine, FINE_ROWS))
-        assert store.stats().rejected == 1
-        assert len(store) == 0
-
     def test_readmission_replaces(self):
+        # Same group set and aggregate identities (aliases aside): the
+        # newer materialization takes the older one's place.
         store = _warm_store()
         fine = _fine_query()
         assert store.admit(fine, _result(fine, FINE_ROWS[:1]))
         assert len(store) == 1
         assert store.fetch(fine).result.rows == FINE_ROWS[:1]
-
-    def test_stale_generation_refused(self):
-        store = AggStore(1 << 20)
-        snapshot = store.current_generation()
-        store.invalidate()                   # reload wins the race
-        fine = _fine_query()
-        assert not store.admit(fine, _result(fine, FINE_ROWS),
-                               generation=snapshot)
-        assert store.stats().stale_drops == 1
-        assert len(store) == 0
-
-    def test_invalidate_generation_stamps(self):
-        store = _warm_store()
-        assert store.invalidate(generation=5)
-        assert len(store) == 0 and store.current_generation() == 5
-        assert not store.invalidate(generation=5)   # duplicate: no-op
-        assert not store.invalidate(generation=3)   # stale: no-op
-        assert store.current_generation() == 5
-        assert store.invalidate()                   # unstamped advances
-        assert store.current_generation() == 6
-        assert store.stats().invalidations == 2
 
     def test_eviction_prefers_low_benefit(self):
         # Three equal-sized entries in distinct families, a budget that
@@ -378,14 +357,6 @@ class TestAdmission:
         assert store.stats().evictions >= 1
         assert store.fetch(hot).kind == "exact"     # survivor
         assert store.fetch(cold).kind == "miss"     # the victim
-
-    def test_sanitizer_guards_fields(self):
-        store = AggStore(1 << 20, sanitize=True)
-        fine = _fine_query()
-        assert store.admit(fine, _result(fine, FINE_ROWS))
-        assert store.fetch(fine).kind == "exact"    # lock-held paths ok
-        with pytest.raises(SanitizerError, match="unguarded write"):
-            store.generation = 99
 
 
 # --------------------------------------------------------------------- #
@@ -618,6 +589,14 @@ class TestFrontendAggStore:
             snapshot = handle.stats()
             assert isinstance(snapshot, SessionStats)
             assert snapshot.provenance.source == "agg_rollup"
+            # The summary ships provenance as a plain dict; stats()
+            # rebuilds the typed form (tuples, not lists) from it.
+            shipped = handle.last_summary["provenance"]
+            assert isinstance(shipped, dict)
+            assert snapshot.provenance == Provenance.from_dict(shipped)
+            assert snapshot.provenance.to_dict() == shipped
+            assert snapshot.provenance.candidates == (
+                tuple(fine.group_by),)
             assert snapshot.aggstore.hits_rollup == 1
             report = handle.explain(fine)
             assert isinstance(report, ExplainReport)

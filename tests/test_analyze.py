@@ -233,6 +233,35 @@ class TestLockDiscipline:
         ''', entries=("bump",))
         assert findings == []
 
+    def test_subclass_inherits_the_base_lock(self):
+        # ``guarded_lock`` is a lock constructor, and a subclass's
+        # ``with self._lock`` / field accesses resolve against the
+        # base's declaration: the unlocked write is seen, the locked
+        # one is clean (neither is skipped as "no lock owner").
+        findings = _locks_pass(self.PATH, '''
+            from repro.common.locking import guarded_lock
+
+            class Store:
+                def __init__(self, sanitize):
+                    self.count = 0
+                    self._lock = guarded_lock(self, "s", ("count",),
+                                              sanitize)
+
+                def bump(self):
+                    with self._lock:
+                        self.count += 1
+
+            class Derived(Store):
+                def fetch(self):
+                    with self._lock:
+                        self.count += 1
+
+                def leak(self):
+                    self.count += 1
+        ''', entries=("bump", "fetch", "leak"))
+        assert [f.code for f in findings] == ["RACE102"]
+        assert "Derived.leak" in findings[0].message
+
     def test_race103_early_return_leak(self):
         findings = _locks_pass(self.PATH, '''
             import threading
@@ -507,9 +536,9 @@ class TestTrackedRLock:
             TrackedRLock("not.in.hierarchy")
 
     def test_declared_names_resolve_ranks(self):
-        engine = TrackedRLock(keys.LOCK_SERVER_ENGINE)
-        cache = TrackedRLock(keys.LOCK_SERVE_CACHE)
-        assert engine.rank < cache.rank
+        admission = TrackedRLock(keys.LOCK_FRONTEND_ADMISSION)
+        store = TrackedRLock(keys.LOCK_SERVE_STORE)
+        assert admission.rank < store.rank
 
     def test_injected_inversion_caught_across_threads(self):
         # Fault injection: thread A takes locks in declared order,
@@ -559,21 +588,18 @@ class TestGuardFields:
         cache._hits = 99                    # no sanitizer: no guard
         assert cache.stats().hits == 99
 
-    def test_server_guarded_fields(self):
-        from repro.serve.server import ClydesdaleServer
+    def test_server_guarded_fields(self, ssb_data):
+        from repro.serve.frontend import Frontend
 
-        class _Engine:
-            pass
-
-        from repro.serve.session import Session
-        server = ClydesdaleServer(
-            Session.__new__(Session), sanitize=True, max_concurrent=1)
+        front = Frontend(backend="clydesdale", data=ssb_data, workers=1,
+                         num_nodes=4, sanitize=True)
         try:
             with pytest.raises(SanitizerError, match="unguarded write"):
-                server._submitted = 7
-            assert server.stats().submitted == 0
+                front._submitted = 7
+            assert front.stats().submitted == 0
         finally:
-            server.close()
+            front.close()
+
 
 HOT004_FIXTURE = '''
 class Kernel:

@@ -1,6 +1,6 @@
 """Multi-threaded hammer tests for the concurrent subsystems.
 
-Barrier-started thread gangs pound the hash-table cache, the server's
+Barrier-started thread gangs pound the hash-table cache, the frontend's
 admission machinery, and the fair-share grant path, all with the
 lock-discipline sanitizer on (``TrackedRLock`` + ``guard_fields``), and
 then assert the bookkeeping adds up exactly: every counter a consistent
@@ -12,6 +12,7 @@ The CI concurrency-stress job repeats this file under several
 overrides the gang size locally.
 """
 
+import dataclasses
 import os
 import threading
 
@@ -20,7 +21,7 @@ import pytest
 from repro.common.errors import AdmissionError, SchedulerError
 from repro.mapreduce.fairshare import FairShareScheduler, validate_shares
 from repro.serve.cache import HashTableCache
-from repro.serve.server import ClydesdaleServer
+from repro.serve.frontend import Frontend
 from repro.sim.hardware import tiny_cluster
 
 THREADS = int(os.environ.get("CLYDESDALE_HAMMER_THREADS", "8"))
@@ -108,109 +109,93 @@ class TestCacheHammer:
         assert stats.puts == 0 and stats.entries == 0
 
 
-class _StubSession:
-    """Stands in for serve.session.Session: executes instantly."""
-
-    def __init__(self):
-        self.executed = 0
-
-    def execute(self, query):
-        self.executed += 1
-        return ("ok", getattr(query, "name", "?"))
-
-    def execute_for(self, query, *, slot_share=None, trace=None):
-        return self.execute(query)
-
-
-class _StubQuery:
-    name = "hammer-q"
+def _frontend(ssb_data, **limits):
+    """A sanitized one-worker frontend whose every execute reaches the
+    worker (no frontend store answers first), so admitted queries stay
+    in flight long enough to contend."""
+    return Frontend(backend="clydesdale", data=ssb_data, workers=1,
+                    num_nodes=4, result_cache=False, aggstore=False,
+                    sanitize=True, **limits)
 
 
 class TestServerAdmissionHammer:
-    def test_grant_bookkeeping_adds_up(self):
-        server = ClydesdaleServer(
-            _StubSession(), sanitize=True,
-            max_concurrent=4, queue_depth=8, session_quota=THREADS * ROUNDS)
-        handle = server.session("hammer")
+    def test_grant_bookkeeping_adds_up(self, ssb_data, queries):
+        # Capacity 2 against a whole gang: most submissions are shed,
+        # and every one of them must land in exactly one counter.
+        front = _frontend(ssb_data, max_concurrent=1, queue_depth=1,
+                          session_quota=THREADS)
+        handle = front.session("hammer")
+        rounds = ROUNDS // 10
         completed = [0] * THREADS
         rejected = [0] * THREADS
 
         def worker(index):
-            futures = []
-            for _ in range(ROUNDS):
+            for i in range(rounds):
+                query = dataclasses.replace(queries["Q1.1"],
+                                            limit=1 + (index + i) % 3)
                 try:
-                    futures.append(handle.submit(_StubQuery()))
-                except AdmissionError:
+                    handle.execute(query)
+                    completed[index] += 1
+                except AdmissionError as exc:
+                    assert exc.reason == "saturated"
                     rejected[index] += 1
-                if len(futures) >= 4:
-                    for f in futures:
-                        f.result()
-                    completed[index] += len(futures)
-                    futures = []
-            for f in futures:
-                f.result()
-            completed[index] += len(futures)
 
         try:
             _hammer(worker)
         finally:
-            server.close()
-        stats = server.stats()
-        assert stats.submitted == THREADS * ROUNDS
+            front.close()
+        stats = front.stats()
+        assert stats.submitted == THREADS * rounds
         assert stats.rejected == sum(rejected)
         assert stats.completed == sum(completed) == \
             stats.submitted - stats.rejected
         assert stats.failed == 0
-        assert stats.in_flight == 0
+        assert stats.in_flight == 0 and handle.in_flight == 0
 
-    def test_session_quota_enforced_per_session(self):
-        server = ClydesdaleServer(
-            _StubSession(), sanitize=True,
-            max_concurrent=2, queue_depth=THREADS * ROUNDS,
-            session_quota=3)
+    def test_session_quota_enforced_per_session(self, ssb_data, queries):
+        # Pairs of threads share a quota-1 session: whichever submits
+        # second while the first is in flight is refused — and only
+        # for that reason (the frontend itself never saturates).
+        front = _frontend(ssb_data, max_concurrent=THREADS,
+                          queue_depth=THREADS, session_quota=1)
+        rounds = ROUNDS // 10
         admitted = [0] * THREADS
         rejected = [0] * THREADS
 
         def worker(index):
-            handle = server.session(f"s{index}")
-            futures = []
-            for _ in range(ROUNDS):
+            handle = front.session(f"s{index // 2}")
+            for _ in range(rounds):
                 try:
-                    futures.append(handle.submit(_StubQuery()))
+                    handle.execute(queries["Q1.1"])
                     admitted[index] += 1
                 except AdmissionError as exc:
                     assert exc.reason == "session-quota"
                     rejected[index] += 1
-                    for f in futures:
-                        f.result()
-                    futures = []
-            for f in futures:
-                f.result()
-            assert handle.in_flight == 0
 
         try:
             _hammer(worker)
         finally:
-            server.close()
-        stats = server.stats()
-        assert stats.submitted == THREADS * ROUNDS
+            front.close()
+        stats = front.stats()
+        assert stats.submitted == THREADS * rounds
         assert stats.rejected == sum(rejected)
         assert stats.completed == sum(admitted)
         assert stats.in_flight == 0
+        assert all(s.in_flight == 0 for s in front._sessions.values())
 
 
 class TestFairShareGrantHammer:
-    def test_concurrent_share_grants_never_oversubscribe(self):
+    def test_concurrent_share_grants_never_oversubscribe(self, ssb_data):
         # Each thread repeatedly attaches a session with a 2/THREADS
         # share: at most half the gang can win; the losers must see a
         # SchedulerError, and the winners' shares must sum <= 1.
-        server = ClydesdaleServer(_StubSession(), sanitize=True)
+        front = _frontend(ssb_data)
         share = 2.0 / THREADS
         granted = [0] * THREADS
 
         def worker(index):
             try:
-                server.session(f"grant{index}", share=share)
+                front.session(f"grant{index}", share=share)
                 granted[index] = 1
             except SchedulerError:
                 pass
@@ -218,9 +203,9 @@ class TestFairShareGrantHammer:
         try:
             _hammer(worker)
         finally:
-            server.close()
+            front.close()
         shares = {name: s.share
-                  for name, s in server._sessions.items()
+                  for name, s in front._sessions.items()
                   if s.share is not None}
         assert validate_shares(shares) == shares
         assert sum(granted) == len(shares) == THREADS // 2
@@ -277,7 +262,7 @@ class _Res:
 
 class TestResultCacheHammer:
     def test_counters_consistent_under_bumps(self):
-        from repro.serve.frontend import ResultCache
+        from repro.serve.cache import ResultCache
 
         cache = ResultCache(budget_bytes=64 * 1024, sanitize=True)
         gets = [0] * THREADS
@@ -292,7 +277,7 @@ class TestResultCacheHammer:
                         puts[index] += 1
                 gets[index] += 1
                 if index == 0 and i % 20 == 19:
-                    cache.bump_generation()
+                    cache.invalidate()
                     bumps[index] += 1
 
         _hammer(worker)
@@ -303,14 +288,9 @@ class TestResultCacheHammer:
         assert stats.entries == len(cache)
         assert 0 <= stats.bytes_cached <= stats.budget_bytes
         assert stats.rejected == 0
-        # Anything still resident must carry the final generation.
-        for key in list(cache._entries):
-            entry = cache._entries[key]
-            if entry.generation != stats.generation:
-                assert cache.lookup(key) is None
 
     def test_eviction_respects_budget_under_contention(self):
-        from repro.serve.frontend import ResultCache
+        from repro.serve.cache import ResultCache
 
         cache = ResultCache(budget_bytes=1024, sanitize=True)
 

@@ -20,11 +20,17 @@ from hypothesis import strategies as st
 
 from repro.api import connect
 from repro.common.errors import AdmissionError, ValidationError
+from repro.core.expressions import And
 from repro.core.result import QueryResult
 from repro.serve.frontend import Frontend, ResultCache
 from repro.serve.routing import ShapeRouter, query_shape, result_key
 from repro.serve.session import Session
 from repro.trace.tracer import CAT_FRONTEND, CAT_ROUTE, CAT_WORKER
+from tests.store_contract import (
+    RESULT_CACHE,
+    StoreBudgetContract,
+    StoreStampContract,
+)
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +153,11 @@ class TestShapeRouter:
             assert warm and worker == a.assignments()[shape]
 
 
-class TestResultCache:
+class TestResultCache(StoreBudgetContract, StoreStampContract):
+    config = RESULT_CACHE
+
+    # The frontend's own view of the store: lookup/store on one region.
+
     def test_roundtrip_and_lru_eviction(self):
         cache = ResultCache(budget_bytes=300)
         for i in range(3):
@@ -160,22 +170,13 @@ class TestResultCache:
         assert stats.evictions == 1 and stats.entries == 3
         assert stats.bytes_cached == 300
 
-    def test_oversized_rejected(self):
-        cache = ResultCache(budget_bytes=64)
-        assert not cache.store("k", _result(), 1024)
-        assert cache.stats().rejected == 1 and len(cache) == 0
-
-    def test_budget_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            ResultCache(budget_bytes=0)
-
     def test_store_refuses_stale_generation(self):
         # A result computed before a reload must die at store(): were
         # it accepted, it would be stamped with the *new* generation
         # and served as fresh to every later identical query.
         cache = ResultCache(budget_bytes=1024)
         snapshot = cache.current_generation()
-        cache.bump_generation()        # reload lands mid-flight
+        cache.invalidate(generation=snapshot + 1)   # reload mid-flight
         assert not cache.store("k", _result(), 10, generation=snapshot)
         assert cache.lookup("k") is None
         stats = cache.stats()
@@ -184,47 +185,6 @@ class TestResultCache:
         assert cache.store("k", _result(), 10,
                            generation=cache.current_generation())
         assert cache.lookup("k") is not None
-
-    def test_generation_bump_expires_lazily(self):
-        cache = ResultCache(budget_bytes=1024)
-        cache.store("k", _result(), 10)
-        assert cache.bump_generation() == 1
-        assert len(cache) == 1          # nothing cleared eagerly...
-        assert cache.lookup("k") is None   # ...but the hit is refused
-        stats = cache.stats()
-        assert stats.stale_drops == 1 and stats.entries == 0
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(
-        st.one_of(
-            st.tuples(st.just("put"),
-                      st.integers(min_value=0, max_value=5)),
-            st.tuples(st.just("get"),
-                      st.integers(min_value=0, max_value=5)),
-            st.tuples(st.just("bump"), st.just(0))),
-        max_size=60))
-    def test_hits_never_survive_a_generation_bump(self, ops):
-        # Model check: a get may only return a value put in the
-        # current generation — a reload's bump invalidates everything
-        # before it, with no barrier and no eager clearing.
-        cache = ResultCache(budget_bytes=10_000)
-        model: dict[str, int] = {}
-        generation = 0
-        for op, key_id in ops:
-            key = f"k{key_id}"
-            if op == "put":
-                cache.store(key, _result(key), 10)
-                model[key] = generation
-            elif op == "bump":
-                generation += 1
-                assert cache.bump_generation() == generation
-            else:
-                value = cache.lookup(key)
-                if model.get(key) != generation:
-                    assert value is None
-                else:
-                    assert value is not None
-                    assert value.query_name == key
 
 
 class TestDifferential:
@@ -294,6 +254,34 @@ class TestWarmRouting:
                 base, name=f"Q3.4-v{i}", limit=i + 1))
             seen.add(frontend_session.last_summary["worker"])
         assert len(seen) == 1
+
+    def test_respelled_queries_route_warm_and_build_nothing(
+            self, frontend_session, queries):
+        # Shape and hash-table key are cut from one canonical form: a
+        # commuted join predicate or a reordered GROUP BY lands on the
+        # same worker *and* finds its tables there (a "warm" route
+        # that still built was the router's blind spot).
+        base = queries["Q1.3"]
+        commuted = dataclasses.replace(base, name="Q1.3-commuted", joins=[
+            dataclasses.replace(
+                j, predicate=And(list(reversed(j.predicate.parts))))
+            if isinstance(j.predicate, And) else j for j in base.joins])
+        first = dataclasses.replace(
+            queries["Q2.3"], name="Q2.3-cb", order_by=[],
+            group_by=["p_category", "p_brand1", "d_year"])
+        second = dataclasses.replace(
+            first, name="Q2.3-bc",
+            group_by=["p_brand1", "p_category", "d_year"])
+        for cold, warm in ((base.with_name("Q1.3-base"), commuted),
+                           (first, second)):
+            frontend_session.execute(cold)
+            worker = frontend_session.last_summary["worker"]
+            frontend_session.execute(warm)
+            summary = frontend_session.last_summary
+            assert summary["source"] == "worker"
+            assert summary["worker"] == worker
+            assert summary["warm_route"] is True
+            assert summary["ht_builds"] == 0
 
     def test_explain_does_not_fake_a_warm_route(self, ssb_data,
                                                 queries):
@@ -462,9 +450,16 @@ class TestFrontendAdmission:
                          num_nodes=4)
         handle = front.session("late")
         front.close()
-        with pytest.raises(AdmissionError) as excinfo:
-            handle.execute(queries["Q1.1"])
-        assert excinfo.value.reason == "closed"
+        generation = front.stats().generation
+        # Nothing is admitted, and nothing is broadcast to the
+        # shut-down workers, once the frontend is closed.
+        for refused in (lambda: handle.execute(queries["Q1.1"]),
+                        front.invalidate_caches,
+                        lambda: front.reload_catalog(ssb_data)):
+            with pytest.raises(AdmissionError) as excinfo:
+                refused()
+            assert excinfo.value.reason == "closed"
+        assert front.stats().generation == generation
 
     def test_share_validation(self, ssb_data):
         from repro.common.errors import SchedulerError

@@ -1,12 +1,12 @@
-"""The serving layer: sessions, the cross-query hash-table cache, the
-admission-controlled server, and the `repro.api.connect` facade.
+"""The serving layer: sessions, the cross-query hash-table cache, and
+the `repro.api.connect` facade.
 
 Covers the redesigned public API (one `execute`/`explain`/`sql`
 signature across all three backends), warm-vs-cold cache semantics
 (`ht_builds == 0` with `ht_cache_hits > 0` on a warm repeat, rows
 byte-identical), explicit invalidation on catalog reload, the
 deprecation shims on the legacy `Engine.execute` entry points, and
-bounded admission with fair-share grants.
+fair-share grants (admission itself is `test_frontend.py`'s).
 """
 
 from __future__ import annotations
@@ -25,8 +25,13 @@ from repro.common.errors import (
 )
 from repro.mapreduce.fairshare import validate_shares
 from repro.serve.cache import HashTableCache
-from repro.serve.server import ClydesdaleServer
+from repro.serve.frontend import Frontend
 from repro.serve.session import BACKENDS, Engine, Session, backend_name
+from tests.store_contract import (
+    HT_CACHE,
+    StoreBudgetContract,
+    StoreStampContract,
+)
 from tests.test_property_random_queries import star_queries
 
 # --------------------------------------------------------------------- #
@@ -54,19 +59,8 @@ def ref_session(ssb_data):
 # --------------------------------------------------------------------- #
 
 
-class TestHashTableCache:
-    def test_put_get_roundtrip(self):
-        cache = HashTableCache(1000)
-        assert cache.put("node0", ("k", 1), "value", 100)
-        assert cache.get("node0", ("k", 1)) == "value"
-        stats = cache.stats()
-        assert stats.hits == 1 and stats.misses == 0
-        assert stats.entries == 1 and stats.bytes_cached == 100
-
-    def test_miss_counts(self):
-        cache = HashTableCache(1000)
-        assert cache.get("node0", "absent") is None
-        assert cache.stats().misses == 1
+class TestHashTableCache(StoreBudgetContract):
+    config = HT_CACHE
 
     def test_regions_are_independent(self):
         cache = HashTableCache(1000)
@@ -74,71 +68,8 @@ class TestHashTableCache:
         assert cache.get("node1", "k") is None
         assert cache.get("node0", "k") == "a"
         cache.put("node1", "k", "b", 10)
-        assert cache.stats().regions == ("node0", "node1")
+        assert cache.stats().regions == 2
         assert cache.get("node1", "k") == "b"
-
-    def test_lru_eviction_order(self):
-        cache = HashTableCache(300)
-        cache.put("n", "a", 1, 100)
-        cache.put("n", "b", 2, 100)
-        cache.put("n", "c", 3, 100)
-        cache.get("n", "a")          # refresh a; b is now LRU
-        cache.put("n", "d", 4, 100)  # over budget -> evict b
-        assert cache.get("n", "b") is None
-        assert cache.get("n", "a") == 1
-        assert cache.get("n", "c") == 3
-        assert cache.get("n", "d") == 4
-        assert cache.stats().evictions == 1
-
-    def test_budget_is_per_region(self):
-        cache = HashTableCache(100)
-        cache.put("n0", "k", "a", 100)
-        cache.put("n1", "k", "b", 100)  # different region, no eviction
-        assert cache.stats().evictions == 0
-        assert cache.stats().bytes_cached == 200
-
-    def test_oversized_entry_rejected(self):
-        cache = HashTableCache(100)
-        cache.put("n", "small", "x", 50)
-        assert not cache.put("n", "huge", "y", 101)
-        # The rejection neither cached the value nor flushed the rest.
-        assert cache.get("n", "huge") is None
-        assert cache.get("n", "small") == "x"
-        assert cache.stats().rejected == 1
-
-    def test_replace_same_key_recharges_bytes(self):
-        cache = HashTableCache(100)
-        cache.put("n", "k", "a", 60)
-        cache.put("n", "k", "b", 80)  # replaces, does not double-charge
-        stats = cache.stats()
-        assert stats.entries == 1 and stats.bytes_cached == 80
-        assert cache.get("n", "k") == "b"
-
-    def test_invalidate_clears_everything(self):
-        cache = HashTableCache(1000)
-        cache.put("n0", "k", "a", 10)
-        cache.put("n1", "k", "b", 10)
-        generation = cache.generation
-        cache.invalidate()
-        assert len(cache) == 0
-        assert cache.generation == generation + 1
-        assert cache.get("n0", "k") is None
-        stats = cache.stats()
-        assert stats.invalidations == 1 and stats.bytes_cached == 0
-
-    def test_hit_rate(self):
-        cache = HashTableCache(1000)
-        assert cache.stats().hit_rate() == 0.0
-        cache.put("n", "k", "v", 1)
-        cache.get("n", "k")
-        cache.get("n", "nope")
-        assert cache.stats().hit_rate() == 0.5
-
-    def test_budget_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            HashTableCache(0)
-        with pytest.raises(ValidationError):
-            HashTableCache(-1)
 
 
 # --------------------------------------------------------------------- #
@@ -487,92 +418,40 @@ class TestAdmission:
         assert isinstance(err, ReproError)
         assert err.reason == "saturated" and err.session == "a"
 
-    def test_saturation_and_quota(self, ssb_data, queries):
-        base = connect(backend="clydesdale", data=ssb_data, num_nodes=4)
-        server = ClydesdaleServer(base, max_concurrent=1, queue_depth=1,
-                                  session_quota=2)
-        alice = server.session("alice")
-        bob = server.session("bob")
-        query = queries["Q1.1"]
-        futures = []
-        # Stall the workers so admitted queries stay in flight.
-        server._engine_lock.acquire()
-        try:
-            futures.append(alice.submit(query))
-            futures.append(bob.submit(query))  # 2 in flight == 1+1
-            with pytest.raises(AdmissionError) as exc:
-                alice.submit(query)
-            assert exc.value.reason == "saturated"
-            assert exc.value.session == "alice"
-        finally:
-            server._engine_lock.release()
-        results = [f.result(timeout=60) for f in futures]
-        assert all(r.rows == results[0].rows for r in results)
-        stats = server.stats()
-        assert stats.completed == 2 and stats.rejected == 1
-        assert stats.in_flight == 0
-        server.close()
-
-    def test_session_quota(self, ssb_data, queries):
-        base = connect(backend="clydesdale", data=ssb_data, num_nodes=4)
-        server = ClydesdaleServer(base, max_concurrent=1, queue_depth=8,
-                                  session_quota=1)
-        alice = server.session("alice")
-        server._engine_lock.acquire()
-        try:
-            future = alice.submit(queries["Q1.1"])
-            with pytest.raises(AdmissionError) as exc:
-                alice.submit(queries["Q1.1"])
-            assert exc.value.reason == "session-quota"
-        finally:
-            server._engine_lock.release()
-        future.result(timeout=60)
-        server.close()
-
-    def test_closed_server_rejects(self, ssb_data, queries):
-        base = connect(backend="clydesdale", data=ssb_data, num_nodes=4)
-        server = ClydesdaleServer(base, max_concurrent=1)
-        server.close()
-        with pytest.raises(AdmissionError) as exc:
-            server.session("late").submit(queries["Q1.1"])
-        assert exc.value.reason == "closed"
-
     def test_concurrent_clients_share_cache(self, ssb_data, queries):
-        # aggstore=False: repeats must reach the engine to hit the
-        # shared hash-table cache this test is about.
-        base = connect(backend="clydesdale", data=ssb_data, num_nodes=4,
-                       aggstore=False)
-        server = ClydesdaleServer(base, max_concurrent=2, queue_depth=4,
-                                  session_quota=4)
-        query = queries["Q2.1"]
-        futures = [server.session(f"c{i}").submit(query)
-                   for i in range(4)]
-        results = [f.result(timeout=120) for f in futures]
-        assert all(r.rows == results[0].rows for r in results)
-        # The first client built the tables; the rest hit the cache.
-        assert base.cache_stats().hits > 0
-        server.close()
+        # Every session of a frontend reaches the same worker shard:
+        # the first client builds the tables, the rest hit its cache.
+        front = Frontend(backend="clydesdale", data=ssb_data, workers=1,
+                         num_nodes=4, result_cache=False, aggstore=False)
+        try:
+            query = queries["Q2.1"]
+            clients = [front.session(f"c{i}") for i in range(4)]
+            rows = [client.execute(query).rows for client in clients]
+            assert all(r == rows[0] for r in rows)
+            assert clients[0].last_summary["ht_builds"] >= 1
+            assert all(c.last_summary["ht_builds"] == 0
+                       for c in clients[1:])
+            assert clients[-1].last_summary["ht_cache_hits"] > 0
+        finally:
+            front.close()
 
     def test_fair_share_slows_simulated_time(self, ssb_data, queries):
-        base = connect(backend="clydesdale", data=ssb_data, num_nodes=4,
-                       cache=False)
-        server = ClydesdaleServer(base, max_concurrent=1)
-        full = server.session("full")
-        half = server.session("half", share=0.5)
-        query = queries["Q2.1"]
-        t_full = full.execute(query).simulated_seconds
-        t_half = half.execute(query).simulated_seconds
-        assert t_half >= t_full
-        server.close()
-
-    def test_oversubscribed_shares_rejected(self, ssb_data):
-        base = connect(backend="clydesdale", data=ssb_data, num_nodes=4)
-        server = ClydesdaleServer(base)
-        server.session("a", share=0.7)
-        with pytest.raises(SchedulerError):
-            server.session("b", share=0.5)
-        assert "b" not in server._sessions  # rolled back
-        server.close()
+        # A session's share rides every execute to the worker: a
+        # quarter of the map slots means a longer simulated run over
+        # identical rows. No frontend store: both must reach a worker.
+        front = Frontend(backend="clydesdale", data=ssb_data, workers=1,
+                         num_nodes=4, result_cache=False, aggstore=False)
+        try:
+            full = front.session("full")
+            quarter = front.session("quarter", share=0.25)
+            query = queries["Q2.1"]
+            full.execute(query)              # cold: builds the tables
+            r_full = full.execute(query)
+            r_quarter = quarter.execute(query)
+            assert r_quarter.rows == r_full.rows
+            assert r_quarter.simulated_seconds > r_full.simulated_seconds
+        finally:
+            front.close()
 
 
 class TestValidateShares:
@@ -602,33 +481,8 @@ class TestValidateShares:
 # --------------------------------------------------------------------- #
 
 
-class TestGenerationStamps:
-    def test_unstamped_invalidate_bumps_by_one(self):
-        cache = HashTableCache(budget_bytes=1024)
-        cache.put("r", "k", "v", 16)
-        assert cache.invalidate() is True
-        assert cache.generation == 1
-        assert len(cache) == 0
-
-    def test_stamped_invalidate_adopts_generation(self):
-        cache = HashTableCache(budget_bytes=1024)
-        cache.put("r", "k", "v", 16)
-        assert cache.invalidate(generation=5) is True
-        assert cache.generation == 5
-        assert cache.stats().invalidations == 1
-
-    def test_stale_and_duplicate_stamps_are_noops(self):
-        cache = HashTableCache(budget_bytes=1024)
-        cache.invalidate(generation=5)
-        cache.put("r", "k", "v", 16)
-        # A duplicate of the applied stamp and anything older must not
-        # clear the shard again (idempotent, replay-safe).
-        assert cache.invalidate(generation=5) is False
-        assert cache.invalidate(generation=3) is False
-        assert len(cache) == 1
-        assert cache.stats().invalidations == 1
-        assert cache.invalidate(generation=6) is True
-        assert len(cache) == 0
+class TestGenerationStamps(StoreStampContract):
+    config = HT_CACHE
 
     def test_session_stale_stamp_keeps_jvms_warm(self, ssb_data,
                                                  queries):
