@@ -13,6 +13,7 @@ from repro.core.expressions import Col
 from repro.core.query import Aggregate, DimensionJoin, StarQuery
 from repro.hdfs.filesystem import MiniDFS
 from repro.hdfs.placement import CoLocatingPlacementPolicy
+from repro.serve.session import Session
 from repro.ssb.loader import load_for_clydesdale
 from repro.ssb.schema import SCHEMAS
 from repro.storage.cif import write_cif_table
@@ -66,7 +67,7 @@ def test_dictionary_scan_bytes_and_correctness(benchmark, small_data):
     def run_both():
         results = {}
         for flag, engine in engines.items():
-            result = engine.execute(query)
+            result = Session(engine).execute(query)
             results[flag] = (result,
                              engine.last_stats.hdfs_bytes_read)
         return results

@@ -17,6 +17,7 @@ from repro.hive.engine import HiveEngine
 from repro.mapreduce.job import JobConf
 from repro.ssb.queries import ssb_queries
 from repro.ssb.schema import SCHEMAS
+from repro.serve.session import Session
 from repro.storage.cif import ColumnInputFormat, RowBlock
 
 
@@ -32,19 +33,19 @@ def hive(small_data):
 
 def test_clydesdale_q21_end_to_end(benchmark, clyde):
     query = ssb_queries()["Q2.1"]
-    result = benchmark(clyde.execute, query)
+    result = benchmark(Session(clyde).execute, query)
     assert result.rows
 
 
 def test_clydesdale_q31_three_dims(benchmark, clyde):
     query = ssb_queries()["Q3.1"]
-    result = benchmark(clyde.execute, query)
+    result = benchmark(Session(clyde).execute, query)
     assert result.columns == ["c_nation", "s_nation", "d_year", "revenue"]
 
 
 def test_hive_mapjoin_q21_end_to_end(benchmark, hive):
     query = ssb_queries()["Q2.1"]
-    result = benchmark(hive.execute, query, "mapjoin")
+    result = benchmark(Session(hive, plan="mapjoin").execute, query)
     assert result.rows
 
 

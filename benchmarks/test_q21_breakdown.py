@@ -14,6 +14,7 @@ import pytest
 from repro.bench import paper_reference as paper
 from repro.bench.figures import q21_breakdown, render_q21
 from repro.core.engine import ClydesdaleEngine
+from repro.serve.session import Session
 from repro.ssb.queries import ssb_queries
 from repro.trace.export import to_chrome_trace
 
@@ -50,17 +51,18 @@ def test_q21_phase_breakdown_from_spans(benchmark):
     a traced run must produce a sound span tree whose build / scan /
     probe / shuffle / sort totals are all present and whose chrome-trace
     export validates."""
-    engine = ClydesdaleEngine.with_ssb_data(scale_factor=0.002, trace=True)
+    session = Session(ClydesdaleEngine.with_ssb_data(scale_factor=0.002),
+                      trace=True)
     query = ssb_queries()["Q2.1"]
 
-    result = benchmark(engine.execute, query)
+    result = benchmark(session.execute, query)
 
     assert result.rows
-    tree = engine.last_trace
+    tree = session.last_trace
     assert tree is not None
     assert tree.violations() == []
 
-    phases = engine.last_stats.phases
+    phases = session.stats().execution.phases
     for phase in ("scan", "build", "probe", "shuffle", "sort"):
         assert phases.get(phase, 0.0) > 0.0, phase
     # The star join is probe- and build-dominated, never shuffle-bound:

@@ -23,8 +23,7 @@ def session(small_data):
     # aggstore=False: this benchmark asserts hash-table cache evidence
     # (ht_builds, hits/misses) on warm repeats, which the aggregate
     # store would serve before the engine runs.
-    return connect(backend="clydesdale", data=small_data, num_nodes=4,
-                   aggstore=False)
+    return connect(backend="clydesdale", data=small_data, aggstore=False)
 
 
 def _best_of(fn, repeats=3):
@@ -45,12 +44,12 @@ def test_warm_cache_repeat_2x_faster(session, small_data):
 
     cold_s = _best_of(cold_run)
     cold_result = session.execute(query)  # also warms the cache
-    assert session.last_stats.ht_builds == 0  # served by the warm-up
+    assert session.stats().execution.ht_builds == 0  # served by the warm-up
 
     warm_s = _best_of(lambda: session.execute(query))
-    assert session.last_stats.ht_builds == 0
-    assert session.last_stats.ht_cache_hits > 0
-    assert session.last_stats.ht_cache_misses == 0
+    assert session.stats().execution.ht_builds == 0
+    assert session.stats().execution.ht_cache_hits > 0
+    assert session.stats().execution.ht_cache_misses == 0
 
     warm_result = session.execute(query)
     expected = ReferenceEngine.from_ssb(small_data).execute(query)
@@ -73,4 +72,4 @@ def test_warm_cache_benefits_sibling_query(session):
     session.invalidate_cache()
     session.execute(ssb_queries()["Q2.1"])
     session.execute(ssb_queries()["Q2.2"])
-    assert session.last_stats.ht_cache_hits > 0
+    assert session.stats().execution.ht_cache_hits > 0

@@ -17,6 +17,7 @@ import pytest
 from repro.core.engine import ClydesdaleEngine
 from repro.core.planner import ClydesdaleFeatures
 from repro.reference.engine import ReferenceEngine
+from repro.serve.session import Session
 from repro.ssb.datagen import SSBGenerator
 from repro.ssb.queries import ssb_queries
 
@@ -47,7 +48,7 @@ def test_ablation_grid_q11(benchmark, clustered, block_iteration,
     query = ssb_queries()["Q1.1"]
     expected = reference.execute(query).rows
 
-    result = benchmark(engine.execute, query, features)
+    result = benchmark(Session(engine, features=features).execute, query)
     assert result.rows == expected
 
     stats = engine.last_stats
@@ -65,9 +66,11 @@ def test_pruning_reduces_rows_probed(clustered):
     """Zone maps shrink the scan itself, not just a counter."""
     engine, _ = clustered
     query = ssb_queries()["Q1.1"]
-    engine.execute(query, ClydesdaleFeatures(zone_maps=False))
+    Session(engine, features=ClydesdaleFeatures(
+        zone_maps=False)).execute(query)
     probed_without = engine.last_stats.rows_probed
-    engine.execute(query, ClydesdaleFeatures(zone_maps=True))
+    Session(engine, features=ClydesdaleFeatures(
+        zone_maps=True)).execute(query)
     with_stats = engine.last_stats
     assert with_stats.rows_probed < probed_without
     assert (with_stats.rows_probed + with_stats.rows_skipped
@@ -82,6 +85,6 @@ def test_uniform_data_prunes_nothing(small_data):
                                             row_group_size=2000)
     reference = ReferenceEngine.from_ssb(small_data)
     query = ssb_queries()["Q1.1"]
-    result = engine.execute(query)
+    result = Session(engine).execute(query)
     assert result.rows == reference.execute(query).rows
     assert engine.last_stats.rowgroups_pruned == 0

@@ -17,6 +17,7 @@ from repro.core.expressions import Col, Comparison, InList
 from repro.core.query import Aggregate, DimensionJoin, OrderKey, StarQuery
 from repro.hdfs.filesystem import MiniDFS
 from repro.hdfs.placement import CoLocatingPlacementPolicy
+from repro.serve.session import Session
 from repro.ssb.loader import Catalog, dim_cache_name
 from repro.storage import serde
 from repro.storage.cif import write_cif_table
@@ -106,12 +107,13 @@ def main() -> None:
 
     print("The ad-hoc star query:")
     print(query.to_sql())
-    result = engine.execute(query)
+    session = Session(engine)
+    result = session.execute(query)
     print(f"\n{len(result.rows)} groups in "
           f"{result.simulated_seconds:.1f} simulated seconds:")
     print(result.pretty())
 
-    stats = engine.last_stats
+    stats = session.stats().execution
     print(f"\nScan read {stats.hdfs_bytes_read:,} bytes of "
           f"{len(PAGEVIEWS)}-column fact data — only the "
           f"4 columns the query touches, thanks to CIF projection.")

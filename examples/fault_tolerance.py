@@ -15,6 +15,7 @@ on commodity hardware. This example demonstrates the whole story:
 
 from repro.core.engine import ClydesdaleEngine
 from repro.hdfs.faults import FaultInjector
+from repro.serve.session import Session
 from repro.ssb.datagen import SSBGenerator
 from repro.ssb.loader import refresh_dim_cache
 from repro.ssb.queries import ssb_queries
@@ -30,18 +31,20 @@ def main() -> None:
     data = SSBGenerator(scale_factor=0.002, seed=42).generate()
     engine = ClydesdaleEngine.with_ssb_data(data=data, num_nodes=6,
                                             row_group_size=2_000)
+    session = Session(engine)
     query = ssb_queries()["Q3.1"]
     injector = FaultInjector(engine.fs)
 
-    baseline = engine.execute(query)
+    baseline = session.execute(query)
+    plan = session.stats().execution.job.plan
     print(f"Baseline Q3.1: {len(baseline.rows)} groups, "
-          f"locality {engine.last_stats.job.plan.data_local_fraction:.0%}")
+          f"locality {plan.data_local_fraction:.0%}")
     print(f"  replicas: {replica_summary(injector)}")
 
     victim = injector.kill_random_node()
     print(f"\nKilled {victim}.")
     print(f"  replicas now: {replica_summary(injector)}")
-    after_kill = engine.execute(query)
+    after_kill = session.execute(query)
     assert after_kill.rows == baseline.rows
     print("  Q3.1 still returns the identical answer "
           "(remote replicas served the data).")
@@ -57,7 +60,7 @@ def main() -> None:
 
     second = injector.kill_random_node()
     print(f"Killed {second} as well.")
-    final = engine.execute(query)
+    final = session.execute(query)
     assert final.rows == baseline.rows
     print("  Q3.1 STILL returns the identical answer. Two node losses, "
           "zero wrong results.")

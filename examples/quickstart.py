@@ -29,7 +29,7 @@ def main() -> None:
         print(f"  {table:9s} {len(rows):>9,} rows")
 
     print("\nLoading Clydesdale layout (CIF fact table, cached dims) ...")
-    clyde = connect(backend="clydesdale", data=data, num_nodes=4)
+    clyde = connect(backend="clydesdale", data=data)
 
     query = ssb_queries()["Q2.1"]
     print("\nThe query (paper section 6.3's worked example):")
@@ -59,7 +59,7 @@ def main() -> None:
 
     print("\nLoading Hive layout (everything in RCFile) ...")
     for plan in ("mapjoin", "repartition"):
-        hive = connect(backend="hive", data=data, num_nodes=4, plan=plan)
+        hive = connect(backend="hive", data=data, plan=plan)
         hive_result = hive.execute(query)
         assert hive_result.rows == result.rows, "engines disagree!"
         speedup = (hive_result.simulated_seconds

@@ -22,6 +22,7 @@ from repro.core.rollin import (
     roll_out_oldest,
 )
 from repro.mapreduce.fairshare import WorkloadJob, model_concurrent_mix
+from repro.serve.session import Session
 from repro.ssb.datagen import SSBGenerator
 from repro.ssb.queries import ssb_queries
 from repro.storage.cif import group_descriptors
@@ -39,18 +40,19 @@ def main() -> None:
     data = SSBGenerator(scale_factor=0.002, seed=42).generate()
     engine = ClydesdaleEngine.with_ssb_data(data=data, num_nodes=4,
                                             row_group_size=2_000)
+    session = Session(engine)
     meta = engine.catalog.meta("lineorder")
     query = ssb_queries()["Q3.1"]
 
     print(f"Day 0: {meta.num_rows:,} fact rows in "
           f"{len(group_descriptors(meta))} row groups")
-    baseline = engine.execute(query)
+    baseline = session.execute(query)
     print(f"  Q3.1 -> {len(baseline.rows)} groups")
 
     for day in (1, 2, 3):
         batch = day_batch(engine, day)
         append_fact_rows(engine.fs, meta, batch)
-        result = engine.execute(query)
+        result = session.execute(query)
         print(f"Day {day}: rolled in {len(batch):,} rows "
               f"(now {meta.num_rows:,}); Q3.1 -> {len(result.rows)} "
               f"groups, {result.simulated_seconds:.1f} sim s")
@@ -59,7 +61,7 @@ def main() -> None:
     print(f"\nRolled out the 2 oldest row groups ({removed:,} rows); "
           f"{meta.num_rows:,} remain. No surviving file was rewritten.")
     print("  Q3.1 still answers:",
-          len(engine.execute(query).rows), "groups")
+          len(session.execute(query).rows), "groups")
 
     cost = compare_rollin_cost(334 * GB, 334 * GB / 365)
     print(f"\nAt SF1000 a daily roll-in would cost Clydesdale "
@@ -69,7 +71,7 @@ def main() -> None:
 
     dims = [j.dimension for j in query.joins]
     multi = engine.execute_multipass(query, [dims[:1], dims[1:]])
-    assert multi.rows == engine.execute(query).rows
+    assert multi.rows == session.execute(query).rows
     print(f"\nMulti-pass (memory-constrained) plan: "
           f"{list(multi.breakdown)} -> identical answer, "
           f"{multi.simulated_seconds:.1f} sim s.")

@@ -17,6 +17,7 @@ from repro.core.expressions import Col, Comparison
 from repro.core.query import Aggregate, DimensionJoin, OrderKey, StarQuery
 from repro.hdfs.filesystem import MiniDFS
 from repro.hdfs.placement import CoLocatingPlacementPolicy
+from repro.serve.session import Session
 from repro.ssb.loader import Catalog, dim_cache_name
 from repro.storage import serde
 from repro.storage.cif import write_cif_table
@@ -88,7 +89,7 @@ def main() -> None:
     )
     print("The snowflake query:")
     print(query.to_sql())
-    result = engine.execute(query)
+    result = Session(engine).execute(query)
     print(f"\n{len(result.rows)} groups in "
           f"{result.simulated_seconds:.1f} simulated seconds:")
     print(result.pretty())

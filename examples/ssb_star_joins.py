@@ -15,6 +15,7 @@ from repro.bench.report import render_table
 from repro.core.engine import ClydesdaleEngine
 from repro.hive.engine import HiveEngine
 from repro.reference.engine import ReferenceEngine
+from repro.serve.session import Session
 from repro.ssb.datagen import SSBGenerator
 from repro.ssb.queries import flight_of, ssb_queries
 
@@ -22,8 +23,10 @@ from repro.ssb.queries import flight_of, ssb_queries
 def main() -> None:
     scale_factor = float(sys.argv[1]) if len(sys.argv) > 1 else 0.002
     data = SSBGenerator(scale_factor=scale_factor, seed=42).generate()
-    clyde = ClydesdaleEngine.with_ssb_data(data=data, num_nodes=4)
+    clyde = Session(ClydesdaleEngine.with_ssb_data(data=data, num_nodes=4))
     hive = HiveEngine.with_ssb_data(data=data, num_nodes=4)
+    mapjoin = Session(hive, plan="mapjoin")
+    repartition = Session(hive, plan="repartition")
     reference = ReferenceEngine.from_ssb(data)
 
     rows = []
@@ -31,8 +34,8 @@ def main() -> None:
     for name, query in ssb_queries().items():
         expected = reference.execute(query)
         got_clyde = clyde.execute(query)
-        got_mj = hive.execute(query, plan="mapjoin")
-        got_rp = hive.execute(query, plan="repartition")
+        got_mj = mapjoin.execute(query)
+        got_rp = repartition.execute(query)
         for engine_name, got in (("clydesdale", got_clyde),
                                  ("mapjoin", got_mj),
                                  ("repartition", got_rp)):

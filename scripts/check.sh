@@ -18,6 +18,14 @@ echo "== repro.analyze =="
 python -m repro.analyze --fail-on=error --timings \
     --baseline scripts/analyze_baseline.json
 
+echo "== no deprecation shims =="
+# The engine execute()/last_stats shims were the only warnings sites
+# under src/repro; a shim must not come back unnoticed.
+if grep -rn "warnings.warn\|DeprecationWarning" src/repro; then
+    echo "a deprecation shim is back under src/repro (see above)"
+    exit 1
+fi
+
 echo "== pyflakes =="
 if python -c "import pyflakes" 2>/dev/null; then
     # Compare against the committed baseline so pre-existing noise does

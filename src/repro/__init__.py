@@ -27,7 +27,7 @@ The package layers, bottom to top:
 Quickstart::
 
     from repro import connect, ssb_queries
-    session = connect(backend="clydesdale", scale_factor=0.01)
+    session = connect("clydesdale")          # SF 0.01, seed 42
     result = session.execute(ssb_queries()["Q2.1"])
     for row in result.rows:
         print(row)

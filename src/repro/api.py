@@ -1,20 +1,20 @@
 """``repro.api.connect`` — the one way to open a query session.
 
-The three engines historically grew ad-hoc constructors and per-call
-kwargs. This facade normalizes them: pick a backend, get a
-:class:`~repro.serve.session.Session` whose ``execute``/``explain``/
-``sql`` signatures are identical regardless of what runs underneath::
+Pick a backend, get a :class:`~repro.serve.session.Session` whose
+``execute``/``explain``/``sql`` signatures are identical regardless of
+what runs underneath::
 
     from repro.api import connect
 
-    session = connect(backend="clydesdale", scale_factor=0.01)
+    session = connect("clydesdale")                   # SF 0.01, seed 42
     result = session.execute(ssb_queries()["Q2.1"])   # cold: builds
     result = session.execute(ssb_queries()["Q2.1"])   # warm: cache hit
 
 Backend-specific execution options are fixed at connect time
-(``features=`` for Clydesdale, ``plan=`` for Hive); the cross-query
-hash-table cache is on by default (``clydesdale.cache.enabled``) and
-sized by ``clydesdale.cache.ht_bytes``.
+(``features=`` for Clydesdale, ``plan=`` for Hive); every serving knob —
+``clydesdale.cache.*``, ``clydesdale.serve.*``, ``clydesdale.trace`` —
+travels in one :class:`~repro.common.config.Configuration`, whose
+defaults live in :data:`repro.common.keys.CONFIG_KEYS`.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from repro.common.keys import (
     KEY_CACHE_HT_BYTES,
     KEY_SERVE_AGGSTORE,
     KEY_SERVE_AGGSTORE_BYTES,
+    KEY_SERVE_WORKERS,
+    KEY_TRACE,
 )
 from repro.serve.aggstore import AggStore
 from repro.serve.cache import HashTableCache
@@ -35,112 +37,72 @@ from repro.serve.session import BACKENDS, Session
 
 
 def connect(backend: str = "clydesdale", *,
-            scale_factor: float = 0.01,
-            seed: int = 42,
-            num_nodes: int = 4,
             data: Any | None = None,
-            features: Any | None = None,
-            plan: str | None = None,
-            trace: bool | None = None,
-            cache: bool | None = None,
-            cache_bytes: int | None = None,
-            aggstore: bool | None = None,
-            aggstore_bytes: int | None = None,
-            slot_share: float | None = None,
-            row_group_size: int = 25_000,
-            cluster: Any | None = None,
-            cost_model: Any | None = None,
             conf: Configuration | None = None,
             workers: int | None = None,
-            result_cache: bool | None = None,
-            result_cache_bytes: int | None = None,
-            retries: int | None = None,
-            respawn: bool | None = None,
-            sanitize: bool = False,
+            aggstore: bool | None = None,
+            features: Any | None = None,
+            plan: str | None = None,
             name: str = "session") -> Any:
     """Open a :class:`Session` on a freshly-loaded backend.
 
-    ``backend`` is ``"clydesdale"`` (the paper's engine),
-    ``"hive"`` (the baseline), or ``"reference"`` (single-process
-    correctness oracle). ``data`` reuses an existing
-    :class:`~repro.ssb.datagen.SSBData` instead of generating one;
-    ``features``/``plan`` fix the backend-specific execution options;
-    ``cache``/``cache_bytes`` override the ``clydesdale.cache.*``
-    configuration; ``aggstore``/``aggstore_bytes`` control the
-    materialized aggregate store (``clydesdale.serve.aggstore.*``) —
-    it rides the hash-table cache, so ``cache=False`` turns both off,
-    and the reference engine (the correctness oracle) never caches;
-    ``slot_share`` runs every query of this session under a fair-share
-    CPU grant; ``trace`` sets the session's default for
-    ``execute(trace=...)``.
+    ``backend`` is ``"clydesdale"`` (the paper's engine), ``"hive"``
+    (the baseline), or ``"reference"`` (single-process correctness
+    oracle). ``data`` reuses an existing
+    :class:`~repro.ssb.datagen.SSBData` instead of generating the
+    default one (SF 0.01, seed 42); ``features``/``plan`` fix the
+    backend-specific execution options. ``conf`` carries every serving
+    knob: the hash-table cache (``clydesdale.cache.*``), the
+    materialized aggregate store (``clydesdale.serve.aggstore.*`` — it
+    rides the hash-table cache, so disabling the cache turns both off,
+    and the reference oracle never caches) and the session's default
+    for ``execute(trace=...)`` (``clydesdale.trace``). ``aggstore`` is
+    shorthand for ``clydesdale.serve.aggstore.enabled``.
 
     ``workers=N`` scales the session out instead: a
     :class:`~repro.serve.frontend.Frontend` spawns ``N`` worker
-    *processes* (each with its own engine and hash-table cache shard)
-    with warm-shard routing and a frontend result cache, and the
-    return value is a :class:`~repro.serve.frontend.FrontendSession`
-    with the same ``execute``/``sql``/``explain``/``reload_catalog``
-    surface. ``result_cache``/``result_cache_bytes``/``retries``/
-    ``respawn`` override the ``clydesdale.serve.result_cache.*`` and
-    ``clydesdale.serve.workers.*`` configuration and only apply with
-    ``workers=``.
+    *processes* (``clydesdale.serve.workers.count``), each opening its
+    own session from this same ``conf``, with warm-shard routing, a
+    frontend result cache and admission control
+    (``clydesdale.serve.*``); the return value is a
+    :class:`~repro.serve.frontend.FrontendSession` with the same
+    ``execute``/``sql``/``explain``/``reload_catalog`` surface.
     """
     if backend not in BACKENDS:
         raise ValidationError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    conf = conf or Configuration()
+    conf = conf.copy() if conf is not None else Configuration()
+    if aggstore is not None:
+        conf.set(KEY_SERVE_AGGSTORE, aggstore)
     if workers is not None:
+        conf.set(KEY_SERVE_WORKERS, workers)
         from repro.serve.frontend import Frontend
-        frontend = Frontend(
-            backend=backend, data=data, workers=workers, conf=conf,
-            scale_factor=scale_factor, seed=seed, num_nodes=num_nodes,
-            features=features, plan=plan, cache_bytes=cache_bytes,
-            aggstore=aggstore, aggstore_bytes=aggstore_bytes,
-            row_group_size=row_group_size, trace=trace,
-            result_cache=result_cache,
-            result_cache_bytes=result_cache_bytes,
-            retries=retries, respawn=respawn, sanitize=sanitize)
-        return frontend.session(name, share=slot_share, trace=trace)
-    enabled = (cache if cache is not None
-               else conf.get_bool(KEY_CACHE_ENABLED, True))
-    budget = (cache_bytes if cache_bytes is not None
-              else conf.get_int(KEY_CACHE_HT_BYTES, 128 * 1024 * 1024))
-    # The aggregate store rides the hash-table cache: disabling the
-    # cache (or running the reference oracle) disables it too.
-    agg_enabled = (aggstore if aggstore is not None
-                   else conf.get_bool(KEY_SERVE_AGGSTORE, True))
-    agg_enabled = agg_enabled and enabled and backend != "reference"
-    agg_budget = (aggstore_bytes if aggstore_bytes is not None
-                  else conf.get_int(KEY_SERVE_AGGSTORE_BYTES,
-                                    64 * 1024 * 1024))
+        return Frontend(backend=backend, data=data, conf=conf,
+                        features=features, plan=plan).session(name)
 
     def build(base_data: Any | None) -> Any:
         if base_data is None:
             from repro.ssb.datagen import SSBGenerator
-            base_data = SSBGenerator(scale_factor=scale_factor,
-                                     seed=seed).generate()
+            base_data = SSBGenerator().generate()
         if backend == "clydesdale":
             from repro.core.engine import ClydesdaleEngine
-            return ClydesdaleEngine.with_ssb_data(
-                num_nodes=num_nodes, cluster=cluster,
-                cost_model=cost_model, features=features,
-                row_group_size=row_group_size, data=base_data)
+            return ClydesdaleEngine.with_ssb_data(features=features,
+                                                  data=base_data)
         if backend == "hive":
             from repro.hive.engine import HiveEngine
             return HiveEngine.with_ssb_data(
-                num_nodes=num_nodes, cluster=cluster,
-                cost_model=cost_model, data=base_data,
-                row_group_size=row_group_size,
+                data=base_data,
                 **({"default_plan": plan} if plan else {}))
         from repro.reference.engine import ReferenceEngine
         return ReferenceEngine.from_ssb(base_data)
 
-    engine = build(data)
-    # The reference engine keeps no node-resident state worth caching.
-    ht_cache = (HashTableCache(budget)
-                if enabled and backend != "reference" else None)
-    store = (AggStore(agg_budget, sanitize=sanitize)
-             if agg_enabled else None)
-    return Session(engine, cache=ht_cache, aggstore=store, trace=trace,
-                   features=features, plan=plan, slot_share=slot_share,
-                   name=name, rebuild=build)
+    # The reference engine keeps no node-resident state worth caching,
+    # and the aggregate store rides the hash-table cache.
+    cached = conf.get_bool(KEY_CACHE_ENABLED) and backend != "reference"
+    ht_cache = (HashTableCache(conf.get_int(KEY_CACHE_HT_BYTES))
+                if cached else None)
+    store = (AggStore(conf.get_int(KEY_SERVE_AGGSTORE_BYTES))
+             if cached and conf.get_bool(KEY_SERVE_AGGSTORE) else None)
+    return Session(build(data), cache=ht_cache, aggstore=store,
+                   trace=conf.get_bool(KEY_TRACE), features=features,
+                   plan=plan, name=name, rebuild=build)

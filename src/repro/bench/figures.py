@@ -25,6 +25,7 @@ from repro.model.hive import predict_hive_mapjoin, predict_hive_repartition
 from repro.model.results import ModelResult
 from repro.model.stats import build_profile
 from repro.reference.engine import ReferenceEngine
+from repro.serve.session import Session
 from repro.sim.costs import DEFAULT_COST_MODEL, CostModel
 from repro.sim.hardware import ClusterSpec, cluster_a, cluster_b
 from repro.ssb.datagen import SSBGenerator
@@ -300,8 +301,11 @@ def validate_small_scale(scale_factor: float = 0.002, seed: int = 42,
     """Execute every query on every engine at small scale; assert
     identical answers; return per-query row counts and simulated times."""
     data = SSBGenerator(scale_factor=scale_factor, seed=seed).generate()
-    clyde = ClydesdaleEngine.with_ssb_data(data=data, num_nodes=num_nodes)
-    hive = HiveEngine.with_ssb_data(data=data, num_nodes=num_nodes)
+    clyde = Session(
+        ClydesdaleEngine.with_ssb_data(data=data, num_nodes=num_nodes))
+    hive_engine = HiveEngine.with_ssb_data(data=data, num_nodes=num_nodes)
+    mapjoin = Session(hive_engine, plan="mapjoin")
+    repartition = Session(hive_engine, plan="repartition")
     reference = ReferenceEngine.from_ssb(data)
     outcomes = {}
     names = queries or list(ssb_queries())
@@ -310,8 +314,8 @@ def validate_small_scale(scale_factor: float = 0.002, seed: int = 42,
         query = all_queries[name]
         expected = reference.execute(query)
         got_clyde = clyde.execute(query)
-        got_mapjoin = hive.execute(query, plan="mapjoin")
-        got_repart = hive.execute(query, plan="repartition")
+        got_mapjoin = mapjoin.execute(query)
+        got_repart = repartition.execute(query)
         for engine_name, got in (("clydesdale", got_clyde),
                                  ("mapjoin", got_mapjoin),
                                  ("repartition", got_repart)):

@@ -190,19 +190,22 @@ def kernel_smoke(scale_factor: float = 0.05) -> tuple[dict, dict]:
 
 def zonemap_smoke(scale_factor: float = 0.002) -> dict:
     """End-to-end pruning on date-clustered data, checked vs reference."""
-    from repro.api import connect
+    from repro.core.engine import ClydesdaleEngine
     from repro.reference.engine import ReferenceEngine
+    from repro.serve.session import Session
     from repro.ssb.datagen import SSBGenerator
     from repro.ssb.queries import ssb_queries
 
     data = SSBGenerator(scale_factor=scale_factor, seed=42).generate()
     data.lineorder.sort(key=lambda row: row[ORDERDATE_INDEX])
-    session = connect(backend="clydesdale", data=data,
-                      row_group_size=2000)
+    # A hand-shaped layout (small row groups, so there is something to
+    # prune) is built on the engine and wrapped, not asked of connect().
+    session = Session(ClydesdaleEngine.with_ssb_data(
+        data=data, row_group_size=2000))
     query = ssb_queries()["Q1.1"]
     result = session.execute(query)
     expected = ReferenceEngine.from_ssb(data).execute(query).rows
-    stats = session.last_stats
+    stats = session.stats().execution
     return {
         "query": query.name,
         "rows_match_reference": result.rows == expected,
@@ -223,8 +226,7 @@ def session_cache_smoke(scale_factor: float = 0.002) -> dict:
     data = SSBGenerator(scale_factor=scale_factor, seed=42).generate()
     # aggstore=False: this smoke measures the hash-table cache, so the
     # warm repeat must reach the engine instead of the aggregate store.
-    session = connect(backend="clydesdale", data=data, num_nodes=4,
-                      aggstore=False)
+    session = connect(backend="clydesdale", data=data, aggstore=False)
     query = ssb_queries()["Q2.1"]
 
     def cold_run():
@@ -234,7 +236,7 @@ def session_cache_smoke(scale_factor: float = 0.002) -> dict:
     cold_s = _best_of(cold_run)
     cold_result = session.execute(query)  # leaves the cache warm
     warm_s = _best_of(lambda: session.execute(query))
-    warm_stats = session.last_stats
+    warm_stats = session.stats().execution
     warm_result = session.execute(query)
     expected = ReferenceEngine.from_ssb(data).execute(query).rows
     cache = session.cache_stats()
@@ -268,9 +270,8 @@ def aggstore_smoke(scale_factor: float = 0.002) -> dict:
     from repro.ssb.queries import ssb_queries
 
     data = SSBGenerator(scale_factor=scale_factor, seed=42).generate()
-    session = connect(backend="clydesdale", data=data, num_nodes=4)
-    baseline = connect(backend="clydesdale", data=data, num_nodes=4,
-                       aggstore=False)
+    session = connect(backend="clydesdale", data=data)
+    baseline = connect(backend="clydesdale", data=data, aggstore=False)
     fine = ssb_queries()["Q2.1"]        # group by (d_year, p_brand1)
     coarse = (fine.with_name("Q2.1-by-year").without_order_by()
               .with_group_by(["d_year"])
@@ -331,7 +332,15 @@ def serving_smoke(sessions: int = 200, rounds: int = 2,
     """
     import threading
 
+    from repro.common.config import Configuration
     from repro.common.errors import AdmissionError
+    from repro.common.keys import (
+        KEY_SERVE_AGGSTORE,
+        KEY_SERVE_MAX_CONCURRENT,
+        KEY_SERVE_QUEUE_DEPTH,
+        KEY_SERVE_SESSION_QUOTA,
+        KEY_SERVE_WORKERS,
+    )
     from repro.reference.engine import ReferenceEngine
     from repro.serve.frontend import Frontend
     from repro.ssb.datagen import SSBGenerator
@@ -344,9 +353,12 @@ def serving_smoke(sessions: int = 200, rounds: int = 2,
     # which the aggregate store would serve without routing — this
     # smoke is about warm-shard routing and the result cache.
     frontend = Frontend(backend="clydesdale", data=data,
-                        workers=workers, num_nodes=4,
-                        max_concurrent=8, queue_depth=64,
-                        session_quota=2, aggstore=False)
+                        conf=Configuration({
+                            KEY_SERVE_WORKERS: workers,
+                            KEY_SERVE_MAX_CONCURRENT: 8,
+                            KEY_SERVE_QUEUE_DEPTH: 64,
+                            KEY_SERVE_SESSION_QUOTA: 2,
+                            KEY_SERVE_AGGSTORE: False}))
     handles = [frontend.session(f"client{i:03d}")
                for i in range(sessions)]
     barrier = threading.Barrier(sessions)

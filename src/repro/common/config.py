@@ -13,6 +13,7 @@ import json
 from typing import Any, Iterator, Mapping
 
 from repro.common.errors import ConfigError
+from repro.common.keys import CONFIG_KEYS
 
 
 class Configuration:
@@ -24,6 +25,10 @@ class Configuration:
     3
     >>> conf.get_int("missing", 7)
     7
+
+    A typed getter called without a default falls back to the key's
+    registered default (:data:`repro.common.keys.CONFIG_KEYS`), so each
+    default is written once, in the registry.
     """
 
     def __init__(self, initial: Mapping[str, Any] | None = None):
@@ -55,9 +60,16 @@ class Configuration:
             raise ConfigError(f"missing required configuration {key!r}") \
                 from exc
 
+    @staticmethod
+    def _registered_default(key: str) -> Any:
+        entry = CONFIG_KEYS.get(key)
+        return entry.default if entry is not None else None
+
     def get_int(self, key: str, default: int | None = None) -> int:
         raw = self._data.get(key)
         if raw is None:
+            if default is None:
+                default = self._registered_default(key)
             if default is None:
                 raise ConfigError(f"missing integer configuration {key!r}")
             return default
@@ -70,6 +82,8 @@ class Configuration:
         raw = self._data.get(key)
         if raw is None:
             if default is None:
+                default = self._registered_default(key)
+            if default is None:
                 raise ConfigError(f"missing float configuration {key!r}")
             return default
         try:
@@ -77,10 +91,12 @@ class Configuration:
         except ValueError as exc:
             raise ConfigError(f"{key}={raw!r} is not a float") from exc
 
-    def get_bool(self, key: str, default: bool = False) -> bool:
+    def get_bool(self, key: str, default: bool | None = None) -> bool:
         raw = self._data.get(key)
         if raw is None:
-            return default
+            if default is None:
+                default = self._registered_default(key)
+            return bool(default)
         return raw.strip().lower() in ("true", "1", "yes")
 
     def get_json(self, key: str, default: Any = None) -> Any:

@@ -163,10 +163,6 @@ KEY_HT_BYTES_PER_ENTRY = _config(
 KEY_PASS_OUTPUT_SCHEMA = _config(
     "clydesdale.pass.output.schema", kind="json",
     doc="Intermediate schema between multipass join passes.")
-KEY_LATE_MATERIALIZATION = _flag(
-    "clydesdale.late.materialization", default=False,
-    doc="Row-wise late tuple reconstruction (paper 5.3 future work), "
-        "the vectorization-off ablation arm.")
 KEY_VECTORIZED = _flag(
     "clydesdale.vectorized", default=True,
     doc="Selection-vector kernels over B-CIF blocks; off = row-at-a-time "

@@ -1,22 +1,25 @@
 """ClydesdaleEngine — the public query API of the reproduction.
 
 >>> from repro.core.engine import ClydesdaleEngine
+>>> from repro.serve.session import Session
 >>> from repro.ssb.queries import ssb_queries
->>> engine = ClydesdaleEngine.with_ssb_data(scale_factor=0.002)
->>> result = engine.execute(ssb_queries()["Q2.1"])
+>>> session = Session(ClydesdaleEngine.with_ssb_data(scale_factor=0.002))
+>>> result = session.execute(ssb_queries()["Q2.1"])
 >>> result.columns
 ['d_year', 'p_brand1', 'revenue']
 
 The engine owns a mini-HDFS (CIF fact table under the co-locating
 placement policy, dimension tables cached node-locally), a simulated
-cluster, and the calibrated cost model. ``execute`` really runs the
-star-join MapReduce job and returns correct rows plus simulated timings
-and execution statistics.
+cluster, and the calibrated cost model. Queries enter through a
+:class:`~repro.serve.session.Session` (``repro.api.connect`` builds
+one), which owns tracing and the cross-query caches and calls
+:meth:`ClydesdaleEngine.run`; ``run`` really runs the star-join
+MapReduce job and returns correct rows plus simulated timings and
+execution statistics.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -38,13 +41,13 @@ from repro.trace.tracer import (
     CAT_STEP,
     NULL_TRACER,
     STATUS_FAILED,
+    NullTracer,
     SpanTree,
     Tracer,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serve.cache import HashTableCache
-    from repro.serve.session import Session
 
 
 @dataclass
@@ -65,19 +68,15 @@ class ExecutionStats:
     ht_scanned: dict[str, int] = field(default_factory=dict)
     output_groups: int = 0
     #: Wall-clock seconds per phase span name (scan/build/probe/...),
-    #: from the real span tree; empty when tracing was off.
+    #: from the session's span tree; empty when tracing was off.
     phases: dict[str, float] = field(default_factory=dict)
-    #: The full span tree when tracing was on.
+    #: The session's full span tree when tracing was on.
     trace: SpanTree | None = None
 
     @classmethod
-    def from_job(cls, query_name: str, job: JobResult,
-                 trace: SpanTree | None = None) -> "ExecutionStats":
+    def from_job(cls, query_name: str, job: JobResult) -> "ExecutionStats":
         counters = job.counters
         stats = cls(query_name=query_name, job=job)
-        if trace is not None:
-            stats.trace = trace
-            stats.phases = trace.phase_totals()
         stats.rows_probed = counters.get("clydesdale", "rows_probed")
         stats.rows_matched = counters.get("clydesdale", "rows_matched")
         stats.hdfs_bytes_read = counters.get(Counters.GROUP_HDFS,
@@ -122,8 +121,7 @@ class ClydesdaleEngine:
     def __init__(self, fs: MiniDFS, catalog: Catalog,
                  cluster: ClusterSpec | None = None,
                  cost_model: CostModel | None = None,
-                 features: ClydesdaleFeatures | None = None,
-                 trace: bool = False):
+                 features: ClydesdaleFeatures | None = None):
         self.fs = fs
         self.catalog = catalog
         self.cluster = cluster or tiny_cluster(workers=len(fs.node_ids))
@@ -131,12 +129,6 @@ class ClydesdaleEngine:
         self.features = features or ClydesdaleFeatures()
         self.runner = JobRunner(fs, self.cluster, self.cost_model)
         self.last_stats: ExecutionStats | None = None
-        #: Default for per-call tracing (``clydesdale.trace``).
-        self.trace = trace
-        #: Span tree of the most recent traced ``execute`` call.
-        self.last_trace: SpanTree | None = None
-        #: Lazily-built Session backing the deprecated ``execute`` shim.
-        self._session: "Session | None" = None
 
     @classmethod
     def with_ssb_data(cls, scale_factor: float = 0.01, seed: int = 42,
@@ -145,8 +137,7 @@ class ClydesdaleEngine:
                       cost_model: CostModel | None = None,
                       features: ClydesdaleFeatures | None = None,
                       row_group_size: int = 25_000,
-                      data: SSBData | None = None,
-                      trace: bool = False) -> "ClydesdaleEngine":
+                      data: SSBData | None = None) -> "ClydesdaleEngine":
         """Generate (or reuse) SSB data and build a ready engine."""
         fs = MiniDFS(num_nodes=num_nodes,
                      placement=CoLocatingPlacementPolicy())
@@ -156,65 +147,29 @@ class ClydesdaleEngine:
         catalog = load_for_clydesdale(fs, data,
                                       row_group_size=row_group_size)
         engine = cls(fs, catalog, cluster=cluster, cost_model=cost_model,
-                     features=features, trace=trace)
+                     features=features)
         engine.data = data
         return engine
 
-    def execute(self, query: StarQuery,
-                features: ClydesdaleFeatures | None = None,
-                trace: bool | None = None) -> QueryResult:
-        """Deprecated: run a star query through a default :class:`Session`.
-
-        Use ``repro.api.connect(backend="clydesdale")`` and call
-        ``session.execute(query)`` instead; the session API is uniform
-        across all three backends and adds cross-query hash-table
-        caching. This shim keeps the legacy behavior (no cache) and the
-        legacy per-call ``features=`` override.
-        """
-        warnings.warn(
-            "ClydesdaleEngine.execute() is deprecated; create a Session "
-            "with repro.api.connect(backend='clydesdale') and call "
-            "session.execute(query) instead",
-            DeprecationWarning, stacklevel=2)
-        return self._default_session()._legacy_execute(query, trace=trace,
-                                                       features=features)
-
-    def _default_session(self) -> "Session":
-        """A lazily-built cache-less Session backing the legacy API."""
-        session = getattr(self, "_session", None)
-        if session is None:
-            from repro.serve.session import Session
-            session = Session(self, cache=None)
-            self._session = session
-        return session
-
-    def _execute_impl(self, query: StarQuery,
-                      features: ClydesdaleFeatures | None = None,
-                      trace: bool | None = None,
-                      tracer: Tracer | None = None,
-                      ht_cache: "HashTableCache | None" = None,
-                      slot_share: float | None = None) -> QueryResult:
+    def run(self, query: StarQuery, *,
+            features: ClydesdaleFeatures | None = None,
+            tracer: Tracer | NullTracer = NULL_TRACER,
+            ht_cache: "HashTableCache | None" = None,
+            slot_share: float | None = None) -> QueryResult:
         """Run a star query; returns ordered rows with simulated timing.
+
+        Called by :class:`~repro.serve.session.Session`, which owns the
+        ``tracer`` (the engine's spans nest under the session span; the
+        no-op tracer when tracing is off), the shared ``ht_cache`` of
+        built dimension hash tables, and the fair-share ``slot_share``
+        granting this query a fraction of the cluster's map slots.
 
         If the dimension hash tables cannot all fit a node's heap at
         once, the engine automatically falls back to the multi-pass
         strategy of paper section 5.1 (one subset of dimensions per
         pass over the data).
-
-        ``trace`` overrides the engine default; when on, the span tree
-        lands on ``last_trace`` and ``last_stats.phases``. A session may
-        instead pass its own ``tracer`` (spans nest under the session
-        span and the session owns the finished tree), a shared
-        ``ht_cache`` of built dimension hash tables, and a fair-share
-        ``slot_share`` granting this query a fraction of the cluster's
-        map slots.
         """
         active = features or self.features
-        external = tracer is not None
-        enabled = bool(external or (self.trace if trace is None else trace))
-        if not external:
-            tracer = Tracer() if enabled else NULL_TRACER
-        self.last_trace = None
         from repro.core.multipass import estimate_ht_bytes, plan_passes
         budget = self.cluster.heap_budget_per_node
         worst_case = sum(estimate_ht_bytes(
@@ -233,7 +188,7 @@ class ClydesdaleEngine:
                 conf, output = plan_star_join(
                     query, self.catalog, self.cluster, self.cost_model,
                     active, fs=self.fs)
-            if enabled:
+            if tracer is not NULL_TRACER:
                 conf.set(KEY_TRACE, True)
                 conf.tracer = tracer
             if ht_cache is not None:
@@ -258,19 +213,14 @@ class ClydesdaleEngine:
                           if query.order_by else 0.0)
         except Exception:
             query_span.finish(STATUS_FAILED)
-            if enabled and not external:
-                self.last_trace = tracer.tree()
             raise
         query_span.finish()
         breakdown = dict(job.breakdown)
         if final_sort:
             breakdown["final_sort"] = final_sort
-        # With an externally-owned tracer the session span is still open;
-        # the Session attaches the finished tree to last_stats afterwards.
-        tree = tracer.tree() if enabled and not external else None
-        self.last_trace = tree
-        self.last_stats = ExecutionStats.from_job(query.name, job,
-                                                  trace=tree)
+        # The session span is still open; the Session attaches the
+        # finished tree to last_stats afterwards.
+        self.last_stats = ExecutionStats.from_job(query.name, job)
         return QueryResult(
             query_name=query.name,
             columns=columns,
@@ -280,30 +230,14 @@ class ClydesdaleEngine:
         )
 
     def explain(self, query: StarQuery,
-                features: ClydesdaleFeatures | None = None) -> str:
-        """Render the physical plan ``execute`` would run (EXPLAIN)."""
+                features: ClydesdaleFeatures | None = None,
+                trace: bool = False) -> str:
+        """Render the physical plan ``run`` would execute (EXPLAIN)."""
         from repro.core.explain import explain_clydesdale
         return explain_clydesdale(query, self.catalog, self.cluster,
                                   self.cost_model,
                                   features or self.features, fs=self.fs,
-                                  trace=self.trace)
-
-    def sql(self, sql_text: str, name: str = "sql-query") -> QueryResult:
-        """Parse star-join SQL (the dialect the paper prints) and run it.
-
-        >>> engine = ClydesdaleEngine.with_ssb_data(scale_factor=0.001)
-        >>> result = engine.sql(
-        ...     "SELECT d_year, sum(lo_revenue) AS revenue "
-        ...     "FROM lineorder, date "
-        ...     "WHERE lo_orderdate = d_datekey "
-        ...     "GROUP BY d_year ORDER BY d_year")
-        >>> result.columns
-        ['d_year', 'revenue']
-        """
-        from repro.core.sqlparser import parse_sql
-        schemas = {table: meta.schema
-                   for table, meta in self.catalog.tables.items()}
-        return self._execute_impl(parse_sql(sql_text, schemas, name=name))
+                                  trace=trace)
 
     def execute_multipass(self, query: StarQuery,
                           passes: list[list[str]] | None = None,

@@ -61,7 +61,6 @@ from repro.common.keys import (  # noqa: E402
     KEY_DIM_SCHEMAS,
     KEY_FACT_SCHEMA,
     KEY_HT_BYTES_PER_ENTRY,
-    KEY_LATE_MATERIALIZATION,
     KEY_PROBE_RATE,
     KEY_QUERY,
     KEY_SANITIZER,
@@ -87,14 +86,22 @@ class _Tally:
 def configure_query(conf: JobConf, query: StarQuery, fact_schema: Schema,
                     dim_schemas: dict[str, Schema]) -> None:
     """Serialize the query plan into the job configuration
-    (the paper's ``queryParams``, Figure 4 line 31)."""
+    (the paper's ``queryParams``, Figure 4 line 31).
+
+    The parsed form rides along on the ``JobConf`` (next to
+    ``ht_cache``/``tracer``), so the job's tasks and reducers do not
+    each rebuild it from JSON; it dies with the job."""
     conf.set(KEY_QUERY, json.dumps(query.to_dict()))
     conf.set(KEY_FACT_SCHEMA, json.dumps(fact_schema.to_dict()))
     conf.set(KEY_DIM_SCHEMAS, json.dumps(
         {name: schema.to_dict() for name, schema in dim_schemas.items()}))
+    conf.query_config = (query, fact_schema, dim_schemas)
 
 
 def load_query_config(conf: JobConf) -> tuple[StarQuery, Schema, dict[str, Schema]]:
+    parsed = getattr(conf, "query_config", None)
+    if parsed is not None:
+        return parsed
     query = StarQuery.from_dict(json.loads(conf.require(KEY_QUERY)))
     fact_schema = Schema.from_dict(json.loads(conf.require(KEY_FACT_SCHEMA)))
     dim_schemas = {
@@ -128,7 +135,6 @@ class StarJoinMapper(Mapper):
         self._probe_order: list[int] = []
         self._rows_probed = 0
         self._rows_matched = 0
-        self._late_materialization = False
         self._vectorized = True
         self._lock = threading.Lock()
         self._tallies: list[_Tally] = []
@@ -156,8 +162,6 @@ class StarJoinMapper(Mapper):
         self._agg_fns = [self._make_agg_fn(agg) for agg in query.aggregates]
         self._agg_vec_fns = [self._make_agg_vec(agg)
                              for agg in query.aggregates]
-        self._late_materialization = context.conf.get_bool(
-            KEY_LATE_MATERIALIZATION, False)
         self._vectorized = context.conf.get_bool(KEY_VECTORIZED, True)
         self._sanitize = context.conf.get_bool(KEY_SANITIZER, False)
         if self._sanitize:
@@ -394,8 +398,6 @@ class StarJoinMapper(Mapper):
         with self._tracer.span("probe", CAT_PHASE) as probe_span:
             if self._vectorized:
                 matched = self._map_block_kernels(block, collector)
-            elif self._late_materialization:
-                matched = self._map_block_late(block, collector)
             else:
                 matched = self._map_block_eager(block, collector)
             probe_span.set("rows", block.num_rows)
@@ -415,7 +417,8 @@ class StarJoinMapper(Mapper):
         the columns, shrinking the shared selection, most selective
         table first, bailing as soon as the selection empties. Either
         way, group keys and measures are only materialized for final
-        survivors — vectorization subsumes late reconstruction.
+        survivors (:meth:`_emit_block`) — paper 5.3's survivors-only
+        tuple reconstruction.
         """
         fused = self._map_block_fused(block, collector)
         if fused is not None:
@@ -550,58 +553,6 @@ class StarJoinMapper(Mapper):
             getter.row = i
             matched += 1 if process(getter, collector) else 0
         return matched
-
-    def _map_block_late(self, block: RowBlock,  # analyze: allow-alloc (row-wise ablation arm, kept for benchmarking)
-                        collector: OutputCollector) -> int:
-        """Row-wise late tuple reconstruction (paper 5.3's future-work
-        idea), kept as the vectorization-off ablation arm.
-
-        Phase 1 touches only the predicate and foreign-key columns,
-        collecting the positions (and probed aux tuples) of surviving
-        rows; phase 2 materializes group keys and measures for the
-        survivors only. On selective queries most rows never touch the
-        measure columns, which is the cache win the paper anticipates.
-        """
-        columns = block.columns
-        pred = self._fact_pred
-        check_pred = not self._pred_is_true
-        fk_lists = [columns[name] for name in self._fk_names]
-        tables = self.hash_tables
-        getter = _ColumnsRowGetter(columns)
-
-        survivors: list[int] = []
-        survivor_aux: list[list[tuple]] = []
-        for i in range(block.num_rows):
-            if check_pred:
-                getter.row = i
-                if not pred.evaluate(getter):
-                    continue
-            aux_values = []
-            miss = False
-            for fk_list, table in zip(fk_lists, tables):
-                aux = table.probe(fk_list[i])
-                if aux is None:
-                    miss = True
-                    break
-                aux_values.append(aux)
-            if miss:
-                continue
-            survivors.append(i)
-            survivor_aux.append(aux_values)
-
-        group_by = self.query.group_by
-        plan = self._group_plan
-        agg_fns = self._agg_fns
-        for i, aux_values in zip(survivors, survivor_aux):
-            getter.row = i
-            group_key = tuple(
-                columns[group_by[position]][i] if source == "fact"
-                else aux_values[join_index][aux_index]
-                for position, (source, join_index, aux_index)
-                in enumerate(plan))
-            values = tuple(fn(getter) for fn in agg_fns)
-            collector.collect(group_key, values)
-        return len(survivors)
 
     def close(self, collector: OutputCollector,
               context: TaskContext) -> None:

@@ -59,9 +59,6 @@ class ClydesdaleFeatures:
     multithreaded: bool = True
     block_iteration: bool = True
     jvm_reuse: bool = True
-    #: Paper 5.3's future-work idea, implemented opt-in: probe FK columns
-    #: first, materialize measures/group keys only for surviving rows.
-    late_materialization: bool = False
     #: Selection-vector kernels over B-CIF blocks (off = row-at-a-time
     #: block loop; single-record inputs are always row-at-a-time).
     vectorized: bool = True
@@ -237,9 +234,6 @@ def plan_star_join(query: StarQuery, catalog: Catalog,
     conf.set(KEY_BLOCK_ITERATION, features.block_iteration)
     conf.set(KEY_VECTORIZED, features.vectorized)
     conf.set(KEY_ENCODED_EXEC, features.encoded_exec)
-    if features.late_materialization:
-        from repro.core.joinjob import KEY_LATE_MATERIALIZATION
-        conf.set(KEY_LATE_MATERIALIZATION, True)
 
     if features.zone_maps and fs is not None:
         pruner = derive_zonemap_predicate(query, catalog, fs)

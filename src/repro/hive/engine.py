@@ -18,7 +18,6 @@ structural overheads the paper attributes to Hive are real here:
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -64,13 +63,12 @@ from repro.trace.tracer import (
     CAT_STAGE,
     NULL_TRACER,
     STATUS_FAILED,
-    SpanTree,
+    NullTracer,
     Tracer,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serve.cache import HashTableCache
-    from repro.serve.session import Session
 
 PLAN_MAPJOIN = "mapjoin"
 PLAN_REPARTITION = "repartition"
@@ -110,8 +108,7 @@ class HiveEngine:
     def __init__(self, fs: MiniDFS, catalog: Catalog,
                  cluster: ClusterSpec | None = None,
                  cost_model: CostModel | None = None,
-                 default_plan: str = PLAN_MAPJOIN,
-                 trace: bool = False):
+                 default_plan: str = PLAN_MAPJOIN):
         if default_plan not in (PLAN_MAPJOIN, PLAN_REPARTITION):
             raise PlanningError(f"unknown Hive plan {default_plan!r}")
         self.fs = fs
@@ -121,15 +118,9 @@ class HiveEngine:
         self.default_plan = default_plan
         self.runner = JobRunner(fs, self.cluster, self.cost_model)
         self.last_stats: HiveStats | None = None
-        #: Default for per-call tracing (``clydesdale.trace``).
-        self.trace = trace
-        #: Span tree of the most recent traced ``execute`` call.
-        self.last_trace: SpanTree | None = None
-        self._tracer = NULL_TRACER
-        #: Session-provided broadcast-table cache, set per execution.
+        #: The session's tracer and broadcast-table cache, set per run.
+        self._tracer: Tracer | NullTracer = NULL_TRACER
         self._ht_cache: "HashTableCache | None" = None
-        #: Lazily-built Session backing the deprecated ``execute`` shim.
-        self._session: "Session | None" = None
         #: Monotonic execution id: Hadoop gives every job a unique id,
         #: which keys the distributed cache (re-running a query must not
         #: reuse stale node-local hash-table copies).
@@ -155,55 +146,21 @@ class HiveEngine:
 
     # ------------------------------------------------------------------ #
 
-    def execute(self, query: StarQuery,
-                plan: str | None = None,
-                trace: bool | None = None) -> QueryResult:
-        """Deprecated: run a star query through a default :class:`Session`.
-
-        Use ``repro.api.connect(backend="hive")`` and call
-        ``session.execute(query)`` instead; the session API is uniform
-        across all three backends and adds cross-query caching of the
-        mapjoin broadcast tables. This shim keeps the legacy behavior
-        (no cache) and the legacy per-call ``plan=`` override.
-        """
-        warnings.warn(
-            "HiveEngine.execute() is deprecated; create a Session with "
-            "repro.api.connect(backend='hive') and call "
-            "session.execute(query) instead",
-            DeprecationWarning, stacklevel=2)
-        return self._default_session()._legacy_execute(query, trace=trace,
-                                                       plan=plan)
-
-    def _default_session(self) -> "Session":
-        """A lazily-built cache-less Session backing the legacy API."""
-        if self._session is None:
-            from repro.serve.session import Session
-            self._session = Session(self, cache=None)
-        return self._session
-
-    def _execute_impl(self, query: StarQuery,
-                      plan: str | None = None,
-                      trace: bool | None = None,
-                      tracer: Tracer | None = None,
-                      ht_cache: "HashTableCache | None" = None,
-                      ) -> QueryResult:
+    def run(self, query: StarQuery, *,
+            plan: str | None = None,
+            tracer: Tracer | NullTracer = NULL_TRACER,
+            ht_cache: "HashTableCache | None" = None) -> QueryResult:
         """Run the multi-stage Hive plan; may raise
         :class:`JobFailedError` (e.g. mapjoin OOM).
 
-        ``trace`` overrides the engine default (``clydesdale.trace``);
-        when on, the stage/job span tree lands on ``last_trace``. A
-        session may instead pass its own ``tracer`` (the session owns
-        the finished tree) and an ``ht_cache`` reusing master-built
-        mapjoin broadcast tables across queries.
+        Called by :class:`~repro.serve.session.Session`, which owns the
+        ``tracer`` (stage/job spans nest under the session span; the
+        no-op tracer when tracing is off) and the ``ht_cache`` reusing
+        master-built mapjoin broadcast tables across queries.
         """
         plan = plan or self.default_plan
         if plan not in (PLAN_MAPJOIN, PLAN_REPARTITION):
             raise PlanningError(f"unknown Hive plan {plan!r}")
-        external = tracer is not None
-        enabled = bool(external or (self.trace if trace is None else trace))
-        if not external:
-            tracer = Tracer() if enabled else NULL_TRACER
-        self.last_trace = None
         self._tracer = tracer
         self._ht_cache = ht_cache
         query_span = tracer.start(f"query:{query.name}", CAT_JOB)
@@ -211,16 +168,11 @@ class HiveEngine:
             result = self._execute_plan(query, plan, tracer)
         except Exception:
             query_span.finish(STATUS_FAILED)
+            raise
+        finally:
             self._tracer = NULL_TRACER
             self._ht_cache = None
-            if enabled and not external:
-                self.last_trace = tracer.tree()
-            raise
         query_span.finish()
-        self._tracer = NULL_TRACER
-        self._ht_cache = None
-        if enabled and not external:
-            self.last_trace = tracer.tree()
         return result
 
     def _execute_plan(self, query: StarQuery, plan: str,

@@ -18,7 +18,6 @@ __all__ = [
     "AggStoreStats",
     "BACKENDS",
     "CacheStats",
-    "Engine",
     "ExplainReport",
     "Frontend",
     "FrontendSession",
@@ -41,7 +40,6 @@ _EXPORTS = {
     "AggStoreStats": ("repro.serve.aggstore", "AggStoreStats"),
     "BACKENDS": ("repro.serve.session", "BACKENDS"),
     "CacheStats": ("repro.serve.cache", "CacheStats"),
-    "Engine": ("repro.serve.session", "Engine"),
     "ExplainReport": ("repro.serve.session", "ExplainReport"),
     "Frontend": ("repro.serve.frontend", "Frontend"),
     "FrontendSession": ("repro.serve.frontend", "FrontendSession"),

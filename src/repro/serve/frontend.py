@@ -41,8 +41,10 @@ from __future__ import annotations
 import dataclasses
 import pickle
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
+from repro.api import connect
 from repro.common.config import Configuration
 from repro.common.errors import (
     AdmissionError,
@@ -50,7 +52,7 @@ from repro.common.errors import (
     WorkerCrashError,
 )
 from repro.common.keys import (
-    KEY_CACHE_HT_BYTES,
+    KEY_CACHE_ENABLED,
     KEY_SERVE_AGGSTORE,
     KEY_SERVE_AGGSTORE_BYTES,
     KEY_SERVE_MAX_CONCURRENT,
@@ -61,6 +63,7 @@ from repro.common.keys import (
     KEY_SERVE_WORKER_RESPAWN,
     KEY_SERVE_WORKER_RETRIES,
     KEY_SERVE_WORKERS,
+    KEY_TRACE,
     LOCK_FRONTEND_ADMISSION,
 )
 from repro.common.locking import guarded_lock
@@ -217,54 +220,28 @@ class Frontend:
     def __init__(self, *,
                  backend: str = "clydesdale",
                  data: Any | None = None,
-                 workers: int | None = None,
                  conf: Configuration | None = None,
-                 scale_factor: float = 0.01,
-                 seed: int = 42,
-                 num_nodes: int = 4,
                  features: Any | None = None,
                  plan: str | None = None,
-                 cache_bytes: int | None = None,
-                 row_group_size: int = 25_000,
-                 trace: bool | None = None,
-                 result_cache: bool | None = None,
-                 result_cache_bytes: int | None = None,
-                 aggstore: bool | None = None,
-                 aggstore_bytes: int | None = None,
-                 retries: int | None = None,
-                 respawn: bool | None = None,
-                 max_concurrent: int | None = None,
-                 queue_depth: int | None = None,
-                 session_quota: int | None = None,
                  sanitize: bool = False):
         conf = conf or Configuration()
         self.backend = backend
-        self.workers = (workers if workers is not None
-                        else conf.get_int(KEY_SERVE_WORKERS, 2))
+        self.workers = conf.get_int(KEY_SERVE_WORKERS)
         if self.workers < 1:
             raise ValidationError(
                 f"a frontend needs at least one worker, "
                 f"got {self.workers}")
-        self.max_concurrent = (
-            max_concurrent if max_concurrent is not None
-            else conf.get_int(KEY_SERVE_MAX_CONCURRENT, 4))
-        self.queue_depth = (queue_depth if queue_depth is not None
-                            else conf.get_int(KEY_SERVE_QUEUE_DEPTH, 8))
-        self.session_quota = (
-            session_quota if session_quota is not None
-            else conf.get_int(KEY_SERVE_SESSION_QUOTA, 2))
+        self.max_concurrent = conf.get_int(KEY_SERVE_MAX_CONCURRENT)
+        self.queue_depth = conf.get_int(KEY_SERVE_QUEUE_DEPTH)
+        self.session_quota = conf.get_int(KEY_SERVE_SESSION_QUOTA)
         self.capacity = self.workers * self.max_concurrent \
             + self.queue_depth
-        self.retries = (retries if retries is not None
-                        else conf.get_int(KEY_SERVE_WORKER_RETRIES, 1))
-        self._respawn = (respawn if respawn is not None
-                         else conf.get_bool(KEY_SERVE_WORKER_RESPAWN,
-                                            True))
-        self.trace = trace
+        self.retries = conf.get_int(KEY_SERVE_WORKER_RETRIES)
+        self._respawn = conf.get_bool(KEY_SERVE_WORKER_RESPAWN)
+        self.trace = conf.get_bool(KEY_TRACE)
         if data is None:
             from repro.ssb.datagen import SSBGenerator
-            data = SSBGenerator(scale_factor=scale_factor,
-                                seed=seed).generate()
+            data = SSBGenerator().generate()
         self._data = data
         self.generation = 0
         self._sessions: dict[str, FrontendSession] = {}
@@ -277,39 +254,28 @@ class Frontend:
         self._routed_warm = 0
         self._routed_cold = 0
         self._closed = False
-        agg_enabled = (aggstore if aggstore is not None
-                       else conf.get_bool(KEY_SERVE_AGGSTORE, True))
-        agg_budget = (aggstore_bytes if aggstore_bytes is not None
-                      else conf.get_int(KEY_SERVE_AGGSTORE_BYTES,
-                                        64 * 1024 * 1024))
-        options = {"num_nodes": num_nodes, "features": features,
-                   "plan": plan, "row_group_size": row_group_size,
-                   "cache_bytes": (
-                       cache_bytes if cache_bytes is not None
-                       else conf.get_int(KEY_CACHE_HT_BYTES,
-                                         128 * 1024 * 1024)),
-                   "aggstore": agg_enabled,
-                   "aggstore_bytes": agg_budget}
+        # Every worker opens its session from this same ``conf``, so a
+        # knob means the same thing in-process and behind the pipe.
+        open_session = partial(connect, backend, conf=conf,
+                               features=features, plan=plan)
         self._workers: dict[int, WorkerHandle] = {
-            wid: WorkerHandle(wid, backend, data, options,
-                              sanitize=sanitize)
+            wid: WorkerHandle(wid, open_session, data, sanitize=sanitize)
             for wid in range(self.workers)}
         self._router = ShapeRouter(self._workers, sanitize=sanitize)
-        enabled = (result_cache if result_cache is not None
-                   else conf.get_bool(KEY_SERVE_RESULT_CACHE, True))
-        budget = (result_cache_bytes
-                  if result_cache_bytes is not None
-                  else conf.get_int(KEY_SERVE_RESULT_CACHE_BYTES,
-                                    32 * 1024 * 1024))
-        self._results = (ResultCache(budget, sanitize=sanitize)
-                         if enabled else None)
+        self._results = (
+            ResultCache(conf.get_int(KEY_SERVE_RESULT_CACHE_BYTES),
+                        sanitize=sanitize)
+            if conf.get_bool(KEY_SERVE_RESULT_CACHE) else None)
         # The frontend's own subsumption check before dispatch: a
         # rollup served here reaches no worker at all. Per-worker
-        # stores (the "aggstore" worker option above) cover the
-        # post-routing path with their own shard-local admission.
-        self._aggstore = (AggStore(agg_budget, sanitize=sanitize)
-                          if agg_enabled and backend != "reference"
-                          else None)
+        # stores cover the post-routing path with their own shard-local
+        # admission. Like them it rides the hash-table cache.
+        self._aggstore = (
+            AggStore(conf.get_int(KEY_SERVE_AGGSTORE_BYTES),
+                     sanitize=sanitize)
+            if (conf.get_bool(KEY_SERVE_AGGSTORE)
+                and conf.get_bool(KEY_CACHE_ENABLED)
+                and backend != "reference") else None)
         self._lock = guarded_lock(self, LOCK_FRONTEND_ADMISSION,
                                   self.GUARDED_FIELDS, sanitize)
 
@@ -530,7 +496,6 @@ class Frontend:
                tracer: Tracer | NullTracer,
                ) -> tuple[QueryResult, dict]:
         canonical = CanonicalQuery(query)
-        gen_snapshot: int | None = None
         if self._results is not None:
             cached = self._results.lookup(canonical.exact)
             if cached is not None:
@@ -539,10 +504,6 @@ class Frontend:
                 return _fresh_result(cached), {
                     "source": "result_cache", "worker": None,
                     "warm_route": None, "attempts": 0}
-            # Snapshot the stamp *before* dispatching: if a reload
-            # lands while the query is in flight, store() sees the
-            # stale stamp and refuses to cache the old-catalog result.
-            gen_snapshot = self._results.current_generation()
         agg_gen: int | None = None
         if self._aggstore is not None:
             decision = self._aggstore.fetch(query)
@@ -617,16 +578,13 @@ class Frontend:
                     generation=agg_gen)
         if self._results is not None:
             # Stamp the entry with the generation the query actually
-            # executed under: the worker reports its shard generation
-            # at execute time (exact even when our execute raced ahead
-            # of a reload broadcast on the worker's pipe); fall back to
-            # the pre-dispatch snapshot when the worker has no shard.
-            executed_gen = summary.get("generation")
-            if executed_gen is None:
-                executed_gen = gen_snapshot
+            # executed under: the worker reports the generation it had
+            # applied at execute time (exact even when our execute raced
+            # ahead of a reload broadcast on the worker's pipe), so
+            # store() refuses an old-catalog result.
             self._results.store(canonical.exact, _fresh_result(result),
                                 _result_nbytes(result),
-                                generation=executed_gen)
+                                generation=summary["generation"])
         return result, summary
 
     def _recover_worker(self, worker_id: int,

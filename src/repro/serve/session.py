@@ -11,9 +11,10 @@ A :class:`Session` wraps a backend engine (``ClydesdaleEngine``,
 * a cross-job JVM pool (Clydesdale only), so repeat queries start on
   warm JVMs — together these extend the paper's within-job JVM reuse
   across queries;
-* session-level tracing: ``execute(trace=True)`` wraps the engine's
-  span tree in a ``session:<query>`` span plus a ``cache`` span with
-  the hit/miss delta of this call.
+* tracing: the session owns the only tracer of a query —
+  ``execute(trace=True)`` roots the engine's spans under a
+  ``session:<query>`` span plus a ``cache`` span with the hit/miss
+  delta of this call.
 
 Backend-specific execution options are fixed at construction time
 (``features=`` for Clydesdale, ``plan=`` for Hive, ``slot_share=`` for
@@ -24,9 +25,8 @@ build one.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Callable
 
 from repro.common.errors import ValidationError
 from repro.core.query import Aggregate, OrderKey, StarQuery
@@ -36,7 +36,9 @@ from repro.serve.cache import CacheStats, HashTableCache
 from repro.trace.tracer import (
     CAT_CACHE,
     CAT_SESSION,
+    NULL_TRACER,
     STATUS_FAILED,
+    NullTracer,
     SpanTree,
     Tracer,
 )
@@ -97,19 +99,6 @@ class SessionStats:
     provenance: Provenance | None = None
 
 
-@runtime_checkable
-class Engine(Protocol):
-    """The protocol every backend engine satisfies.
-
-    ``execute`` accepts a :class:`StarQuery` plus backend-specific
-    keyword options and returns a :class:`QueryResult`; every engine
-    also accepts (and may ignore) ``trace=``.
-    """
-
-    def execute(self, query: StarQuery, **options: Any) -> QueryResult:
-        ...  # pragma: no cover - protocol
-
-
 def backend_name(engine: object) -> str:
     """Which backend an engine object implements, by defining module."""
     module = type(engine).__module__
@@ -144,14 +133,14 @@ def _rewrite_avg(query: StarQuery) -> tuple[StarQuery, list[tuple]]:
 class Session:
     """One client's connection to an engine, with cross-query state.
 
-    ``cache=None`` disables cross-query caching (the deprecation shims
-    use that to preserve legacy engine behavior exactly); pass a
-    :class:`HashTableCache` — or use :func:`repro.api.connect`, which
-    builds one sized by ``clydesdale.cache.ht_bytes`` — to reuse built
-    hash tables across queries.
+    ``cache=None`` disables cross-query caching (every execute rebuilds
+    its hash tables); pass a :class:`HashTableCache` — or use
+    :func:`repro.api.connect`, which builds one sized by
+    ``clydesdale.cache.ht_bytes`` — to reuse built hash tables across
+    queries.
     """
 
-    def __init__(self, engine: Engine, *,
+    def __init__(self, engine: Any, *,
                  cache: HashTableCache | None = None,
                  aggstore: AggStore | None = None,
                  trace: bool | None = None,
@@ -159,14 +148,14 @@ class Session:
                  plan: str | None = None,
                  slot_share: float | None = None,
                  name: str = "session",
-                 rebuild: Callable[[Any], Engine] | None = None):
+                 rebuild: Callable[[Any], Any] | None = None):
         self.backend = backend_name(engine)
         self._engine = engine
         self.cache = cache
         #: Materialized aggregate store; None disables subsumption reuse.
         self.aggstore = aggstore
         self.name = name
-        #: None defers to the engine's own ``trace`` default.
+        #: Default for ``execute(trace=None)``; None means off.
         self.trace = trace
         self.features = features
         self.plan = plan
@@ -183,19 +172,8 @@ class Session:
     # ------------------------------------------------------------------ #
 
     @property
-    def engine(self) -> Engine:
+    def engine(self) -> Any:
         return self._engine
-
-    @property
-    def last_stats(self) -> Any | None:
-        """Deprecated: the backend's untyped stats for the most recent
-        query. Use :meth:`stats` — ``stats().execution`` is the same
-        object behind a typed snapshot."""
-        warnings.warn(
-            "Session.last_stats is deprecated; use "
-            "Session.stats().execution",
-            DeprecationWarning, stacklevel=2)
-        return getattr(self._engine, "last_stats", None)
 
     def stats(self) -> SessionStats:
         """One typed snapshot of every counter this session keeps."""
@@ -220,13 +198,12 @@ class Session:
 
         ``trace=True`` wraps the engine's spans in a session span and
         records the cache hit/miss delta plus the aggstore decision;
-        the finished tree lands on ``last_trace`` (and on the engine's
-        stats where the backend keeps them).
+        the finished tree lands on ``last_trace`` (and on the backend's
+        ``ExecutionStats.trace/phases`` where it keeps them).
         """
-        enabled = self._trace_enabled(trace)
-        if not enabled:
+        if not (self.trace if trace is None else trace):
             self.last_trace = None
-            return self._execute_query(query, tracer=None)
+            return self._execute_query(query, NULL_TRACER)
         tracer = Tracer()
         before = self.cache.stats() if self.cache is not None else None
         span = tracer.start(f"session:{query.name}", CAT_SESSION)
@@ -291,7 +268,8 @@ class Session:
     def _plan_text(self, query: StarQuery) -> str:
         """The legacy EXPLAIN string for ``query`` (per backend)."""
         if self.backend == "clydesdale":
-            return self._engine.explain(query, features=self.features)
+            return self._engine.explain(query, features=self.features,
+                                        trace=bool(self.trace))
         if self.backend == "hive":
             from repro.core.explain import explain_hive
             engine = self._engine
@@ -398,18 +376,12 @@ class Session:
     # Internals.
     # ------------------------------------------------------------------ #
 
-    def _trace_enabled(self, trace: bool | None) -> bool:
-        if trace is not None:
-            return bool(trace)
-        if self.trace is not None:
-            return bool(self.trace)
-        return bool(getattr(self._engine, "trace", False))
-
     def _scanned_rows(self) -> int:
         stats = getattr(self._engine, "last_stats", None)
         return int(getattr(stats, "rows_probed", 0) or 0)
 
-    def _execute_query(self, query: StarQuery, tracer: Tracer | None,
+    def _execute_query(self, query: StarQuery,
+                       tracer: Tracer | NullTracer,
                        any_order: bool = False) -> QueryResult:
         """Serve from the aggregate store when subsumption allows, else
         execute (limit-free) and admit; sets ``last_provenance``."""
@@ -452,7 +424,7 @@ class Session:
         return result
 
     def _execute_avg(self, query: StarQuery,
-                     tracer: Tracer | None) -> QueryResult:
+                     tracer: Tracer | NullTracer) -> QueryResult:
         """AVG = SUM/COUNT, finalized here — no engine ever sees an avg
         aggregate (``Aggregate.initial`` raises on one).
 
@@ -489,42 +461,20 @@ class Session:
                            breakdown=dict(full.breakdown))
 
     def _run_engine(self, query: StarQuery,
-                    tracer: Tracer | None) -> QueryResult:
+                    tracer: Tracer | NullTracer) -> QueryResult:
         if self.backend == "clydesdale":
-            return self._engine._execute_impl(
-                query, features=self.features, trace=False,
-                tracer=tracer, ht_cache=self.cache,
-                slot_share=self.slot_share)
-        if self.backend == "hive":
-            return self._engine._execute_impl(
-                query, plan=self.plan, trace=False, tracer=tracer,
-                ht_cache=self.cache)
-        return self._engine.execute(query, trace=tracer is not None)
-
-    def _legacy_execute(self, query: StarQuery,
-                        trace: bool | None = None,
-                        features: Any | None = None,
-                        plan: str | None = None) -> QueryResult:
-        """Backing path of the deprecated ``Engine.execute`` shims: the
-        engine keeps managing tracing (``last_trace`` semantics are
-        unchanged) and the legacy per-call overrides still apply; the
-        session contributes only its cache configuration."""
-        if self.backend == "clydesdale":
-            return self._engine._execute_impl(
-                query, features=features, trace=trace,
+            return self._engine.run(
+                query, features=self.features, tracer=tracer,
                 ht_cache=self.cache, slot_share=self.slot_share)
         if self.backend == "hive":
-            return self._engine._execute_impl(
-                query, plan=plan, trace=trace, ht_cache=self.cache)
-        return self._engine.execute(query, trace=trace)
+            return self._engine.run(query, plan=self.plan, tracer=tracer,
+                                    ht_cache=self.cache)
+        return self._engine.execute(query)
 
     def _attach_trace(self, tree: SpanTree) -> None:
-        """Mirror a session-owned span tree onto the engine's last-run
-        bookkeeping so ``last_stats.phases`` stays populated."""
-        engine = self._engine
-        if hasattr(engine, "last_trace"):
-            engine.last_trace = tree
-        stats = getattr(engine, "last_stats", None)
+        """Mirror the finished span tree onto the backend's
+        ``ExecutionStats`` so ``stats().execution.phases`` is populated."""
+        stats = getattr(self._engine, "last_stats", None)
         if stats is not None and hasattr(stats, "phases"):
             stats.trace = tree
             stats.phases = tree.phase_totals()

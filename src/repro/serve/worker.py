@@ -38,7 +38,7 @@ import multiprocessing
 import os
 import time
 from multiprocessing.connection import wait as _conn_wait
-from typing import Any
+from typing import Any, Callable
 
 from repro.common.errors import WorkerCrashError
 from repro.common.keys import LOCK_FRONTEND_WORKER
@@ -48,7 +48,8 @@ from repro.common.locking import guarded_lock
 REQUEST_TIMEOUT_S = 300.0
 
 
-def _execute_summary(session, worker_id: int) -> dict[str, Any]:
+def _execute_summary(session, worker_id: int,
+                     generation: int) -> dict[str, Any]:
     """The warmness evidence shipped back with every execute reply.
 
     A store-served answer never reached the engine, so the engine's
@@ -70,26 +71,30 @@ def _execute_summary(session, worker_id: int) -> dict[str, Any]:
         else getattr(stats, "ht_builds_reused", None),
         "ht_cache_hits": cache.hits if cache is not None else None,
         "ht_cache_misses": cache.misses if cache is not None else None,
-        "generation": (session.cache.generation
-                       if session.cache is not None else None),
+        "generation": generation,
         "provenance": prov.to_dict() if prov is not None else None,
     }
 
 
-def worker_main(conn, parent_end, worker_id: int, backend: str,
-                data: Any, options: dict[str, Any]) -> None:
+def worker_main(conn, parent_end, worker_id: int,
+                open_session: Callable[..., Any], data: Any) -> None:
     """Child-process entry: build a session, serve the request loop.
 
     ``parent_end`` is the parent's side of the pipe, inherited through
-    fork; closing it here keeps the fd accounting clean. ``options``
-    are forwarded to :func:`repro.api.connect` (num_nodes, features,
-    plan, cache_bytes, ...).
+    fork; closing it here keeps the fd accounting clean.
+    ``open_session`` is :func:`repro.api.connect` bound to the
+    frontend's backend, ``conf``, ``features`` and ``plan``.
+
+    The worker tracks the frontend's generation itself (every stamped
+    ``invalidate``/``reload`` carries it, in pipe order), so a session
+    without a cache shard still reports the generation it executed
+    under — the result-cache stamp and the reload-recovery replay read
+    it.
     """
     if parent_end is not None:
         parent_end.close()
-    from repro.api import connect
-    session = connect(backend=backend, data=data,
-                      name=f"worker{worker_id}", **options)
+    session = open_session(data=data, name=f"worker{worker_id}")
+    generation = 0
     poison: str | None = None
     while True:
         try:
@@ -113,8 +118,8 @@ def worker_main(conn, parent_end, worker_id: int, backend: str,
                             f"worker {worker_id} poisoned")
                 result = session.execute_for(query, slot_share=share,
                                              trace=False)
-                conn.send(("ok", result,
-                           _execute_summary(session, worker_id)))
+                conn.send(("ok", result, _execute_summary(
+                    session, worker_id, generation)))
             elif op == "explain":
                 conn.send(("ok", session.explain(msg[1]), {}))
             elif op == "stats":
@@ -123,9 +128,7 @@ def worker_main(conn, parent_end, worker_id: int, backend: str,
                     "worker": worker_id,
                     "pid": os.getpid(),
                     "backend": session.backend,
-                    "generation": (session.cache.generation
-                                   if session.cache is not None
-                                   else None),
+                    "generation": generation,
                     "cache_entries": (cache.entries
                                       if cache is not None else 0),
                     "cache_invalidations": (cache.invalidations
@@ -133,9 +136,11 @@ def worker_main(conn, parent_end, worker_id: int, backend: str,
                 }, {}))
             elif op == "invalidate":
                 session.invalidate_cache(generation=msg[1])
+                generation = max(generation, msg[1])
             elif op == "reload":
-                _, new_data, generation = msg
-                session.reload_catalog(new_data, generation=generation)
+                _, new_data, stamp = msg
+                session.reload_catalog(new_data, generation=stamp)
+                generation = max(generation, stamp)
             elif op == "poison":
                 poison = msg[1]
             else:
@@ -160,11 +165,11 @@ class WorkerHandle:
     #: enforces this via :func:`repro.analyze.sanitizer.guard_fields`.
     GUARDED_FIELDS = ("_conn", "_process", "_dead", "executes")
 
-    def __init__(self, worker_id: int, backend: str, data: Any,
-                 options: dict[str, Any], *, sanitize: bool = False):
+    def __init__(self, worker_id: int,
+                 open_session: Callable[..., Any], data: Any, *,
+                 sanitize: bool = False):
         self.worker_id = worker_id
-        self.backend = backend
-        self._options = dict(options)
+        self._open_session = open_session
         self._conn = None
         self._process = None
         self._dead = True
@@ -182,8 +187,8 @@ class WorkerHandle:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         process = ctx.Process(
             target=worker_main,
-            args=(child_conn, parent_conn, self.worker_id, self.backend,
-                  data, self._options),
+            args=(child_conn, parent_conn, self.worker_id,
+                  self._open_session, data),
             name=f"clydesdale-worker-{self.worker_id}", daemon=True)
         with self._lock:
             old_conn = self._conn

@@ -14,14 +14,20 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.api import connect
+from repro.common.config import Configuration
 from repro.common.errors import QueryError, SanitizerError, ValidationError
+from repro.common.keys import (
+    KEY_CACHE_ENABLED,
+    KEY_SERVE_AGGSTORE_BYTES,
+    KEY_SERVE_RESULT_CACHE,
+    KEY_SERVE_WORKERS,
+)
 from repro.core.expressions import And, Col, Comparison, TruePredicate
 from repro.core.query import Aggregate, OrderKey, StarQuery
 from repro.core.result import QueryResult
@@ -366,7 +372,7 @@ class TestAdmission(StoreBudgetContract, StoreStampContract):
 
 @pytest.fixture()
 def session(ssb_data):
-    return connect(backend="clydesdale", data=ssb_data, num_nodes=4)
+    return connect(backend="clydesdale", data=ssb_data)
 
 
 class TestSessionIntegration:
@@ -402,15 +408,6 @@ class TestSessionIntegration:
         assert snapshot.aggstore.puts == 1
         assert snapshot.cache is not None
         assert snapshot.execution is not None
-
-    def test_last_stats_is_deprecated(self, session, queries):
-        session.execute(queries["Q1.1"])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            stats = session.last_stats
-        assert stats is not None
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
 
     def test_explain_reports_the_store_decision(self, session, queries):
         query = queries["Q2.1"]
@@ -484,14 +481,15 @@ class TestSessionIntegration:
         assert shared.rows == reference.execute(query).rows
 
     def test_connect_coupling(self, ssb_data):
-        assert connect(backend="clydesdale", data=ssb_data,
-                       cache=False).aggstore is None
+        assert connect(
+            backend="clydesdale", data=ssb_data,
+            conf=Configuration({KEY_CACHE_ENABLED: False})).aggstore is None
         assert connect(backend="reference", data=ssb_data) \
             .aggstore is None
         assert connect(backend="clydesdale", data=ssb_data,
                        aggstore=False).aggstore is None
         sized = connect(backend="clydesdale", data=ssb_data,
-                        aggstore_bytes=4096)
+                        conf=Configuration({KEY_SERVE_AGGSTORE_BYTES: 4096}))
         assert sized.aggstore.budget_bytes == 4096
 
     def test_trace_carries_the_aggstore_span(self, session, queries):
@@ -511,7 +509,7 @@ class TestSessionIntegration:
 def agg_and_oracle(ssb_data):
     """One store-backed session (warms across hypothesis examples) and
     the reference engine as the byte-identity oracle."""
-    return (connect(backend="clydesdale", data=ssb_data, num_nodes=4),
+    return (connect(backend="clydesdale", data=ssb_data),
             connect(backend="reference", data=ssb_data))
 
 
@@ -570,8 +568,10 @@ class TestFrontendAggStore:
     def test_frontend_serves_subsumed_repeats(self, ssb_data, queries,
                                               reference):
         from repro.serve.frontend import Frontend
-        front = Frontend(backend="clydesdale", data=ssb_data, workers=2,
-                         num_nodes=4, result_cache=False)
+        front = Frontend(backend="clydesdale", data=ssb_data,
+                         conf=Configuration({
+                             KEY_SERVE_WORKERS: 2,
+                             KEY_SERVE_RESULT_CACHE: False}))
         try:
             handle = front.session("dash")
             fine = queries["Q2.1"]
@@ -607,8 +607,10 @@ class TestFrontendAggStore:
 
     def test_truncated_results_never_admitted(self, ssb_data, queries):
         from repro.serve.frontend import Frontend
-        front = Frontend(backend="clydesdale", data=ssb_data, workers=1,
-                         num_nodes=4, result_cache=False)
+        front = Frontend(backend="clydesdale", data=ssb_data,
+                         conf=Configuration({
+                             KEY_SERVE_WORKERS: 1,
+                             KEY_SERVE_RESULT_CACHE: False}))
         try:
             handle = front.session("trunc")
             # Q3.1 yields dozens of groups; limit=2 truncates, so the
@@ -623,8 +625,10 @@ class TestFrontendAggStore:
         from repro.reference.engine import ReferenceEngine
         from repro.ssb.datagen import SSBGenerator
         from repro.serve.frontend import Frontend
-        front = Frontend(backend="clydesdale", data=ssb_data, workers=2,
-                         num_nodes=4, result_cache=False)
+        front = Frontend(backend="clydesdale", data=ssb_data,
+                         conf=Configuration({
+                             KEY_SERVE_WORKERS: 2,
+                             KEY_SERVE_RESULT_CACHE: False}))
         try:
             handle = front.session("reload")
             fine = queries["Q2.1"]
@@ -650,8 +654,10 @@ class TestFrontendAggStore:
         from repro.reference.engine import ReferenceEngine
         from repro.ssb.datagen import SSBGenerator
         from repro.serve.frontend import Frontend
-        front = Frontend(backend="clydesdale", data=ssb_data, workers=1,
-                         num_nodes=4, result_cache=False)
+        front = Frontend(backend="clydesdale", data=ssb_data,
+                         conf=Configuration({
+                             KEY_SERVE_WORKERS: 1,
+                             KEY_SERVE_RESULT_CACHE: False}))
         try:
             handle = front.session("inflight")
             query = queries["Q2.1"]

@@ -589,10 +589,11 @@ class TestGuardFields:
         assert cache.stats().hits == 99
 
     def test_server_guarded_fields(self, ssb_data):
+        from repro.common.config import Configuration
         from repro.serve.frontend import Frontend
 
-        front = Frontend(backend="clydesdale", data=ssb_data, workers=1,
-                         num_nodes=4, sanitize=True)
+        front = Frontend(backend="clydesdale", data=ssb_data, sanitize=True,
+                         conf=Configuration({keys.KEY_SERVE_WORKERS: 1}))
         try:
             with pytest.raises(SanitizerError, match="unguarded write"):
                 front._submitted = 7

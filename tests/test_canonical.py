@@ -131,8 +131,7 @@ class TestWarmMeansNoBuild:
 
     def test_commuted_join_predicate_is_a_warm_repeat(
             self, ssb_data, queries, reference):
-        session = connect(backend="clydesdale", data=ssb_data,
-                          num_nodes=4, aggstore=False)
+        session = connect(backend="clydesdale", data=ssb_data, aggstore=False)
         base = queries["Q1.3"]
         joins = [dataclasses.replace(
                      j, predicate=And(list(reversed(j.predicate.parts))))
@@ -151,8 +150,7 @@ class TestWarmMeansNoBuild:
 
     def test_group_by_order_is_a_warm_repeat(self, ssb_data, queries,
                                              reference):
-        session = connect(backend="clydesdale", data=ssb_data,
-                          num_nodes=4, aggstore=False)
+        session = connect(backend="clydesdale", data=ssb_data, aggstore=False)
         order = [OrderKey("d_year"), OrderKey("p_brand1")]
         first = dataclasses.replace(
             queries["Q2.1"], name="cat-brand", order_by=order,

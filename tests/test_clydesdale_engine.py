@@ -8,6 +8,7 @@ from repro.core.engine import ClydesdaleEngine
 from repro.core.expressions import Col, Comparison
 from repro.core.planner import ClydesdaleFeatures
 from repro.core.query import Aggregate, DimensionJoin, OrderKey, StarQuery
+from repro.serve.session import Session
 from repro.sim.costs import DEFAULT_COST_MODEL
 from repro.sim.hardware import tiny_cluster
 
@@ -58,7 +59,7 @@ class TestCorrectness:
 class TestStats:
     def test_stats_populated(self, clydesdale, queries, ssb_data):
         clydesdale.execute(queries["Q2.1"])
-        stats = clydesdale.last_stats
+        stats = clydesdale.stats().execution
         assert stats.rows_probed == len(ssb_data.lineorder)
         assert 0 < stats.rows_matched < stats.rows_probed
         assert stats.hdfs_bytes_read > 0
@@ -67,7 +68,7 @@ class TestStats:
 
     def test_selectivities_sane(self, clydesdale, queries):
         clydesdale.execute(queries["Q2.1"])
-        stats = clydesdale.last_stats
+        stats = clydesdale.stats().execution
         # region = 1/5 in expectation (wide bounds: tiny dim tables)
         assert 0.02 < stats.selectivity("supplier") < 0.6
         assert stats.selectivity("date") == 1.0  # no predicate
@@ -91,15 +92,17 @@ class TestFeatureToggles:
     def test_results_invariant_under_features(self, clydesdale, queries,
                                               reference, features):
         expected = reference.execute(queries["Q2.1"])
-        got = clydesdale.execute(queries["Q2.1"], features=features)
+        got = Session(clydesdale.engine,
+                      features=features).execute(queries["Q2.1"])
         assert got.rows == expected.rows
 
     def test_columnar_off_reads_more_bytes(self, clydesdale, queries):
         clydesdale.execute(queries["Q2.1"])
-        on_bytes = clydesdale.last_stats.hdfs_bytes_read
-        clydesdale.execute(queries["Q2.1"],
-                           features=ClydesdaleFeatures(columnar=False))
-        off_bytes = clydesdale.last_stats.hdfs_bytes_read
+        on_bytes = clydesdale.stats().execution.hdfs_bytes_read
+        Session(clydesdale.engine,
+                features=ClydesdaleFeatures(columnar=False)).execute(
+            queries["Q2.1"])
+        off_bytes = clydesdale.stats().execution.hdfs_bytes_read
         assert off_bytes > 2 * on_bytes
 
     def test_multithreaded_off_builds_per_task(self, ssb_data, queries):
@@ -107,10 +110,10 @@ class TestFeatureToggles:
         # behaviour is observable.
         engine = ClydesdaleEngine.with_ssb_data(
             data=ssb_data, num_nodes=4, row_group_size=1_000)
-        engine.execute(queries["Q2.1"],
-                       features=ClydesdaleFeatures(multithreaded=False))
+        Session(engine, features=ClydesdaleFeatures(
+            multithreaded=False)).execute(queries["Q2.1"])
         off_builds = engine.last_stats.ht_builds
-        engine.execute(queries["Q2.1"])
+        Session(engine).execute(queries["Q2.1"])
         on_builds = engine.last_stats.ht_builds
         assert off_builds > on_builds
         # MT + JVM reuse: exactly one build per node (paper section 5.1).
@@ -127,7 +130,7 @@ class TestMemoryEnforcement:
             cost_model=DEFAULT_COST_MODEL.with_overrides(
                 clydesdale_hash_bytes_per_entry=1e9))
         with pytest.raises(JobFailedError):
-            engine.execute(queries["Q3.1"])
+            Session(engine).execute(queries["Q3.1"])
 
 
 class TestEngineConstruction:
@@ -135,7 +138,7 @@ class TestEngineConstruction:
         engine = ClydesdaleEngine.with_ssb_data(scale_factor=0.001,
                                                 num_nodes=3)
         assert engine.data.scale_factor == 0.001
-        result = engine.execute(
+        result = Session(engine).execute(
             __import__("repro.ssb.queries",
                        fromlist=["ssb_queries"]).ssb_queries()["Q1.1"])
         assert result.columns == ["revenue"]

@@ -30,6 +30,7 @@ from repro.core.query import StarQuery
 from repro.hdfs.filesystem import MiniDFS
 from repro.hdfs.placement import CoLocatingPlacementPolicy
 from repro.mapreduce.job import JobConf
+from repro.serve.session import Session
 from repro.storage import serde
 from repro.storage.cif import ColumnInputFormat, write_cif_table
 from repro.storage.columnvector import (
@@ -335,10 +336,10 @@ class TestEncodedExecutionEquivalence:
                                               hive, reference):
         query = _without_limit(query)
         expected = sorted(reference.execute(query).rows)
-        encoded = clydesdale.execute(
-            query, ClydesdaleFeatures(encoded_exec=True))
-        decoded = clydesdale.execute(
-            query, ClydesdaleFeatures(encoded_exec=False))
+        encoded = Session(clydesdale.engine, features=ClydesdaleFeatures(
+            encoded_exec=True)).execute(query)
+        decoded = Session(clydesdale.engine, features=ClydesdaleFeatures(
+            encoded_exec=False)).execute(query)
         # Byte-identical, not just set-equal: same rows, same order,
         # same (Python) value types.
         assert encoded.rows == decoded.rows
@@ -350,11 +351,13 @@ class TestEncodedExecutionEquivalence:
                                                 reference, queries):
         """The acceptance gate: every SSB query returns byte-identical
         rows with encoded execution on, off, and from the reference."""
+        encoded = Session(clydesdale.engine, features=ClydesdaleFeatures(
+            encoded_exec=True))
+        decoded = Session(clydesdale.engine, features=ClydesdaleFeatures(
+            encoded_exec=False))
         for name, query in queries.items():
             expected = reference.execute(query).rows
-            on = clydesdale.execute(
-                query, ClydesdaleFeatures(encoded_exec=True))
-            off = clydesdale.execute(
-                query, ClydesdaleFeatures(encoded_exec=False))
+            on = encoded.execute(query)
+            off = decoded.execute(query)
             assert on.rows == off.rows == expected, name
             assert on.columns == off.columns, name

@@ -18,7 +18,16 @@ import threading
 
 import pytest
 
+from repro.common.config import Configuration
 from repro.common.errors import AdmissionError, SchedulerError
+from repro.common.keys import (
+    KEY_SERVE_AGGSTORE,
+    KEY_SERVE_MAX_CONCURRENT,
+    KEY_SERVE_QUEUE_DEPTH,
+    KEY_SERVE_RESULT_CACHE,
+    KEY_SERVE_SESSION_QUOTA,
+    KEY_SERVE_WORKERS,
+)
 from repro.mapreduce.fairshare import FairShareScheduler, validate_shares
 from repro.serve.cache import HashTableCache
 from repro.serve.frontend import Frontend
@@ -109,21 +118,25 @@ class TestCacheHammer:
         assert stats.puts == 0 and stats.entries == 0
 
 
-def _frontend(ssb_data, **limits):
+def _frontend(ssb_data, limits=()):
     """A sanitized one-worker frontend whose every execute reaches the
     worker (no frontend store answers first), so admitted queries stay
-    in flight long enough to contend."""
-    return Frontend(backend="clydesdale", data=ssb_data, workers=1,
-                    num_nodes=4, result_cache=False, aggstore=False,
-                    sanitize=True, **limits)
+    in flight long enough to contend. ``limits`` maps admission keys
+    (``clydesdale.serve.*``) to values."""
+    return Frontend(backend="clydesdale", data=ssb_data, sanitize=True,
+                    conf=Configuration({
+                        KEY_SERVE_WORKERS: 1,
+                        KEY_SERVE_RESULT_CACHE: False,
+                        KEY_SERVE_AGGSTORE: False, **dict(limits)}))
 
 
 class TestServerAdmissionHammer:
     def test_grant_bookkeeping_adds_up(self, ssb_data, queries):
         # Capacity 2 against a whole gang: most submissions are shed,
         # and every one of them must land in exactly one counter.
-        front = _frontend(ssb_data, max_concurrent=1, queue_depth=1,
-                          session_quota=THREADS)
+        front = _frontend(ssb_data, {KEY_SERVE_MAX_CONCURRENT: 1,
+                                     KEY_SERVE_QUEUE_DEPTH: 1,
+                                     KEY_SERVE_SESSION_QUOTA: THREADS})
         handle = front.session("hammer")
         rounds = ROUNDS // 10
         completed = [0] * THREADS
@@ -156,8 +169,9 @@ class TestServerAdmissionHammer:
         # Pairs of threads share a quota-1 session: whichever submits
         # second while the first is in flight is refused — and only
         # for that reason (the frontend itself never saturates).
-        front = _frontend(ssb_data, max_concurrent=THREADS,
-                          queue_depth=THREADS, session_quota=1)
+        front = _frontend(ssb_data, {KEY_SERVE_MAX_CONCURRENT: THREADS,
+                                     KEY_SERVE_QUEUE_DEPTH: THREADS,
+                                     KEY_SERVE_SESSION_QUOTA: 1})
         rounds = ROUNDS // 10
         admitted = [0] * THREADS
         rejected = [0] * THREADS

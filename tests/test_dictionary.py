@@ -161,6 +161,7 @@ class TestCifIntegration:
         from repro.core.engine import ClydesdaleEngine
         from repro.hdfs.filesystem import MiniDFS
         from repro.hdfs.placement import CoLocatingPlacementPolicy
+        from repro.serve.session import Session
         from repro.ssb.loader import load_for_clydesdale
         from repro.storage.cif import write_cif_table
         from repro.ssb.schema import SCHEMAS
@@ -173,7 +174,7 @@ class TestCifIntegration:
             fs, "lineorder", catalog.meta("lineorder").directory,
             SCHEMAS["lineorder"], ssb_data.lineorder,
             row_group_size=25_000, dictionary=False)
-        engine = ClydesdaleEngine(fs, catalog)
+        session = Session(ClydesdaleEngine(fs, catalog))
         query = queries["Q2.1"]
-        assert engine.execute(query).rows == \
+        assert session.execute(query).rows == \
             reference.execute(query).rows

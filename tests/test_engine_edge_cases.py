@@ -13,6 +13,7 @@ from repro.core.expressions import (
     Not,
 )
 from repro.core.query import Aggregate, DimensionJoin, OrderKey, StarQuery
+from repro.serve.session import Session
 
 
 def q(name="edge", **kwargs):
@@ -27,8 +28,9 @@ def run_everywhere(query, clydesdale, hive, reference):
     expected = reference.execute(query)
     for label, result in (
             ("clydesdale", clydesdale.execute(query)),
-            ("mapjoin", hive.execute(query, plan="mapjoin")),
-            ("repartition", hive.execute(query, plan="repartition"))):
+            ("mapjoin", hive.execute(query)),
+            ("repartition", Session(hive.engine, plan="repartition")
+             .execute(query))):
         assert sorted(result.rows) == sorted(expected.rows), label
     return expected
 
@@ -137,8 +139,8 @@ class TestRepetitionAndIsolation:
             "customer", "lo_custkey", "c_custkey")])
         # Deliberately the same query *name* to stress cache keying.
         for _ in range(2):
-            got_asia = hive.execute(asia, plan="mapjoin")
-            got_all = hive.execute(everyone, plan="mapjoin")
+            got_asia = hive.execute(asia)
+            got_all = hive.execute(everyone)
             assert got_asia.rows == reference.execute(asia).rows
             assert got_all.rows == reference.execute(everyone).rows
             assert got_asia.rows != got_all.rows

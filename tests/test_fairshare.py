@@ -11,6 +11,7 @@ from repro.mapreduce.fairshare import (
     model_concurrent_mix,
 )
 from repro.mapreduce.job import JobConf
+from repro.serve.session import Session
 from repro.sim.hardware import cluster_a, tiny_cluster
 
 
@@ -57,7 +58,7 @@ class TestSharedClydesdale:
         engine = ClydesdaleEngine.with_ssb_data(data=ssb_data,
                                                 num_nodes=4)
         query = queries["Q2.1"]
-        full = engine.execute(query)
+        full = Session(engine).execute(query)
 
         from repro.core.planner import plan_star_join
         conf, output = plan_star_join(

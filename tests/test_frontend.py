@@ -19,7 +19,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import connect
+from repro.common.config import Configuration
 from repro.common.errors import AdmissionError, ValidationError
+from repro.common.keys import (
+    KEY_CACHE_ENABLED,
+    KEY_SERVE_AGGSTORE,
+    KEY_SERVE_MAX_CONCURRENT,
+    KEY_SERVE_QUEUE_DEPTH,
+    KEY_SERVE_RESULT_CACHE,
+    KEY_SERVE_SESSION_QUOTA,
+    KEY_SERVE_WORKERS,
+)
 from repro.core.expressions import And
 from repro.core.result import QueryResult
 from repro.serve.frontend import Frontend, ResultCache
@@ -38,14 +48,14 @@ def frontend_session(ssb_data):
     # aggstore=False: this battery asserts worker routing and shard
     # warmness, which the aggregate store would short-circuit.
     handle = connect(backend="clydesdale", data=ssb_data, workers=4,
-                     num_nodes=4, name="frontend-tests", aggstore=False)
+                     name="frontend-tests", aggstore=False)
     yield handle
     handle.frontend.close()
 
 
 @pytest.fixture(scope="module")
 def plain_session(ssb_data):
-    return connect(backend="clydesdale", data=ssb_data, num_nodes=4)
+    return connect(backend="clydesdale", data=ssb_data)
 
 
 def _result(name="q", rows=(("a", 1),)):
@@ -288,8 +298,10 @@ class TestWarmRouting:
         # EXPLAIN must not pin the shape or count as load: the first
         # real execute after an explain is still a cold route, and the
         # warm-route counters (the ht_builds==0 evidence) stay honest.
-        front = Frontend(backend="clydesdale", data=ssb_data, workers=2,
-                         num_nodes=4, result_cache=False)
+        front = Frontend(backend="clydesdale", data=ssb_data,
+                         conf=Configuration({
+                             KEY_SERVE_WORKERS: 2,
+                             KEY_SERVE_RESULT_CACHE: False}))
         try:
             handle = front.session("explainer")
             query = queries["Q2.2"]
@@ -318,7 +330,7 @@ class TestReloadGenerations:
                                                    queries):
         from repro.ssb.datagen import SSBGenerator
         handle = connect(backend="clydesdale", data=ssb_data, workers=2,
-                         num_nodes=4, name="reload-test")
+                         name="reload-test")
         front = handle.frontend
         try:
             query = queries["Q1.1"]
@@ -348,8 +360,8 @@ class TestReloadGenerations:
         # reaches a worker holding the new catalog.
         from repro.reference.engine import ReferenceEngine
         from repro.ssb.datagen import SSBGenerator
-        front = Frontend(backend="clydesdale", data=ssb_data, workers=1,
-                         num_nodes=4)
+        front = Frontend(backend="clydesdale", data=ssb_data,
+                         conf=Configuration({KEY_SERVE_WORKERS: 1}))
         try:
             handle = front.session("inflight")
             query = queries["Q1.1"]
@@ -378,7 +390,7 @@ class TestReloadGenerations:
     def test_stale_generation_messages_are_noops(self, ssb_data,
                                                  queries):
         handle = connect(backend="clydesdale", data=ssb_data, workers=1,
-                         num_nodes=4, name="stale-gen-test")
+                         name="stale-gen-test")
         front = handle.frontend
         try:
             handle.execute(queries["Q1.2"])
@@ -396,9 +408,13 @@ class TestReloadGenerations:
 
 class TestFrontendAdmission:
     def test_saturation_with_stalled_worker(self, ssb_data, queries):
-        front = Frontend(backend="clydesdale", data=ssb_data, workers=1,
-                         num_nodes=4, max_concurrent=1, queue_depth=0,
-                         session_quota=4, result_cache=False)
+        front = Frontend(backend="clydesdale", data=ssb_data,
+                         conf=Configuration({
+                             KEY_SERVE_WORKERS: 1,
+                             KEY_SERVE_MAX_CONCURRENT: 1,
+                             KEY_SERVE_QUEUE_DEPTH: 0,
+                             KEY_SERVE_SESSION_QUOTA: 4,
+                             KEY_SERVE_RESULT_CACHE: False}))
         try:
             first = front.session("a")
             second = front.session("b")
@@ -432,9 +448,13 @@ class TestFrontendAdmission:
             front.close()
 
     def test_session_quota_enforced(self, ssb_data, queries):
-        front = Frontend(backend="clydesdale", data=ssb_data, workers=1,
-                         num_nodes=4, max_concurrent=4, queue_depth=4,
-                         session_quota=1, result_cache=False)
+        front = Frontend(backend="clydesdale", data=ssb_data,
+                         conf=Configuration({
+                             KEY_SERVE_WORKERS: 1,
+                             KEY_SERVE_MAX_CONCURRENT: 4,
+                             KEY_SERVE_QUEUE_DEPTH: 4,
+                             KEY_SERVE_SESSION_QUOTA: 1,
+                             KEY_SERVE_RESULT_CACHE: False}))
         try:
             handle = front.session("quota")
             handle.in_flight = 1   # as if one query were outstanding
@@ -446,8 +466,8 @@ class TestFrontendAdmission:
             front.close()
 
     def test_closed_frontend_rejects(self, ssb_data, queries):
-        front = Frontend(backend="clydesdale", data=ssb_data, workers=1,
-                         num_nodes=4)
+        front = Frontend(backend="clydesdale", data=ssb_data,
+                         conf=Configuration({KEY_SERVE_WORKERS: 1}))
         handle = front.session("late")
         front.close()
         generation = front.stats().generation
@@ -463,8 +483,8 @@ class TestFrontendAdmission:
 
     def test_share_validation(self, ssb_data):
         from repro.common.errors import SchedulerError
-        front = Frontend(backend="clydesdale", data=ssb_data, workers=1,
-                         num_nodes=4)
+        front = Frontend(backend="clydesdale", data=ssb_data,
+                         conf=Configuration({KEY_SERVE_WORKERS: 1}))
         try:
             front.session("big", share=0.8)
             with pytest.raises(SchedulerError):
@@ -525,3 +545,63 @@ class TestConnectIntegration:
 
     def test_single_process_connect_unchanged(self, plain_session):
         assert isinstance(plain_session, Session)
+
+
+#: Every reuse layer off: each execute must rebuild its hash tables,
+#: whichever route the configuration took to reach the engine.
+NO_REUSE = {KEY_CACHE_ENABLED: False, KEY_SERVE_RESULT_CACHE: False,
+            KEY_SERVE_AGGSTORE: False}
+
+
+def _execute_twice(handle, query):
+    """(rows, ht_builds) of two executes through either session kind."""
+    out = []
+    for _ in range(2):
+        rows = handle.execute(query).rows
+        summary = getattr(handle, "last_summary", None)
+        builds = (summary["ht_builds"] if summary is not None
+                  else handle.stats().execution.ht_builds)
+        out.append((rows, builds))
+    return out
+
+
+class TestOneConfiguration:
+    """A ``conf`` value means the same thing in-process and behind the
+    worker pipe (it used to be dropped on the way to the workers)."""
+
+    @pytest.mark.parametrize("workers", [None, 1])
+    def test_reuse_off_rebuilds_on_both_routes(self, ssb_data, queries,
+                                               reference, workers):
+        query = queries["Q2.1"]
+        handle = connect("clydesdale", data=ssb_data, workers=workers,
+                         conf=Configuration(NO_REUSE))
+        try:
+            runs = _execute_twice(handle, query)
+        finally:
+            if workers is not None:
+                handle.frontend.close()
+        expected = reference.execute(query).rows
+        assert runs == [(expected, 1), (expected, 1)]
+
+    def test_cacheless_worker_reports_nothing_cached_and_its_generation(
+            self, ssb_data, queries):
+        handle = connect("clydesdale", data=ssb_data, workers=1,
+                         conf=Configuration(NO_REUSE))
+        front = handle.frontend
+        try:
+            handle.execute(queries["Q2.1"])
+            handle.execute(queries["Q2.1"])
+            (info,) = front.worker_stats()
+            assert info["cache_entries"] == 0
+            assert info["generation"] == front.generation == 0
+            assert handle.last_summary["generation"] == 0
+            # A worker without a cache shard still tracks the
+            # frontend's clock: the result-cache stamp and the
+            # reload-recovery replay read it.
+            generation = front.reload_catalog(ssb_data)
+            (info,) = front.worker_stats()
+            assert info["generation"] == generation == 1
+            handle.execute(queries["Q2.1"])
+            assert handle.last_summary["generation"] == generation
+        finally:
+            front.close()

@@ -15,8 +15,8 @@ class TestStageStructureParity:
     @pytest.mark.parametrize("name", ["Q1.1", "Q2.1", "Q3.1", "Q4.1"])
     def test_mapjoin_stage_names_match(self, hive, queries, name):
         query = queries[name]
-        hive.execute(query, plan="mapjoin")
-        functional = [s.name for s in hive.last_stats.stages]
+        hive.execute(query)
+        functional = [s.name for s in hive.stats().execution.stages]
         model = predict_hive_mapjoin(build_profile(query, 1000.0),
                                      cluster_b())
         modeled = [s.name for s in model.stages]
@@ -35,10 +35,12 @@ class TestStageStructureParity:
             bool(query.order_by)
 
     @pytest.mark.parametrize("name", ["Q1.1", "Q3.1"])
-    def test_repartition_stage_counts_match(self, hive, queries, name):
+    def test_repartition_stage_counts_match(self, hive_repartition,
+                                            queries, name):
         query = queries[name]
-        hive.execute(query, plan="repartition")
-        functional = len([s for s in hive.last_stats.stages
+        hive_repartition.execute(query)
+        functional = len([s for s in
+                          hive_repartition.stats().execution.stages
                           if "repartition" in s.name])
         model = predict_hive_repartition(build_profile(query, 1000.0),
                                          cluster_b())
@@ -49,16 +51,14 @@ class TestStageStructureParity:
 
 class TestQualitativeOrderingParity:
     def test_functional_and_model_rank_engines_identically(
-            self, clydesdale, hive, queries):
+            self, clydesdale, hive, hive_repartition, queries):
         """For every query (tiny scale, functional) and at SF1000
         (model): clydesdale < mapjoin and clydesdale < repartition."""
         for name in ("Q1.2", "Q2.3", "Q3.2"):
             query = queries[name]
             clyde_s = clydesdale.execute(query).simulated_seconds
-            mapjoin_s = hive.execute(query,
-                                     plan="mapjoin").simulated_seconds
-            repart_s = hive.execute(
-                query, plan="repartition").simulated_seconds
+            mapjoin_s = hive.execute(query).simulated_seconds
+            repart_s = hive_repartition.execute(query).simulated_seconds
             assert clyde_s < mapjoin_s
             assert clyde_s < repart_s
 
@@ -68,7 +68,7 @@ class TestQualitativeOrderingParity:
         small-sample noise."""
         query = queries["Q2.1"]
         clydesdale.execute(query)
-        stats = clydesdale.last_stats
+        stats = clydesdale.stats().execution
         profile = build_profile(query, 1000.0)
         # Date has no predicate: both must report exactly 1.0.
         assert stats.selectivity("date") == 1.0

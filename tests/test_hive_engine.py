@@ -5,6 +5,7 @@ import pytest
 
 from repro.common.errors import JobFailedError, PlanningError
 from repro.hive.engine import HiveEngine, PLAN_MAPJOIN, PLAN_REPARTITION
+from repro.serve.session import Session
 from repro.sim.costs import DEFAULT_COST_MODEL
 from repro.sim.hardware import tiny_cluster
 
@@ -13,24 +14,24 @@ class TestCorrectness:
     @pytest.mark.parametrize("plan", [PLAN_MAPJOIN, PLAN_REPARTITION])
     def test_q21(self, hive, reference, queries, plan):
         expected = reference.execute(queries["Q2.1"])
-        got = hive.execute(queries["Q2.1"], plan=plan)
+        got = Session(hive.engine, plan=plan).execute(queries["Q2.1"])
         assert got.rows == expected.rows
 
     @pytest.mark.parametrize("plan", [PLAN_MAPJOIN, PLAN_REPARTITION])
     def test_flight1_fact_predicates(self, hive, reference, queries, plan):
         expected = reference.execute(queries["Q1.3"])
-        got = hive.execute(queries["Q1.3"], plan=plan)
+        got = Session(hive.engine, plan=plan).execute(queries["Q1.3"])
         assert got.rows == expected.rows
 
     @pytest.mark.parametrize("plan", [PLAN_MAPJOIN, PLAN_REPARTITION])
     def test_flight4_four_dimensions(self, hive, reference, queries, plan):
         expected = reference.execute(queries["Q4.1"])
-        got = hive.execute(queries["Q4.1"], plan=plan)
+        got = Session(hive.engine, plan=plan).execute(queries["Q4.1"])
         assert got.rows == expected.rows
 
     def test_unknown_plan_rejected(self, hive, queries):
         with pytest.raises(PlanningError):
-            hive.execute(queries["Q1.1"], plan="hashjoin")
+            Session(hive.engine, plan="hashjoin").execute(queries["Q1.1"])
 
     def test_repeat_execution_same_result(self, hive, queries):
         first = hive.execute(queries["Q2.2"])
@@ -40,8 +41,8 @@ class TestCorrectness:
 
 class TestStageStructure:
     def test_mapjoin_stage_count(self, hive, queries):
-        hive.execute(queries["Q2.1"], plan=PLAN_MAPJOIN)
-        stats = hive.last_stats
+        hive.execute(queries["Q2.1"])
+        stats = hive.stats().execution
         # 3 joins + groupby + orderby
         assert len(stats.stages) == 5
         assert "mapjoin" in stats.stages[0].name
@@ -49,61 +50,62 @@ class TestStageStructure:
         assert "orderby" in stats.stages[4].name
 
     def test_flight1_has_no_orderby_stage(self, hive, queries):
-        hive.execute(queries["Q1.1"], plan=PLAN_MAPJOIN)
-        assert all("orderby" not in s.name for s in hive.last_stats.stages)
+        hive.execute(queries["Q1.1"])
+        assert all("orderby" not in s.name
+                   for s in hive.stats().execution.stages)
 
     def test_stage_rows_shrink_with_predicates(self, hive, queries,
                                                ssb_data):
-        hive.execute(queries["Q2.1"], plan=PLAN_MAPJOIN)
-        stages = hive.last_stats.stages
+        hive.execute(queries["Q2.1"])
+        stages = hive.stats().execution.stages
         assert stages[0].rows_in == len(ssb_data.lineorder)
         # part (1/25) then supplier (1/5) shrink the stream
         assert stages[1].rows_out < stages[1].rows_in
         assert stages[2].rows_out <= stages[2].rows_in
 
     def test_joins_run_one_dimension_at_a_time(self, hive, queries):
-        hive.execute(queries["Q4.2"], plan=PLAN_MAPJOIN)
-        join_stages = [s for s in hive.last_stats.stages
+        hive.execute(queries["Q4.2"])
+        join_stages = [s for s in hive.stats().execution.stages
                        if "mapjoin" in s.name]
         assert len(join_stages) == 4
         dims = [s.name.rsplit(":", 1)[1] for s in join_stages]
         assert dims == ["customer", "supplier", "part", "date"]
 
     def test_intermediates_written_to_hdfs(self, hive, queries):
-        hive.execute(queries["Q2.1"], plan=PLAN_MAPJOIN)
-        scratch_files = hive.fs.list_dir(hive.last_scratch)
+        hive.execute(queries["Q2.1"])
+        scratch_files = hive.engine.fs.list_dir(hive.engine.last_scratch)
         assert any("stage1" in p for p in scratch_files)
         assert any("ht_" in p for p in scratch_files)
 
-    def test_repartition_uses_reducers(self, hive, queries):
-        hive.execute(queries["Q1.1"], plan=PLAN_REPARTITION)
-        stage1 = hive.last_stats.stages[0]
+    def test_repartition_uses_reducers(self, hive_repartition, queries):
+        hive_repartition.execute(queries["Q1.1"])
+        stage1 = hive_repartition.stats().execution.stages[0]
         assert stage1.job is not None
         assert stage1.job.reduce_tasks
 
     def test_mapjoin_stages_are_map_only(self, hive, queries):
-        hive.execute(queries["Q1.1"], plan=PLAN_MAPJOIN)
-        stage1 = hive.last_stats.stages[0]
+        hive.execute(queries["Q1.1"])
+        stage1 = hive.stats().execution.stages[0]
         assert stage1.job.reduce_tasks == []
 
     def test_no_jvm_reuse(self, hive, queries):
-        hive.execute(queries["Q1.1"], plan=PLAN_MAPJOIN)
-        stage1 = hive.last_stats.stages[0]
+        hive.execute(queries["Q1.1"])
+        stage1 = hive.stats().execution.stages[0]
         assert all(not t.jvm_reused for t in stage1.job.map_tasks)
 
     def test_hash_reloaded_per_task(self, ssb_data, queries):
         engine = HiveEngine.with_ssb_data(data=ssb_data, num_nodes=4,
                                           row_group_size=1_000)
-        engine.execute(queries["Q1.1"], plan=PLAN_MAPJOIN)
+        Session(engine, plan=PLAN_MAPJOIN).execute(queries["Q1.1"])
         stage1 = engine.last_stats.stages[0]
         reloads = stage1.job.counters.get("hive", "ht_reloads")
         assert reloads == stage1.job.num_map_tasks
         assert reloads > 1  # redundant work, unlike Clydesdale
 
     def test_total_seconds_sums_stages(self, hive, queries):
-        result = hive.execute(queries["Q2.1"], plan=PLAN_MAPJOIN)
+        result = hive.execute(queries["Q2.1"])
         assert result.simulated_seconds == pytest.approx(
-            sum(s.simulated_seconds for s in hive.last_stats.stages))
+            sum(s.simulated_seconds for s in hive.stats().execution.stages))
 
 
 class TestHiveSlowerThanClydesdale:
@@ -112,7 +114,8 @@ class TestHiveSlowerThanClydesdale:
                                      plan):
         """Even at tiny scale the structural overheads dominate."""
         fast = clydesdale.execute(queries["Q2.1"]).simulated_seconds
-        slow = hive.execute(queries["Q2.1"], plan=plan).simulated_seconds
+        slow = Session(hive.engine, plan=plan).execute(
+            queries["Q2.1"]).simulated_seconds
         assert slow > 2 * fast
 
 
@@ -124,7 +127,7 @@ class TestMapjoinOOM:
             cost_model=DEFAULT_COST_MODEL.with_overrides(
                 hive_hash_bytes_per_entry=1e9))
         with pytest.raises(JobFailedError) as excinfo:
-            engine.execute(queries["Q3.1"], plan=PLAN_MAPJOIN)
+            Session(engine, plan=PLAN_MAPJOIN).execute(queries["Q3.1"])
         assert "MB" in str(excinfo.value)
 
     def test_repartition_survives_same_conditions(self, ssb_data, queries):
@@ -133,5 +136,6 @@ class TestMapjoinOOM:
             cluster=tiny_cluster(workers=4, map_slots=2, memory_gb=1),
             cost_model=DEFAULT_COST_MODEL.with_overrides(
                 hive_hash_bytes_per_entry=1e9))
-        result = engine.execute(queries["Q3.1"], plan=PLAN_REPARTITION)
+        result = Session(engine, plan=PLAN_REPARTITION).execute(
+            queries["Q3.1"])
         assert result.rows  # robust plan completes (paper section 6.1)

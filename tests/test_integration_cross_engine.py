@@ -4,6 +4,7 @@ every SSB query."""
 
 import pytest
 
+from repro.serve.session import Session
 from repro.ssb.queries import QUERY_NAMES
 
 
@@ -12,8 +13,8 @@ def test_all_engines_agree(name, clydesdale, hive, reference, queries):
     query = queries[name]
     expected = reference.execute(query)
     got_clyde = clydesdale.execute(query)
-    got_mapjoin = hive.execute(query, plan="mapjoin")
-    got_repart = hive.execute(query, plan="repartition")
+    got_mapjoin = hive.execute(query)
+    got_repart = Session(hive.engine, plan="repartition").execute(query)
     assert got_clyde.columns == expected.columns
     assert got_clyde.rows == expected.rows, f"{name}: clydesdale differs"
     assert got_mapjoin.rows == expected.rows, f"{name}: mapjoin differs"

@@ -3,8 +3,16 @@
 
 import pytest
 
+from repro.common.config import Configuration
+from repro.common.keys import (
+    KEY_SERVE_AGGSTORE,
+    KEY_SERVE_RESULT_CACHE,
+    KEY_SERVE_WORKER_RESPAWN,
+    KEY_SERVE_WORKERS,
+)
 from repro.core.engine import ClydesdaleEngine
 from repro.hdfs.faults import FaultInjector
+from repro.serve.session import Session
 from repro.ssb.datagen import SSBGenerator
 from repro.ssb.loader import dim_cache_name, refresh_dim_cache
 from repro.ssb.queries import ssb_queries
@@ -19,28 +27,28 @@ def engine():
 
 def test_query_survives_node_failure(engine):
     query = ssb_queries()["Q2.1"]
-    baseline = engine.execute(query)
+    baseline = Session(engine).execute(query)
     injector = FaultInjector(engine.fs)
     injector.kill_random_node()
-    after = engine.execute(query)
+    after = Session(engine).execute(query)
     assert after.rows == baseline.rows
 
 
 def test_query_survives_failure_plus_reheal(engine):
     query = ssb_queries()["Q3.1"]
-    baseline = engine.execute(query)
+    baseline = Session(engine).execute(query)
     injector = FaultInjector(engine.fs)
     injector.kill_random_node()
     injector.heal()
     # Replication restored: a second failure is survivable too.
     injector.kill_random_node()
-    after = engine.execute(query)
+    after = Session(engine).execute(query)
     assert after.rows == baseline.rows
 
 
 def test_recovered_node_refetches_dimension_cache(engine):
     query = ssb_queries()["Q1.1"]
-    baseline = engine.execute(query)
+    baseline = Session(engine).execute(query)
     injector = FaultInjector(engine.fs)
     victim = injector.kill_random_node()
     injector.heal()
@@ -51,17 +59,17 @@ def test_recovered_node_refetches_dimension_cache(engine):
         dim_cache_name("date"))
     refresh_dim_cache(engine.fs, engine.catalog, victim)
     assert engine.fs.datanode(victim).scratch_has(dim_cache_name("date"))
-    after = engine.execute(query)
+    after = Session(engine).execute(query)
     assert after.rows == baseline.rows
 
 
 def test_colocation_keeps_scheduling_local_after_heal(engine):
     query = ssb_queries()["Q2.1"]
-    engine.execute(query)
+    Session(engine).execute(query)
     injector = FaultInjector(engine.fs)
     injector.kill_random_node()
     injector.heal()
-    engine.execute(query)
+    Session(engine).execute(query)
     stats = engine.last_stats
     assert stats.job.plan.data_local_fraction >= 0.5
 
@@ -87,8 +95,10 @@ def _routed_worker(front, query):
 def test_worker_crash_mid_query_retries_on_healthy_worker(frontend_data):
     from repro.serve.frontend import Frontend
     front = Frontend(backend="clydesdale", data=frontend_data,
-                     workers=2, num_nodes=4, result_cache=False,
-                     aggstore=False)
+                     conf=Configuration({
+                         KEY_SERVE_WORKERS: 2,
+                         KEY_SERVE_RESULT_CACHE: False,
+                         KEY_SERVE_AGGSTORE: False}))
     try:
         handle = front.session("crashy")
         query = ssb_queries()["Q2.1"]
@@ -111,8 +121,11 @@ def test_worker_crash_mid_query_retries_on_healthy_worker(frontend_data):
 def test_single_worker_crash_respawns_and_recovers(frontend_data):
     from repro.serve.frontend import Frontend
     front = Frontend(backend="clydesdale", data=frontend_data,
-                     workers=1, num_nodes=4, respawn=True,
-                     result_cache=False, aggstore=False)
+                     conf=Configuration({
+                         KEY_SERVE_WORKERS: 1,
+                         KEY_SERVE_WORKER_RESPAWN: True,
+                         KEY_SERVE_RESULT_CACHE: False,
+                         KEY_SERVE_AGGSTORE: False}))
     try:
         handle = front.session("solo")
         query = ssb_queries()["Q1.1"]
@@ -130,8 +143,11 @@ def test_single_worker_crash_respawns_and_recovers(frontend_data):
 def test_crash_without_respawn_routes_to_survivor(frontend_data):
     from repro.serve.frontend import Frontend
     front = Frontend(backend="clydesdale", data=frontend_data,
-                     workers=2, num_nodes=4, respawn=False,
-                     result_cache=False, aggstore=False)
+                     conf=Configuration({
+                         KEY_SERVE_WORKERS: 2,
+                         KEY_SERVE_WORKER_RESPAWN: False,
+                         KEY_SERVE_RESULT_CACHE: False,
+                         KEY_SERVE_AGGSTORE: False}))
     try:
         handle = front.session("survivor")
         query = ssb_queries()["Q3.2"]
@@ -150,8 +166,10 @@ def test_crash_without_respawn_routes_to_survivor(frontend_data):
 def test_poisoned_failure_propagates_and_accounts(frontend_data):
     from repro.serve.frontend import Frontend
     front = Frontend(backend="clydesdale", data=frontend_data,
-                     workers=2, num_nodes=4, result_cache=False,
-                     aggstore=False)
+                     conf=Configuration({
+                         KEY_SERVE_WORKERS: 2,
+                         KEY_SERVE_RESULT_CACHE: False,
+                         KEY_SERVE_AGGSTORE: False}))
     try:
         handle = front.session("poisoned")
         query = ssb_queries()["Q1.2"]
@@ -175,8 +193,10 @@ def test_admission_accounting_exact_under_faults(frontend_data):
     from repro.common.errors import AdmissionError
     from repro.serve.frontend import Frontend
     front = Frontend(backend="clydesdale", data=frontend_data,
-                     workers=2, num_nodes=4, result_cache=False,
-                     aggstore=False)
+                     conf=Configuration({
+                         KEY_SERVE_WORKERS: 2,
+                         KEY_SERVE_RESULT_CACHE: False,
+                         KEY_SERVE_AGGSTORE: False}))
     try:
         handle = front.session("books")
         query = ssb_queries()["Q1.1"]
@@ -213,8 +233,11 @@ def test_stale_crash_report_spares_respawned_worker(frontend_data):
     # identity-aware via the crashed pid).
     from repro.serve.frontend import Frontend
     front = Frontend(backend="clydesdale", data=frontend_data,
-                     workers=1, num_nodes=4, respawn=True,
-                     result_cache=False, aggstore=False)
+                     conf=Configuration({
+                         KEY_SERVE_WORKERS: 1,
+                         KEY_SERVE_WORKER_RESPAWN: True,
+                         KEY_SERVE_RESULT_CACHE: False,
+                         KEY_SERVE_AGGSTORE: False}))
     try:
         handle = front.session("dup")
         query = ssb_queries()["Q1.1"]
@@ -243,8 +266,11 @@ def test_reload_racing_respawn_is_replayed(frontend_data, monkeypatch):
     from repro.serve.frontend import Frontend
     from repro.serve.worker import WorkerHandle
     front = Frontend(backend="clydesdale", data=frontend_data,
-                     workers=1, num_nodes=4, respawn=True,
-                     result_cache=False, aggstore=False)
+                     conf=Configuration({
+                         KEY_SERVE_WORKERS: 1,
+                         KEY_SERVE_WORKER_RESPAWN: True,
+                         KEY_SERVE_RESULT_CACHE: False,
+                         KEY_SERVE_AGGSTORE: False}))
     try:
         handle = front.session("race")
         query = ssb_queries()["Q1.1"]
@@ -277,7 +303,9 @@ def test_no_generation_leak_through_respawn(frontend_data):
     # the *current* catalog and stamped with the current generation.
     from repro.serve.frontend import Frontend
     front = Frontend(backend="clydesdale", data=frontend_data,
-                     workers=2, num_nodes=4, aggstore=False)
+                     conf=Configuration({
+                         KEY_SERVE_WORKERS: 2,
+                         KEY_SERVE_AGGSTORE: False}))
     try:
         handle = front.session("genleak")
         query = ssb_queries()["Q1.1"]

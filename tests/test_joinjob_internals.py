@@ -12,6 +12,7 @@ from repro.core.joinjob import (
     StarJoinMapper,
     StarJoinReducer,
     configure_query,
+    load_query_config,
 )
 from repro.core.planner import ClydesdaleFeatures
 from repro.core.query import Aggregate, DimensionJoin, StarQuery
@@ -142,6 +143,37 @@ class TestStarJoinMapperInternals:
         mapper2.initialize(context)  # same jvm_state dict
         assert mapper2.hash_tables[0] is first[0]  # tables shared
 
+    def test_block_kernels_materialize_survivors_only(self):
+        """Paper 5.3's late tuple reconstruction, as the kernels do it:
+        a block where no row survives never reaches the aggregate
+        functions, and a mixed block touches them for survivors only."""
+        from repro.storage.cif import RowBlock
+        context = _configured_context(_date_rows())
+        mapper = StarJoinMapper()
+        mapper.initialize(context)
+
+        calls = []
+        original = mapper._agg_fns[0]
+        mapper._agg_fns[0] = lambda get: calls.append(1) or original(get)
+
+        schema = SCHEMAS["lineorder"].project(
+            ["lo_orderdate", "lo_revenue"])
+        # All keys from 1995: the d_year = 1994 hash has no entries.
+        block = RowBlock(schema, 0, {
+            "lo_orderdate": [19950101] * 50,
+            "lo_revenue": [1] * 50})
+        collector = OutputCollector()
+        mapper.map(0, block, collector, context)
+        assert collector.pairs == []
+        assert calls == []  # nothing materialized
+
+        mixed = RowBlock(schema, 0, {
+            "lo_orderdate": [19940101] * 3 + [19950101] * 47,
+            "lo_revenue": [1] * 50})
+        mapper.map(0, mixed, collector, context)
+        assert len(collector.pairs) == 3
+        assert len(calls) == 3
+
     def test_build_charges_time_once(self):
         rows = _date_rows()
         context = _configured_context(rows)
@@ -191,6 +223,31 @@ class TestStarJoinMapperInternals:
             "lo_revenue": [rev for _, rev in fact]})
         mapper_blocks.map(0, block, out_blocks, context2)
         assert sorted(out_rows.pairs) == sorted(out_blocks.pairs)
+
+
+class TestQueryConfigParsedOnce:
+    def test_job_conf_carries_the_parsed_query(self):
+        """Tasks and reducers of one job read the parsed tuple the
+        planner left on the JobConf instead of re-parsing the JSON."""
+        conf = JobConf("t")
+        query = _query()
+        configure_query(conf, query, SCHEMAS["lineorder"],
+                        {"date": SCHEMAS["date"]})
+        first = load_query_config(conf)
+        assert first is load_query_config(conf)
+        assert first[0] is query
+
+    def test_json_keys_alone_still_parse(self):
+        """The paper's ``queryParams`` stay the contract: a conf that
+        carries only the three JSON keys parses to an equal query."""
+        conf = JobConf("t")
+        configure_query(conf, _query(), SCHEMAS["lineorder"],
+                        {"date": SCHEMAS["date"]})
+        del conf.query_config
+        query, fact_schema, dim_schemas = load_query_config(conf)
+        assert query.to_dict() == _query().to_dict()
+        assert fact_schema.names == SCHEMAS["lineorder"].names
+        assert set(dim_schemas) == {"date"}
 
 
 class TestStarJoinReducer:

@@ -7,6 +7,7 @@ import pytest
 from repro.common.errors import PlanningError
 from repro.core.engine import ClydesdaleEngine
 from repro.core.multipass import estimate_ht_bytes, plan_passes
+from repro.serve.session import Session
 from repro.sim.costs import DEFAULT_COST_MODEL
 from repro.sim.hardware import tiny_cluster
 from repro.ssb.queries import QUERY_NAMES, ssb_queries
@@ -112,10 +113,10 @@ class TestAutomaticFallback:
         from repro.reference.engine import ReferenceEngine
         ref = ReferenceEngine.from_ssb(data)
         query = queries["Q3.1"]
-        got = engine.execute(query)
+        got = Session(engine).execute(query)
         assert got.rows == ref.execute(query).rows
         assert any(k.startswith("pass") for k in got.breakdown)
 
     def test_no_fallback_when_memory_ample(self, engine, queries):
-        got = engine.execute(queries["Q3.1"])
+        got = Session(engine).execute(queries["Q3.1"])
         assert not any(k.startswith("pass") for k in got.breakdown)

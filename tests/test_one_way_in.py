@@ -1,0 +1,86 @@
+"""The gate: one way in, one home per knob.
+
+``connect()`` -> (``Frontend`` -> worker ``connect()`` ->) ``Session`` ->
+engine is the only line of descent, and ``Configuration`` the only
+carrier of a serving knob. These checks fail if a shim, a second tracer
+owner or a keyword/conf twin comes back.
+"""
+
+from __future__ import annotations
+
+import inspect
+import re
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.api import connect
+from repro.common.config import Configuration
+from repro.common.keys import CONFIG_KEYS
+from repro.core.engine import ClydesdaleEngine
+from repro.hive.engine import HiveEngine
+from repro.serve.frontend import Frontend
+from repro.serve.session import Session
+
+SRC = Path(repro.__file__).parent
+
+
+def test_entry_points_stay_small():
+    assert len(inspect.signature(connect).parameters) <= 8
+    assert len(inspect.signature(Frontend.__init__).parameters) - 1 <= 6
+
+
+@pytest.mark.parametrize("engine", [ClydesdaleEngine, HiveEngine])
+def test_engines_have_no_second_entry_point_or_tracer(engine):
+    for name in ("execute", "sql", "trace", "last_trace",
+                 "_execute_impl", "_default_session"):
+        assert not hasattr(engine, name), name
+    init = inspect.signature(engine.__init__).parameters
+    assert "trace" not in init
+    assert "Tracer()" not in inspect.getsource(inspect.getmodule(engine))
+
+
+def test_session_has_no_legacy_surface():
+    for name in ("last_stats", "_legacy_execute", "_trace_enabled"):
+        assert not hasattr(Session, name), name
+
+
+def test_run_has_one_caller_outside_the_engines():
+    # Every ``.run(`` under src/ that is not a JobRunner's or the
+    # analyzer's own is an engine's; only Session._run_engine may call.
+    callers = {
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*.py")
+        if "analyze" not in path.parts
+        for receiver in re.findall(r"([\w.]+)\.run\(", path.read_text())
+        if not receiver.endswith("runner")}
+    assert callers == {"serve/session.py"}
+    assert inspect.getsource(Session._run_engine).count(".run(") == 2
+
+
+def test_registry_defaults_need_no_call_site_default():
+    conf = Configuration()
+    getters = {"int": conf.get_int, "float": conf.get_float,
+               "bool": conf.get_bool}
+    checked = 0
+    for name, key in CONFIG_KEYS.items():
+        if key.default is None or key.kind not in getters:
+            continue
+        assert getters[key.kind](name) == key.default, name
+        checked += 1
+    assert checked >= 20
+
+
+def test_each_byte_budget_default_is_written_once():
+    text = "".join(path.read_text() for path in SRC.rglob("*.py"))
+    for mib in (128, 64, 32):
+        assert len(re.findall(rf"\b{mib} \* 1024 \* 1024\b", text)) == 1, mib
+
+
+def test_no_deprecation_shims_under_src():
+    offenders = [path.relative_to(SRC).as_posix()
+                 for path in sorted(SRC.rglob("*.py"))
+                 if re.search(r"warnings\.warn|DeprecationWarning",
+                              path.read_text())]
+    assert offenders == []

@@ -12,6 +12,7 @@ from repro.core.engine import ClydesdaleEngine
 from repro.core.rollin import append_fact_rows, roll_out_oldest
 from repro.hdfs.faults import FaultInjector
 from repro.reference.engine import ReferenceEngine
+from repro.serve.session import Session
 from repro.ssb.datagen import SSBGenerator
 from repro.ssb.loader import refresh_dim_cache
 from repro.ssb.queries import ssb_queries
@@ -68,7 +69,7 @@ def test_random_rollin_rollout_sequences(ops):
 
     reference = ReferenceEngine(
         SCHEMAS, {**data.tables(), "lineorder": shadow})
-    got = engine.execute(query)
+    got = Session(engine).execute(query)
     assert got.rows == reference.execute(query).rows
     assert meta.num_rows == len(shadow)
 
@@ -101,7 +102,7 @@ def test_random_failure_sequences_never_corrupt_answers(ops, seed):
                 # A recovered node has blank local disks: re-fetch its
                 # dimension caches from HDFS (paper section 4).
                 refresh_dim_cache(engine.fs, engine.catalog, node_id)
-        assert engine.execute(query).rows == expected
+        assert Session(engine).execute(query).rows == expected
 
 
 def test_rollout_everything_leaves_empty_result():
@@ -115,4 +116,5 @@ def test_rollout_everything_leaves_empty_result():
     reference = ReferenceEngine(
         SCHEMAS, {**data.tables(), "lineorder": survivors})
     query = ssb_queries()["Q3.1"]
-    assert engine.execute(query).rows == reference.execute(query).rows
+    assert Session(engine).execute(query).rows == \
+        reference.execute(query).rows

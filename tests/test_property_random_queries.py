@@ -22,6 +22,7 @@ from repro.core.expressions import (
     TruePredicate,
 )
 from repro.core.query import Aggregate, DimensionJoin, OrderKey, StarQuery
+from repro.serve.session import Session
 from repro.ssb.schema import FOREIGN_KEYS
 
 # --------------------------------------------------------------------- #
@@ -174,7 +175,7 @@ def test_hive_plans_match_reference_on_random_queries(
         query, hive, reference):
     expected = reference.execute(query)
     for plan in ("mapjoin", "repartition"):
-        got = hive.execute(query, plan=plan)
+        got = Session(hive.engine, plan=plan).execute(query)
         if query.limit is None:
             _assert_same_results(got, expected, query)
         else:
@@ -189,6 +190,6 @@ def test_multipass_matches_reference_on_random_queries(
     if not query.joins:
         return  # multipass needs at least one join
     passes = [[j.dimension] for j in query.joins]
-    got = clydesdale.execute_multipass(query, passes)
+    got = clydesdale.engine.execute_multipass(query, passes)
     if query.limit is None:
         _assert_same_results(got, reference.execute(query), query)

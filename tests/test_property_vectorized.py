@@ -33,6 +33,7 @@ from repro.core.hashtable import DimensionHashTable, HashTableStats
 from repro.core.planner import ClydesdaleFeatures
 from repro.core.query import StarQuery
 from repro.reference.engine import ReferenceEngine
+from repro.serve.session import Session
 from repro.ssb.datagen import SSBGenerator
 from tests.test_property_random_queries import star_queries
 
@@ -139,10 +140,10 @@ class TestEngineEquivalence:
         # strip it so row sets are fully determined.
         query = _without_limit(query)
         expected = sorted(reference.execute(query).rows)
-        vectorized = clydesdale.execute(
-            query, ClydesdaleFeatures(vectorized=True))
-        rowwise = clydesdale.execute(
-            query, ClydesdaleFeatures(vectorized=False))
+        vectorized = Session(clydesdale.engine, features=ClydesdaleFeatures(
+            vectorized=True)).execute(query)
+        rowwise = Session(clydesdale.engine, features=ClydesdaleFeatures(
+            vectorized=False)).execute(query)
         assert sorted(vectorized.rows) == expected
         assert sorted(rowwise.rows) == expected
         assert vectorized.columns == rowwise.columns == \
@@ -169,11 +170,11 @@ class TestZoneMapPrunedPlans:
         engine, reference = clustered
         query = _without_limit(query)
         expected = sorted(reference.execute(query).rows)
-        vectorized = engine.execute(
-            query, ClydesdaleFeatures(vectorized=True))
+        vectorized = Session(engine, features=ClydesdaleFeatures(
+            vectorized=True)).execute(query)
         assert sorted(vectorized.rows) == expected
-        rowwise = engine.execute(
-            query, ClydesdaleFeatures(vectorized=False))
+        rowwise = Session(engine, features=ClydesdaleFeatures(
+            vectorized=False)).execute(query)
         assert sorted(rowwise.rows) == expected
 
     def test_q11_actually_prunes_here(self, clustered):
@@ -182,6 +183,6 @@ class TestZoneMapPrunedPlans:
         from repro.ssb.queries import ssb_queries
         engine, reference = clustered
         query = ssb_queries()["Q1.1"]
-        result = engine.execute(query)
+        result = Session(engine).execute(query)
         assert result.rows == reference.execute(query).rows
         assert engine.last_stats.rowgroups_pruned > 0

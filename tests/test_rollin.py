@@ -13,6 +13,7 @@ from repro.core.rollin import (
     roll_out_oldest,
 )
 from repro.reference.engine import ReferenceEngine
+from repro.serve.session import Session
 from repro.ssb.datagen import SSBGenerator
 from repro.ssb.queries import ssb_queries
 from repro.ssb.schema import SCHEMAS
@@ -60,7 +61,7 @@ class TestRollIn:
         batch = fresh_batch(engine)
         append_fact_rows(engine.fs, engine.catalog.meta("lineorder"),
                          batch)
-        got = engine.execute(query)
+        got = Session(engine).execute(query)
         reference = ReferenceEngine(
             SCHEMAS, {**engine.data.tables(),
                       "lineorder": engine.data.lineorder + batch})
@@ -100,7 +101,7 @@ class TestRollOut:
         dropped = sum(g["rows"] for g in groups[:1])
         roll_out_oldest(engine.fs, meta, 1)
         query = ssb_queries()["Q2.1"]
-        got = engine.execute(query)
+        got = Session(engine).execute(query)
         surviving = engine.data.lineorder[dropped:]
         reference = ReferenceEngine(
             SCHEMAS, {**engine.data.tables(), "lineorder": surviving})
@@ -119,7 +120,7 @@ class TestRollOut:
         surviving = engine.data.lineorder[dropped:] + batch
         reference = ReferenceEngine(
             SCHEMAS, {**engine.data.tables(), "lineorder": surviving})
-        assert engine.execute(query).rows == \
+        assert Session(engine).execute(query).rows == \
             reference.execute(query).rows
         assert meta.num_rows == len(surviving)
 

@@ -5,28 +5,34 @@ Covers the redesigned public API (one `execute`/`explain`/`sql`
 signature across all three backends), warm-vs-cold cache semantics
 (`ht_builds == 0` with `ht_cache_hits > 0` on a warm repeat, rows
 byte-identical), explicit invalidation on catalog reload, the
-deprecation shims on the legacy `Engine.execute` entry points, and
-fair-share grants (admission itself is `test_frontend.py`'s).
+session-vs-reference equivalence that replaced the old-vs-new shim
+check, and fair-share grants (admission itself is `test_frontend.py`'s).
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.api import connect
+from repro.common.config import Configuration
 from repro.common.errors import (
     AdmissionError,
     ReproError,
     SchedulerError,
     ValidationError,
 )
+from repro.common.keys import (
+    KEY_CACHE_ENABLED,
+    KEY_CACHE_HT_BYTES,
+    KEY_SERVE_AGGSTORE,
+    KEY_SERVE_RESULT_CACHE,
+    KEY_SERVE_WORKERS,
+)
 from repro.mapreduce.fairshare import validate_shares
 from repro.serve.cache import HashTableCache
 from repro.serve.frontend import Frontend
-from repro.serve.session import BACKENDS, Engine, Session, backend_name
+from repro.serve.session import BACKENDS, Session, backend_name
 from tests.store_contract import (
     HT_CACHE,
     StoreBudgetContract,
@@ -41,12 +47,12 @@ from tests.test_property_random_queries import star_queries
 
 @pytest.fixture(scope="module")
 def clyde_session(ssb_data):
-    return connect(backend="clydesdale", data=ssb_data, num_nodes=4)
+    return connect(backend="clydesdale", data=ssb_data)
 
 
 @pytest.fixture(scope="module")
 def hive_session(ssb_data):
-    return connect(backend="hive", data=ssb_data, num_nodes=4)
+    return connect(backend="hive", data=ssb_data)
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +110,6 @@ class TestConnect:
         assert ref_session.backend == "reference"
         for session in (clyde_session, hive_session, ref_session):
             assert backend_name(session.engine) == session.backend
-            assert isinstance(session.engine, Engine)
 
     def test_reference_gets_no_cache(self, ref_session):
         assert ref_session.cache is None
@@ -112,7 +117,7 @@ class TestConnect:
 
     def test_cache_flag_off(self, ssb_data):
         session = connect(backend="clydesdale", data=ssb_data,
-                          cache=False)
+                          conf=Configuration({KEY_CACHE_ENABLED: False}))
         assert session.cache is None
 
     def test_explain_uniform(self, clyde_session, hive_session,
@@ -146,18 +151,17 @@ class TestWarmCold:
     # evidence on warm repeats, which the aggregate store would
     # short-circuit before the engine runs.
     def test_warm_repeat_skips_build(self, ssb_data, queries, reference):
-        session = connect(backend="clydesdale", data=ssb_data,
-                          num_nodes=4, aggstore=False)
+        session = connect(backend="clydesdale", data=ssb_data, aggstore=False)
         query = queries["Q2.1"]
         cold = session.execute(query)
-        assert session.last_stats.ht_builds >= 1
-        assert session.last_stats.ht_cache_misses >= 1
-        assert session.last_stats.ht_cache_hits == 0
+        assert session.stats().execution.ht_builds >= 1
+        assert session.stats().execution.ht_cache_misses >= 1
+        assert session.stats().execution.ht_cache_hits == 0
 
         warm = session.execute(query)
-        assert session.last_stats.ht_builds == 0
-        assert session.last_stats.ht_cache_hits > 0
-        assert session.last_stats.ht_cache_misses == 0
+        assert session.stats().execution.ht_builds == 0
+        assert session.stats().execution.ht_cache_hits > 0
+        assert session.stats().execution.ht_cache_misses == 0
         assert warm.rows == cold.rows == reference.execute(query).rows
         assert warm.columns == cold.columns
         # Skipping the simulated build charge makes the warm run faster.
@@ -166,49 +170,46 @@ class TestWarmCold:
     def test_warm_counters_keep_shape(self, ssb_data, queries):
         """Per-dimension entry/scan counters are identical warm vs cold
         (the cache serves the same tables it stored)."""
-        session = connect(backend="clydesdale", data=ssb_data,
-                          num_nodes=4, aggstore=False)
+        session = connect(backend="clydesdale", data=ssb_data, aggstore=False)
         query = queries["Q3.1"]
         session.execute(query)
-        cold_entries = dict(session.last_stats.ht_entries)
-        cold_scanned = dict(session.last_stats.ht_scanned)
+        cold_entries = dict(session.stats().execution.ht_entries)
+        cold_scanned = dict(session.stats().execution.ht_scanned)
         session.execute(query)
         assert cold_entries and cold_scanned
-        assert session.last_stats.ht_entries == cold_entries
-        assert session.last_stats.ht_scanned == cold_scanned
+        assert session.stats().execution.ht_entries == cold_entries
+        assert session.stats().execution.ht_scanned == cold_scanned
 
     def test_cache_shared_across_queries(self, ssb_data, queries):
         """Q2.1, Q2.2 and Q2.3 share the identical date join recipe, so
         the second query hits the cache for it."""
-        session = connect(backend="clydesdale", data=ssb_data,
-                          num_nodes=4, aggstore=False)
+        session = connect(backend="clydesdale", data=ssb_data, aggstore=False)
         session.execute(queries["Q2.1"])
         session.execute(queries["Q2.2"])
-        assert session.last_stats.ht_cache_hits > 0
+        assert session.stats().execution.ht_cache_hits > 0
 
     def test_hive_mapjoin_broadcast_cached(self, ssb_data, queries,
                                            reference):
-        session = connect(backend="hive", data=ssb_data, num_nodes=4,
-                          aggstore=False)
+        session = connect(backend="hive", data=ssb_data, aggstore=False)
         query = queries["Q2.1"]
         cold = session.execute(query)
-        assert session.last_stats.ht_cache_misses >= 1
+        assert session.stats().execution.ht_cache_misses >= 1
         warm = session.execute(query)
-        assert session.last_stats.ht_cache_hits >= 1
-        assert session.last_stats.ht_cache_misses == 0
+        assert session.stats().execution.ht_cache_hits >= 1
+        assert session.stats().execution.ht_cache_misses == 0
         assert warm.rows == cold.rows == reference.execute(query).rows
 
     def test_tiny_budget_still_correct(self, ssb_data, queries,
                                        reference):
         """A budget too small to hold anything degrades to all-miss,
         never to wrong answers."""
-        session = connect(backend="clydesdale", data=ssb_data,
-                          num_nodes=4, cache_bytes=1, aggstore=False)
+        session = connect(backend="clydesdale", data=ssb_data, aggstore=False,
+                          conf=Configuration({KEY_CACHE_HT_BYTES: 1}))
         query = queries["Q2.1"]
         session.execute(query)
         result = session.execute(query)
-        assert session.last_stats.ht_cache_hits == 0
-        assert session.last_stats.ht_builds >= 1
+        assert session.stats().execution.ht_cache_hits == 0
+        assert session.stats().execution.ht_builds >= 1
         assert result.rows == reference.execute(query).rows
         assert session.cache_stats().rejected > 0
 
@@ -235,9 +236,9 @@ def test_cached_run_byte_identical_to_cold(query, cached_and_cold):
 def cached_and_cold(ssb_data):
     """One cache-enabled session (warms up across hypothesis examples)
     and one cache-disabled twin as the cold comparator."""
-    cached = connect(backend="clydesdale", data=ssb_data, num_nodes=4)
-    cold = connect(backend="clydesdale", data=ssb_data, num_nodes=4,
-                   cache=False)
+    cached = connect(backend="clydesdale", data=ssb_data)
+    cold = connect(backend="clydesdale", data=ssb_data,
+                   conf=Configuration({KEY_CACHE_ENABLED: False}))
     return cached, cold
 
 
@@ -251,8 +252,7 @@ class TestInvalidation:
         from repro.reference.engine import ReferenceEngine
         from repro.ssb.datagen import SSBGenerator
 
-        session = connect(backend="clydesdale", data=ssb_data,
-                          num_nodes=4)
+        session = connect(backend="clydesdale", data=ssb_data)
         query = queries["Q2.1"]
         old = session.execute(query)
         assert len(session.cache) > 0
@@ -263,84 +263,80 @@ class TestInvalidation:
         assert session.cache.generation == 1
 
         fresh = session.execute(query)
-        assert session.last_stats.ht_builds >= 1  # cold rebuild
-        assert session.last_stats.ht_cache_hits == 0
+        assert session.stats().execution.ht_builds >= 1  # cold rebuild
+        assert session.stats().execution.ht_cache_hits == 0
         expected = ReferenceEngine.from_ssb(new_data).execute(query)
         assert fresh.rows == expected.rows
         assert fresh.rows != old.rows  # different seed, different data
 
     def test_invalidate_cache_forces_rebuild(self, ssb_data, queries):
-        session = connect(backend="clydesdale", data=ssb_data,
-                          num_nodes=4)
+        session = connect(backend="clydesdale", data=ssb_data)
         query = queries["Q2.1"]
         session.execute(query)
         session.invalidate_cache()
         session.execute(query)
-        assert session.last_stats.ht_builds >= 1
-        assert session.last_stats.ht_cache_hits == 0
+        assert session.stats().execution.ht_builds >= 1
+        assert session.stats().execution.ht_cache_hits == 0
 
     def test_reload_requires_rebuild_factory(self, clydesdale):
-        session = Session(clydesdale, cache=HashTableCache(1024))
+        session = Session(clydesdale.engine, cache=HashTableCache(1024))
         with pytest.raises(ValidationError, match="rebuild"):
             session.reload_catalog(None)
 
 
 # --------------------------------------------------------------------- #
-# Deprecation shims (satellite 2).
+# The shims are gone (tests/test_one_way_in.py pins their absence); what
+# their old-vs-new checks protected is now session vs reference.
 # --------------------------------------------------------------------- #
 
 
 class TestDeprecationShims:
-    def test_clydesdale_execute_warns(self, clydesdale, queries):
-        with pytest.warns(DeprecationWarning, match="connect"):
-            clydesdale.execute(queries["Q1.1"])
-
-    def test_hive_execute_warns(self, hive, queries):
-        with pytest.warns(DeprecationWarning, match="connect"):
-            hive.execute(queries["Q1.1"])
-
     def test_old_and_new_paths_identical_all_queries(
-            self, ssb_data, queries):
-        """The deprecated entry points return the same QueryResult as
-        the Session path on every SSB query."""
+            self, ssb_data, queries, reference):
+        """A cache-less session — what the deleted ``engine.execute``
+        shim built — answers every SSB query exactly like a
+        ``connect()`` session and like the reference engine."""
         session = connect(backend="clydesdale", data=ssb_data,
-                          num_nodes=4, cache=False)
-        engine = session.engine
+                          conf=Configuration({KEY_CACHE_ENABLED: False}))
+        bare = Session(session.engine)
         for name, query in queries.items():
             new = session.execute(query)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                old = engine.execute(query)
+            old = bare.execute(query)
             assert old.columns == new.columns, name
-            assert old.rows == new.rows, name
+            assert old.rows == new.rows == reference.execute(query).rows, \
+                name
             assert old.simulated_seconds == pytest.approx(
                 new.simulated_seconds), name
             assert old.breakdown == pytest.approx(new.breakdown), name
 
-    def test_old_and_new_paths_identical_hive(self, ssb_data, queries):
-        session = connect(backend="hive", data=ssb_data, num_nodes=4,
-                          cache=False)
-        engine = session.engine
+    def test_old_and_new_paths_identical_hive(self, ssb_data, queries,
+                                              reference):
+        session = connect(backend="hive", data=ssb_data,
+                          conf=Configuration({KEY_CACHE_ENABLED: False}))
+        bare = Session(session.engine)
         for name in ("Q1.1", "Q2.1", "Q3.1", "Q4.1"):
             query = queries[name]
             new = session.execute(query)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                old = engine.execute(query)
-            assert old.rows == new.rows, name
+            old = bare.execute(query)
+            assert old.rows == new.rows == reference.execute(query).rows, \
+                name
             assert old.simulated_seconds == pytest.approx(
                 new.simulated_seconds), name
 
     def test_legacy_trace_semantics_preserved(self, ssb_data, queries):
-        """The shim keeps the engine-managed trace shape: the root span
-        is still `query:<name>`, not `session:<name>`."""
+        """The engine's subtree keeps its shape — one ``query:<name>``
+        span over plan and job — now always rooted under the session's
+        span: there is no engine-owned tree any more."""
         session = connect(backend="clydesdale", data=ssb_data,
-                          num_nodes=4, cache=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            session.engine.execute(queries["Q1.1"], trace=True)
-        roots = session.engine.last_trace.roots()
-        assert [s.name for s in roots] == ["query:Q1.1"]
+                          conf=Configuration({KEY_CACHE_ENABLED: False}))
+        session.execute(queries["Q1.1"], trace=True)
+        tree = session.last_trace
+        (root,) = tree.roots()
+        assert root.name == "session:Q1.1"
+        assert [s.name for s in tree.children(root)] == ["query:Q1.1"]
+        (engine_span,) = tree.find("query:Q1.1")
+        assert {"plan", "job"} <= {
+            s.name for s in tree.children(engine_span)}
 
     def test_reference_accepts_trace_kwarg(self, reference, queries):
         # Satellite 1: uniform signature — the oracle ignores trace=.
@@ -355,8 +351,7 @@ class TestDeprecationShims:
 
 class TestSessionTrace:
     def test_session_span_wraps_engine_tree(self, ssb_data, queries):
-        session = connect(backend="clydesdale", data=ssb_data,
-                          num_nodes=4, name="alice")
+        session = connect(backend="clydesdale", data=ssb_data, name="alice")
         session.execute(queries["Q2.1"], trace=True)
         tree = session.last_trace
         assert tree is not None and tree.violations() == []
@@ -370,8 +365,7 @@ class TestSessionTrace:
     def test_cache_span_carries_delta(self, ssb_data, queries):
         # aggstore=False: the warm repeat must reach the engine so the
         # cache span has a hit delta to carry.
-        session = connect(backend="clydesdale", data=ssb_data,
-                          num_nodes=4, aggstore=False)
+        session = connect(backend="clydesdale", data=ssb_data, aggstore=False)
         session.execute(queries["Q2.1"], trace=True)
         cold_span = session.last_trace.find("cache")[0]
         assert cold_span.attrs["misses"] > 0
@@ -383,19 +377,18 @@ class TestSessionTrace:
         assert warm_span.attrs["entries"] > 0
 
     def test_trace_mirrored_onto_engine(self, ssb_data, queries):
-        session = connect(backend="clydesdale", data=ssb_data,
-                          num_nodes=4)
+        session = connect(backend="clydesdale", data=ssb_data)
         session.execute(queries["Q2.1"], trace=True)
-        assert session.engine.last_trace is session.last_trace
-        assert session.last_stats.phases  # build/scan/probe totals
+        execution = session.stats().execution
+        assert execution.trace is session.last_trace
+        assert execution.phases  # build/scan/probe totals
 
     def test_untraced_by_default(self, clyde_session, queries):
         clyde_session.execute(queries["Q1.1"])
         assert clyde_session.last_trace is None
 
     def test_hive_session_trace(self, ssb_data, queries):
-        session = connect(backend="hive", data=ssb_data, num_nodes=4,
-                          aggstore=False)
+        session = connect(backend="hive", data=ssb_data, aggstore=False)
         session.execute(queries["Q2.1"], trace=True)
         tree = session.last_trace
         assert tree.violations() == []
@@ -421,8 +414,11 @@ class TestAdmission:
     def test_concurrent_clients_share_cache(self, ssb_data, queries):
         # Every session of a frontend reaches the same worker shard:
         # the first client builds the tables, the rest hit its cache.
-        front = Frontend(backend="clydesdale", data=ssb_data, workers=1,
-                         num_nodes=4, result_cache=False, aggstore=False)
+        front = Frontend(backend="clydesdale", data=ssb_data,
+                         conf=Configuration({
+                             KEY_SERVE_WORKERS: 1,
+                             KEY_SERVE_RESULT_CACHE: False,
+                             KEY_SERVE_AGGSTORE: False}))
         try:
             query = queries["Q2.1"]
             clients = [front.session(f"c{i}") for i in range(4)]
@@ -439,8 +435,11 @@ class TestAdmission:
         # A session's share rides every execute to the worker: a
         # quarter of the map slots means a longer simulated run over
         # identical rows. No frontend store: both must reach a worker.
-        front = Frontend(backend="clydesdale", data=ssb_data, workers=1,
-                         num_nodes=4, result_cache=False, aggstore=False)
+        front = Frontend(backend="clydesdale", data=ssb_data,
+                         conf=Configuration({
+                             KEY_SERVE_WORKERS: 1,
+                             KEY_SERVE_RESULT_CACHE: False,
+                             KEY_SERVE_AGGSTORE: False}))
         try:
             full = front.session("full")
             quarter = front.session("quarter", share=0.25)
@@ -486,8 +485,7 @@ class TestGenerationStamps(StoreStampContract):
 
     def test_session_stale_stamp_keeps_jvms_warm(self, ssb_data,
                                                  queries):
-        session = connect(backend="clydesdale", data=ssb_data,
-                          num_nodes=4)
+        session = connect(backend="clydesdale", data=ssb_data)
         session.execute(queries["Q1.1"])
         session.invalidate_cache(generation=2)
         pool = session._jvm_pool()
@@ -502,8 +500,7 @@ class TestGenerationStamps(StoreStampContract):
 
     def test_reload_catalog_threads_generation(self, ssb_data):
         from repro.ssb.datagen import SSBGenerator
-        session = connect(backend="clydesdale", data=ssb_data,
-                          num_nodes=4)
+        session = connect(backend="clydesdale", data=ssb_data)
         data2 = SSBGenerator(scale_factor=0.002, seed=3).generate()
         session.reload_catalog(data2, generation=7)
         assert session.cache.generation == 7
@@ -511,16 +508,14 @@ class TestGenerationStamps(StoreStampContract):
 
 class TestExecuteFor:
     def test_same_share_is_plain_execute(self, ssb_data, queries):
-        session = connect(backend="clydesdale", data=ssb_data,
-                          num_nodes=4)
+        session = connect(backend="clydesdale", data=ssb_data)
         plain = session.execute(queries["Q1.1"])
         same = session.execute_for(queries["Q1.1"], slot_share=None)
         assert same.rows == plain.rows
 
     def test_borrowed_share_changes_timing_not_rows(self, ssb_data,
                                                     queries):
-        session = connect(backend="clydesdale", data=ssb_data,
-                          num_nodes=4)
+        session = connect(backend="clydesdale", data=ssb_data)
         query = queries["Q2.1"]
         session.execute(query)           # cold: populate the cache
         full = session.execute(query)    # warm full-share baseline

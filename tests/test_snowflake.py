@@ -17,6 +17,7 @@ from repro.core.query import Aggregate, DimensionJoin, OrderKey, StarQuery
 from repro.hdfs.filesystem import MiniDFS
 from repro.hdfs.placement import CoLocatingPlacementPolicy
 from repro.reference.engine import ReferenceEngine
+from repro.serve.session import Session
 from repro.ssb.loader import Catalog, dim_cache_name
 from repro.storage import serde
 from repro.storage.cif import write_cif_table
@@ -159,7 +160,7 @@ class TestFlattenDimension:
 class TestSnowflakeQueries:
     def test_group_by_subdimension_column(self, engine, reference):
         query = snowflake_query()
-        got = engine.execute(query)
+        got = Session(engine).execute(query)
         expected = reference.execute(query)
         assert got.columns == ["r_name", "amount", "n"]
         assert sorted(got.rows) == sorted(expected.rows)
@@ -168,7 +169,7 @@ class TestSnowflakeQueries:
     def test_predicate_on_deep_subdimension(self, engine, reference):
         query = snowflake_query(
             region_pred=Comparison("r_name", "=", "EAST"))
-        got = engine.execute(query)
+        got = Session(engine).execute(query)
         assert sorted(got.rows) == sorted(reference.execute(query).rows)
         assert all(row[0] == "EAST" for row in got.rows)
 
@@ -181,7 +182,7 @@ class TestSnowflakeQueries:
                                   alias="amount")],
             group_by=["ci_name", "r_name"],
             order_by=[OrderKey("ci_name")])
-        got = engine.execute(query)
+        got = Session(engine).execute(query)
         expected = reference.execute(query)
         assert sorted(got.rows) == sorted(expected.rows)
         assert len(got.rows) == 20
@@ -203,7 +204,7 @@ class TestSnowflakeQueries:
         query.joins[0].snowflake[0].snowflake[0] = DimensionJoin(
             "galaxy", "ci_region_id", "g_id")
         with pytest.raises(PlanningError):
-            engine.execute(query)
+            Session(engine).execute(query)
 
     def test_hive_rejects_snowflake(self, tables):
         from repro.hive.engine import HiveEngine
@@ -219,7 +220,7 @@ class TestSnowflakeQueries:
                                          "s_suppkey")])],
             aggregates=[Aggregate("sum", Col("lo_revenue"), alias="r")])
         with pytest.raises(PlanningError):
-            hive.execute(ssb_snow)
+            Session(hive).execute(ssb_snow)
 
     def test_multipass_rejects_snowflake(self, engine):
         query = snowflake_query()

@@ -5,6 +5,7 @@ import pytest
 
 from repro.common.errors import JobFailedError
 from repro.hdfs.filesystem import MiniDFS
+from repro.serve.session import Session
 from repro.mapreduce.api import Mapper
 from repro.mapreduce.inputformat import TextInputFormat
 from repro.mapreduce.job import JobConf
@@ -94,6 +95,6 @@ def test_query_survives_mid_job_node_failure_via_replicas(fs):
     engine = ClydesdaleEngine.with_ssb_data(data=data, num_nodes=5,
                                             row_group_size=2_000)
     query = ssb_queries()["Q1.1"]
-    baseline = engine.execute(query)
+    baseline = Session(engine).execute(query)
     engine.fs.fail_node(engine.fs.live_nodes()[0])
-    assert engine.execute(query).rows == baseline.rows
+    assert Session(engine).execute(query).rows == baseline.rows

@@ -15,6 +15,7 @@ from repro.mapreduce.inputformat import TextInputFormat
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.outputformat import CollectingOutputFormat
 from repro.mapreduce.runtime import JobRunner
+from repro.serve.session import Session
 from repro.trace.tracer import (
     CAT_TASK,
     STATUS_FAILED,
@@ -45,19 +46,21 @@ def test_clydesdale_results_identical_with_tracing(clydesdale, reference,
 
 def test_hive_results_identical_with_tracing(hive, reference, queries):
     for plan in ("mapjoin", "repartition"):
+        session = Session(hive.engine, plan=plan)
         for name, query in queries.items():
-            off = hive.execute(query, plan=plan, trace=False)
-            on = hive.execute(query, plan=plan, trace=True)
+            off = session.execute(query, trace=False)
+            on = session.execute(query, trace=True)
             assert _frozen(on) == _frozen(off), (plan, name)
             assert sorted(on.rows) == \
                 sorted(reference.execute(query).rows), (plan, name)
-            assert hive.last_trace.violations() == [], (plan, name)
+            assert session.last_trace.violations() == [], (plan, name)
 
 
 def test_tracing_off_leaves_no_trace_state(clydesdale, queries):
     clydesdale.execute(queries["Q1.1"], trace=False)
     assert clydesdale.last_trace is None
-    assert clydesdale.last_stats.phases == {}
+    assert clydesdale.stats().execution.phases == {}
+    assert clydesdale.stats().execution.trace is None
 
 
 # --------------------------------------------------------------------- #

@@ -24,6 +24,7 @@ from repro.core.rollin import append_fact_rows
 from repro.hdfs.filesystem import MiniDFS
 from repro.hdfs.placement import CoLocatingPlacementPolicy
 from repro.mapreduce.job import JobConf
+from repro.serve.session import Session
 from repro.storage.cif import ColumnInputFormat, write_cif_table
 from repro.storage.tablemeta import TableMeta
 
@@ -246,7 +247,7 @@ class TestEndToEndPruning:
         from repro.ssb.queries import ssb_queries
         engine, reference = clustered_engine
         query = ssb_queries()["Q1.1"]
-        result = engine.execute(query)
+        result = Session(engine).execute(query)
         assert result.rows == reference.execute(query).rows
         stats = engine.last_stats
         assert stats.rowgroups_pruned > 0
@@ -257,8 +258,8 @@ class TestEndToEndPruning:
         from repro.ssb.queries import ssb_queries
         engine, reference = clustered_engine
         query = ssb_queries()["Q1.1"]
-        result = engine.execute(query,
-                                ClydesdaleFeatures(zone_maps=False))
+        result = Session(engine, features=ClydesdaleFeatures(
+            zone_maps=False)).execute(query)
         assert result.rows == reference.execute(query).rows
         assert engine.last_stats.rowgroups_pruned == 0
         assert engine.last_stats.rows_skipped == 0
