@@ -11,11 +11,9 @@ Targets:
 * ``validate`` — run all 13 queries functionally on all engines
 * ``perfsmoke`` — time vectorized kernels vs the row-wise path, the
   columnar-v2 encoded-vs-decoded ablation, a zone-map-pruned query,
-  the warm session cache, and a closed-loop serving run (200
-  concurrent sessions through a multi-worker frontend, p50/p99);
-  writes ``BENCH_perfsmoke.json``. With ``--check``, exits non-zero
-  when any number falls below its regression floor or above its
-  latency ceiling.
+  the warm session cache and an aggregate-store rollup; writes
+  ``BENCH_perfsmoke.json``. With ``--check``, exits non-zero when any
+  number falls below its regression floor or above its ceiling.
 * ``export`` — write every series to results/*.csv and *.json
 * ``report`` — regenerate the paper-vs-measured markdown report
 * ``all``    — everything above (except export)

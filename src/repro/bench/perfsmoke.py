@@ -35,24 +35,12 @@ FLOORS = {
     "columnar_v2.speedup": 1.5,
     # warm hash-table cache vs cold builds
     "session_cache.speedup": 1.5,
-    # closed-loop serving: 200 sessions over 2 workers must sustain
-    # this aggregate rate (measured ~10x higher on an idle runner)
-    "serving.throughput_qps": 20.0,
-    # warm-shard routing must actually engage at this scale
-    "serving.warm_route_executes": 100.0,
     # subsumption rollup vs re-executing the coarser query
     "aggstore.rollup_speedup": 5.0,
 }
 
-#: Latency ceilings for ``--check``: a value *above* the ceiling fails.
-#: The serving p50/p99 include closed-loop admission backoff, so these
-#: are generous; a breach means routing or admission degraded, not
-#: noise. ``warm_route_builds`` is the warm-shard correctness witness:
-#: an execute routed warm must never rebuild a hash table.
+#: Ceilings for ``--check``: a value *above* the ceiling fails.
 CEILINGS = {
-    "serving.p50_s": 2.0,
-    "serving.p99_s": 10.0,
-    "serving.warm_route_builds": 0.0,
     # a subsumed repeat must never touch the fact table
     "aggstore.subsumed_fact_scans": 0.0,
 }
@@ -306,142 +294,6 @@ def aggstore_smoke(scale_factor: float = 0.002) -> dict:
     }
 
 
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending-sorted sample."""
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1,
-                int(round(q * (len(sorted_values) - 1))))
-    return sorted_values[index]
-
-
-def serving_smoke(sessions: int = 200, rounds: int = 2,
-                  workers: int = 2,
-                  scale_factor: float = 0.002) -> dict:
-    """Closed-loop serving: ``sessions`` concurrent clients through a
-    multi-worker frontend, p50/p99 per-query latency.
-
-    Every client attaches its own :class:`FrontendSession` and issues
-    ``rounds`` queries back to back (closed loop: the next query goes
-    out when the previous returns; an ``AdmissionError`` is retried
-    after a short backoff and the wait counts toward that query's
-    latency). Clients share four query *shapes* but each uses its own
-    literals, so round one exercises warm-shard routing (same shape →
-    same worker → ``ht_builds == 0`` after the first build) and later
-    rounds are exact repeats that exercise the frontend result cache.
-    """
-    import threading
-
-    from repro.common.config import Configuration
-    from repro.common.errors import AdmissionError
-    from repro.common.keys import (
-        KEY_SERVE_AGGSTORE,
-        KEY_SERVE_MAX_CONCURRENT,
-        KEY_SERVE_QUEUE_DEPTH,
-        KEY_SERVE_SESSION_QUOTA,
-        KEY_SERVE_WORKERS,
-    )
-    from repro.reference.engine import ReferenceEngine
-    from repro.serve.frontend import Frontend
-    from repro.ssb.datagen import SSBGenerator
-    from repro.ssb.queries import ssb_queries
-
-    data = SSBGenerator(scale_factor=scale_factor, seed=42).generate()
-    queries = ssb_queries()
-    bases = [queries[name] for name in ("Q1.1", "Q2.1", "Q3.2", "Q4.1")]
-    # aggstore=False: the clients repeat shapes with per-client limits,
-    # which the aggregate store would serve without routing — this
-    # smoke is about warm-shard routing and the result cache.
-    frontend = Frontend(backend="clydesdale", data=data,
-                        conf=Configuration({
-                            KEY_SERVE_WORKERS: workers,
-                            KEY_SERVE_MAX_CONCURRENT: 8,
-                            KEY_SERVE_QUEUE_DEPTH: 64,
-                            KEY_SERVE_SESSION_QUOTA: 2,
-                            KEY_SERVE_AGGSTORE: False}))
-    handles = [frontend.session(f"client{i:03d}")
-               for i in range(sessions)]
-    barrier = threading.Barrier(sessions)
-    collect_lock = threading.Lock()
-    latencies: list[float] = []
-    summaries: list[dict] = []
-    backoff_retries = [0]
-    errors: list[BaseException] = []
-
-    def client(i: int) -> None:
-        handle = handles[i]
-        base = bases[i % len(bases)]
-        query = base.with_name(f"{base.name}-c{i}").with_limit(
-            (i % 7) + 1)
-        barrier.wait()
-        local_lat: list[float] = []
-        local_sum: list[dict] = []
-        local_retries = 0
-        try:
-            for _ in range(rounds):
-                start = time.perf_counter()
-                while True:
-                    try:
-                        handle.execute(query)
-                    except AdmissionError:
-                        local_retries += 1
-                        time.sleep(0.002)
-                        continue
-                    break
-                local_lat.append(time.perf_counter() - start)
-                local_sum.append(handle.last_summary)
-        except BaseException as exc:  # noqa: BLE001 - reported below
-            with collect_lock:
-                errors.append(exc)
-            return
-        with collect_lock:
-            latencies.extend(local_lat)
-            summaries.extend(local_sum)
-            backoff_retries[0] += local_retries
-
-    threads = [threading.Thread(target=client, args=(i,),
-                                name=f"serve-client-{i}")
-               for i in range(sessions)]
-    wall_start = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall_s = time.perf_counter() - wall_start
-    if errors:
-        frontend.close()
-        raise errors[0]
-
-    check = bases[1]
-    result = handles[0].execute(check)
-    expected = ReferenceEngine.from_ssb(data).execute(check).rows
-    stats = frontend.stats()
-    rc = frontend.result_cache_stats()
-    warm = [s for s in summaries
-            if s and s.get("source") == "worker" and s.get("warm_route")]
-    ordered = sorted(latencies)
-    frontend.close()
-    return {
-        "sessions": sessions,
-        "workers": workers,
-        "queries": len(latencies),
-        "wall_s": round(wall_s, 4),
-        "throughput_qps": round(len(latencies) / wall_s, 2),
-        "p50_s": round(_percentile(ordered, 0.50), 4),
-        "p99_s": round(_percentile(ordered, 0.99), 4),
-        "admission_rejections": stats.rejected,
-        "backoff_retries": backoff_retries[0],
-        "worker_retries": stats.retries,
-        "routed_warm": stats.routed_warm,
-        "routed_cold": stats.routed_cold,
-        "warm_route_executes": len(warm),
-        "warm_route_builds": sum(s.get("ht_builds") or 0
-                                 for s in warm),
-        "result_cache_hits": rc.hits if rc is not None else 0,
-        "rows_match_reference": result.rows == expected,
-    }
-
-
 def run_perfsmoke(scale_factor: float = 0.05,
                   out_path: str = "BENCH_perfsmoke.json") -> dict:
     """Run all smokes, write ``out_path``, return the combined report."""
@@ -452,7 +304,6 @@ def run_perfsmoke(scale_factor: float = 0.05,
         "zonemaps": zonemap_smoke(),
         "session_cache": session_cache_smoke(),
         "aggstore": aggstore_smoke(),
-        "serving": serving_smoke(),
     }
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
@@ -467,10 +318,10 @@ def check_floors(report: dict,
     human-readable failures.
 
     A floor fails when the value sits *below* it, a ceiling when the
-    value sits *above* it (latency bounds). Correctness markers in the
-    report (``rows_match_reference``) are checked too: a smoke that no
-    longer matches the reference engine is a failure even though it
-    has no numeric bound.
+    value sits *above* it. Correctness markers in the report
+    (``rows_match_reference``) are checked too: a smoke that no longer
+    matches the reference engine is a failure even though it has no
+    numeric bound.
     """
     failures: list[str] = []
     for path, floor in (floors if floors is not None
@@ -544,20 +395,4 @@ def render_perfsmoke(report: dict) -> str:
             f"{agg['subsumed_fact_scans']} fact scans on subsumed "
             f"repeats, {agg['rolled_rows']} rows rolled, "
             f"reference match: {agg['rows_match_reference']}")
-    serving = report.get("serving")
-    if serving:
-        lines.append(
-            f"serving ({serving['sessions']} sessions, "
-            f"{serving['workers']} workers, closed loop): "
-            f"{serving['queries']} queries in {serving['wall_s']:.2f} s "
-            f"-> {serving['throughput_qps']:.1f} qps, "
-            f"p50 {serving['p50_s'] * 1000:.1f} ms / "
-            f"p99 {serving['p99_s'] * 1000:.1f} ms")
-        lines.append(
-            f"  warm routing: {serving['warm_route_executes']} warm "
-            f"executes, {serving['warm_route_builds']} builds on warm "
-            f"routes, {serving['result_cache_hits']} result-cache hits, "
-            f"{serving['admission_rejections']} rejections / "
-            f"{serving['backoff_retries']} backoffs, "
-            f"reference match: {serving['rows_match_reference']}")
     return "\n".join(lines)

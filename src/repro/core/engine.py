@@ -24,12 +24,14 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.common.keys import KEY_TRACE
-from repro.core.planner import ClydesdaleFeatures, plan_star_join
+from repro.core.multipass import plan_passes, scratch_dir
+from repro.core.planner import ClydesdaleFeatures, plan_join_passes
 from repro.core.query import StarQuery
 from repro.core.result import QueryResult, apply_order_by
 from repro.hdfs.filesystem import MiniDFS
 from repro.hdfs.placement import CoLocatingPlacementPolicy
 from repro.mapreduce.counters import Counters
+from repro.mapreduce.fairshare import FairShareScheduler
 from repro.mapreduce.runtime import JobResult, JobRunner
 from repro.sim.costs import DEFAULT_COST_MODEL, CostModel
 from repro.sim.hardware import ClusterSpec, tiny_cluster
@@ -165,38 +167,59 @@ class ClydesdaleEngine:
         granting this query a fraction of the cluster's map slots.
 
         If the dimension hash tables cannot all fit a node's heap at
-        once, the engine automatically falls back to the multi-pass
-        strategy of paper section 5.1 (one subset of dimensions per
-        pass over the data).
+        once, the query runs as the multi-pass plan of paper section
+        5.1 (one subset of dimensions per pass over the data) — the
+        same jobs, planned and run the same way, only more of them.
         """
-        active = features or self.features
-        from repro.core.multipass import estimate_ht_bytes, plan_passes
-        budget = self.cluster.heap_budget_per_node
-        worst_case = sum(estimate_ht_bytes(
-            query, self.catalog,
-            self.cost_model.clydesdale_hash_bytes_per_entry).values())
-        if query.joins and worst_case > budget:
-            passes = plan_passes(
-                query, self.catalog, budget,
-                self.cost_model.clydesdale_hash_bytes_per_entry)
-            if len(passes) > 1:
-                return self.execute_multipass(query, passes,
-                                              features=active)
+        passes = self._plan_passes(query)
+        return self._run_passes(query, passes if len(passes) > 1 else None,
+                                features, tracer, ht_cache, slot_share)
+
+    def execute_multipass(self, query: StarQuery,
+                          passes: list[list[str]] | None = None,
+                          features: ClydesdaleFeatures | None = None,
+                          ) -> QueryResult:
+        """Run ``query`` joining one subset of dimensions per pass
+        (paper section 5.1's strategy for oversized hash tables).
+
+        ``passes`` lists dimension names per pass, in join order; when
+        omitted, a memory-feasible partition is planned automatically.
+        """
+        return self._run_passes(
+            query, self._plan_passes(query) if passes is None else passes,
+            features)
+
+    def _plan_passes(self, query: StarQuery) -> list[list[str]]:
+        return plan_passes(
+            query, self.catalog, self.cluster.heap_budget_per_node,
+            self.cost_model.clydesdale_hash_bytes_per_entry)
+
+    def _run_passes(self, query: StarQuery,
+                    passes: list[list[str]] | None,
+                    features: ClydesdaleFeatures | None,
+                    tracer: Tracer | NullTracer = NULL_TRACER,
+                    ht_cache: "HashTableCache | None" = None,
+                    slot_share: float | None = None) -> QueryResult:
+        """Plan ``query`` as ``passes`` (None: the one pass over every
+        dimension) and run the jobs in order on the engine's runner."""
         query_span = tracer.start(f"query:{query.name}", CAT_JOB)
         try:
             with tracer.span("plan", CAT_STEP):
-                conf, output = plan_star_join(
-                    query, self.catalog, self.cluster, self.cost_model,
-                    active, fs=self.fs)
-            if tracer is not NULL_TRACER:
-                conf.set(KEY_TRACE, True)
-                conf.tracer = tracer
-            if ht_cache is not None:
-                conf.ht_cache = ht_cache
-            if slot_share is not None:
-                from repro.mapreduce.fairshare import FairShareScheduler
-                conf.scheduler = FairShareScheduler(slot_share)
-            job = self.runner.run(conf)
+                confs, output = plan_join_passes(
+                    query, passes, self.catalog, self.cluster,
+                    self.cost_model, features or self.features, fs=self.fs)
+            if len(confs) > 1:
+                self.fs.delete(scratch_dir(query), recursive=True)
+            jobs: list[JobResult] = []
+            for conf in confs:
+                if tracer is not NULL_TRACER:
+                    conf.set(KEY_TRACE, True)
+                    conf.tracer = tracer
+                if ht_cache is not None:
+                    conf.ht_cache = ht_cache
+                if slot_share is not None:
+                    conf.scheduler = FairShareScheduler(slot_share)
+                jobs.append(self.runner.run(conf))
             columns = (list(query.group_by)
                        + [a.alias for a in query.aggregates])
             rows = [tuple(key) + tuple(values)
@@ -215,7 +238,15 @@ class ClydesdaleEngine:
             query_span.finish(STATUS_FAILED)
             raise
         query_span.finish()
-        breakdown = dict(job.breakdown)
+        job = jobs[-1]
+        if len(jobs) == 1:
+            breakdown = dict(job.breakdown)
+        else:
+            # One line per pass, named as the pass planner named it.
+            breakdown = {done.job_name.rpartition("#")[2]:
+                         done.simulated_seconds for done in jobs}
+            for earlier in jobs[:-1]:
+                job.counters.merge(earlier.counters)
         if final_sort:
             breakdown["final_sort"] = final_sort
         # The session span is still open; the Session attaches the
@@ -225,7 +256,8 @@ class ClydesdaleEngine:
             query_name=query.name,
             columns=columns,
             rows=ordered,
-            simulated_seconds=job.simulated_seconds + final_sort,
+            simulated_seconds=(sum(done.simulated_seconds for done in jobs)
+                               + final_sort),
             breakdown=breakdown,
         )
 
@@ -238,23 +270,3 @@ class ClydesdaleEngine:
                                   self.cost_model,
                                   features or self.features, fs=self.fs,
                                   trace=trace)
-
-    def execute_multipass(self, query: StarQuery,
-                          passes: list[list[str]] | None = None,
-                          features: ClydesdaleFeatures | None = None,
-                          ) -> QueryResult:
-        """Run ``query`` joining one subset of dimensions per pass
-        (paper section 5.1's strategy for oversized hash tables).
-
-        ``passes`` lists dimension names per pass, in join order; when
-        omitted, a memory-feasible partition is planned automatically.
-        """
-        from repro.core.multipass import execute_multipass, plan_passes
-        active = features or self.features
-        if passes is None:
-            passes = plan_passes(
-                query, self.catalog, self.cluster.heap_budget_per_node,
-                self.cost_model.clydesdale_hash_bytes_per_entry)
-        self.last_stats = None  # per-pass stats are in the result
-        return execute_multipass(self.fs, self.catalog, self.cluster,
-                                 self.cost_model, active, query, passes)

@@ -182,7 +182,9 @@ class StarJoinMapper(Mapper):
         if session_cache is not None:
             return self._tables_via_session_cache(
                 session_cache, context, query, dim_schemas)
-        cache_key = f"clydesdale.ht:{query.name}"
+        # Keyed on the whole serialized query, not its name: a session's
+        # JVM pool outlives the job, and two queries may share a name.
+        cache_key = ("clydesdale.ht", context.conf.require(KEY_QUERY))
         cached = context.jvm_state.get(cache_key)
         if cached is not None:
             context.count(COUNTER_GROUP, "ht_builds_reused")

@@ -5,52 +5,38 @@ When the aggregate size of the dimension hash tables exceeds a node's
 memory but each table fits by itself, Clydesdale can "reduce the memory
 footprint by joining with a single hash table at a time. A subsequent
 pass over the intermediate joined result can be made to join with the
-remaining dimension tables." This module implements that strategy:
+remaining dimension tables." This module holds what is particular to
+that strategy:
 
 * :func:`plan_passes` bin-packs the query's joins into passes whose
   estimated hash-table footprints fit the per-node heap budget;
-* each non-final pass runs a map-only job that probes its subset of
-  dimensions and writes the surviving, aux-augmented rows back to HDFS;
-* the final pass is a normal Clydesdale aggregation job whose "fact
-  table" is the last intermediate.
+* :func:`pass_queries` cuts the query into one sub-query per pass — a
+  non-final pass is a map-only job whose :class:`PartialJoinMapper`
+  probes its subset of dimensions and writes the surviving,
+  aux-augmented rows back to HDFS; the final pass is a normal
+  Clydesdale aggregation job whose "fact table" is the last
+  intermediate.
+
+Planning the jobs (:func:`repro.core.planner.plan_join_passes`) and
+running them (:meth:`repro.core.engine.ClydesdaleEngine.run`) is the
+single-pass code: one pass is just the shortest pass list.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from typing import Any
 
 from repro.common.errors import PlanningError
-from repro.common.schema import Schema
-from repro.core.joinjob import (
-    KEY_BUILD_RATE,
-    KEY_HT_BYTES_PER_ENTRY,
-    KEY_PROBE_RATE,
-    StarJoinCombiner,
-    StarJoinMapper,
-    StarJoinReducer,
-    configure_query,
-)
-from repro.core.planner import ClydesdaleFeatures, fact_scan_columns, \
-    validate_query
-from repro.core.query import StarQuery
-from repro.core.result import QueryResult, apply_order_by
-from repro.hdfs.filesystem import MiniDFS
-from repro.hive.ioformats import RowTableOutputFormat
-from repro.mapreduce.api import Mapper, TaskContext
-from repro.mapreduce.job import JobConf
-from repro.mapreduce.outputformat import CollectingOutputFormat
-from repro.mapreduce.runtime import JobRunner
-from repro.mapreduce.types import OutputCollector
-from repro.sim.costs import CostModel
-from repro.sim.hardware import ClusterSpec
-from repro.ssb.loader import Catalog
-from repro.storage.cif import KEY_BLOCK_ITERATION, ColumnInputFormat
-from repro.storage.multicif import MultiColumnInputFormat
-from repro.storage.rowformat import RowInputFormat
-from repro.storage.tablemeta import FORMAT_CIF
-
 from repro.common.keys import KEY_PASS_OUTPUT_SCHEMA
+from repro.common.schema import Schema
+from repro.core.expressions import TruePredicate
+from repro.core.joinjob import StarJoinMapper
+from repro.core.query import StarQuery
+from repro.mapreduce.api import TaskContext
+from repro.mapreduce.types import OutputCollector
+from repro.ssb.loader import Catalog
 
 
 def estimate_ht_bytes(query: StarQuery, catalog: Catalog,
@@ -144,12 +130,22 @@ class PartialJoinMapper(StarJoinMapper):
             collect(None, row)
 
 
-def execute_multipass(fs: MiniDFS, catalog: Catalog, cluster: ClusterSpec,
-                      cost_model: CostModel, features: ClydesdaleFeatures,
-                      query: StarQuery,
-                      passes: list[list[str]]) -> QueryResult:
-    """Run ``query`` as the given sequence of join passes."""
-    validate_query(query, catalog)
+def scratch_dir(query: StarQuery) -> str:
+    """Where ``query``'s passes materialize their intermediates."""
+    return f"/tmp/clydesdale/{query.name.replace('.', '_')}/multipass"
+
+
+def pass_queries(query: StarQuery, passes: list[list[str]],
+                 catalog: Catalog) -> list[tuple[StarQuery, Any]]:
+    """The sub-query each pass runs, paired with the row table it
+    writes for the next pass (``None`` for the last, which aggregates).
+
+    Each sub-query joins its pass's dimensions against whatever the
+    pass before carried forward: the foreign keys not yet joined, the
+    measure inputs, and the group-by columns of dimensions already
+    joined.
+    """
+    from repro.hive.ioformats import RowTableOutputFormat
     if any(j.snowflake for j in query.joins):
         raise PlanningError(
             "multi-pass execution does not support snowflake branches")
@@ -157,158 +153,43 @@ def execute_multipass(fs: MiniDFS, catalog: Catalog, cluster: ClusterSpec,
             [j.dimension for j in query.joins]:
         raise PlanningError("passes must cover every join exactly once, "
                             "in join order")
-    runner = JobRunner(fs, cluster, cost_model)
-    scratch = f"/tmp/clydesdale/{query.name.replace('.', '_')}/multipass"
-    if fs.list_dir(scratch):
-        fs.delete(scratch, recursive=True)
-
-    fact_meta = catalog.meta(query.fact_table)
     dim_schemas = {j.dimension: catalog.meta(j.dimension).schema
                    for j in query.joins}
-    # Columns every pass must carry forward: FKs not yet joined, measure
-    # and group inputs, group-by columns of already-joined dimensions.
-    needed_fact = fact_scan_columns(query, catalog)
-
-    current_dir = fact_meta.directory
-    current_schema = fact_meta.schema.project(needed_fact)
-    current_is_cif = True
-    total_seconds = 0.0
-    breakdown: dict[str, float] = {}
-
-    for index, group in enumerate(passes[:-1], start=1):
-        remaining = [d for later in passes[index:] for d in later]
-        # The sub-query's group-by lists only the columns this pass's
-        # dimensions supply, so the mapper builds hash tables with
-        # exactly those aux payloads.
-        pass_group_cols = [
-            c for c in query.group_by
-            if any(c in dim_schemas[d] for d in group)]
-        sub_query = StarQuery(
-            name=f"{query.name}#pass{index}",
-            fact_table=query.fact_table,
+    carried = catalog.meta(query.fact_table).schema
+    steps: list[tuple[StarQuery, Any]] = []
+    # A join-free query plans no passes; it still runs one job.
+    for index, group in enumerate(passes or [[]], start=1):
+        final = index >= len(passes)
+        sub_query = replace(
+            query,
+            name=f"{query.name}#" + ("final" if final else f"pass{index}"),
             joins=[query.join_for(d) for d in group],
             # The fact predicate is applied exactly once, in pass 1.
             fact_predicate=(query.fact_predicate if index == 1
-                            else _true_pred()),
-            aggregates=query.aggregates,
-            group_by=pass_group_cols,
-        )
-        # Carry forward only what later passes still need (consumed
-        # foreign keys are dropped), then append this pass's aux columns.
-        still_needed = _still_needed(query, remaining)
-        out_columns = [c for c in current_schema.columns
-                       if c.name in still_needed]
-        aux_cols = []
-        for dim in group:
-            for name in query.aux_columns(dim, dim_schemas[dim].names):
-                aux_cols.append(dim_schemas[dim].column(name))
-        out_schema = Schema(list(out_columns) + aux_cols)
-
-        conf = _pass_conf(
-            sub_query, current_dir, current_is_cif, current_schema,
-            cluster, cost_model, features, dim_schemas)
-        conf.set(KEY_PASS_OUTPUT_SCHEMA, json.dumps(out_schema.to_dict()))
-        conf.mapper_class = PartialJoinMapper
-        conf.set_num_reduce_tasks(0)
-        stage_dir = f"{scratch}/pass{index}"
-        conf.output_format = RowTableOutputFormat(
-            stage_dir, out_schema, f"{query.name}-pass{index}")
-        job = runner.run(conf)
-        total_seconds += job.simulated_seconds
-        breakdown[f"pass{index}"] = job.simulated_seconds
-
-        current_dir = stage_dir
-        current_schema = out_schema
-        current_is_cif = False
-
-    # Final pass: the remaining joins plus grouping and aggregation.
-    final_dims = passes[-1]
-    final_query = StarQuery(
-        name=f"{query.name}#final",
-        fact_table=query.fact_table,
-        joins=[query.join_for(d) for d in final_dims],
-        fact_predicate=query.fact_predicate if len(passes) == 1
-        else _true_pred(),
-        aggregates=query.aggregates,
-        group_by=list(query.group_by),
-        order_by=list(query.order_by),
-        limit=query.limit,
-    )
-    conf = _pass_conf(final_query, current_dir, current_is_cif,
-                      current_schema, cluster, cost_model, features,
-                      dim_schemas)
-    conf.mapper_class = StarJoinMapper
-    conf.reducer_class = StarJoinReducer
-    conf.combiner_class = StarJoinCombiner
-    conf.set_num_reduce_tasks(max(1, cluster.total_reduce_slots))
-    output = CollectingOutputFormat()
-    conf.output_format = output
-    job = runner.run(conf)
-    total_seconds += job.simulated_seconds
-    breakdown["final"] = job.simulated_seconds
-
-    columns = list(query.group_by) + [a.alias for a in query.aggregates]
-    rows = [tuple(key) + tuple(values) for key, values in output.results]
-    ordered = apply_order_by(rows, columns, query.order_by, query.limit)
-    if query.order_by:
-        sort_s = len(rows) / cost_model.final_sort_rows_s
-        total_seconds += sort_s
-        breakdown["final_sort"] = sort_s
-    return QueryResult(query_name=query.name, columns=columns,
-                       rows=ordered, simulated_seconds=total_seconds,
-                       breakdown=breakdown)
-
-
-def _true_pred():
-    from repro.core.expressions import TruePredicate
-    return TruePredicate()
-
-
-def _still_needed(query: StarQuery, remaining_dims: list[str]) -> set[str]:
-    """Fact columns still required after this pass."""
-    needed = {query.join_for(d).fact_fk for d in remaining_dims}
-    for agg in query.aggregates:
-        needed |= agg.expr.columns()
-    needed |= set(query.group_by)
-    return needed
-
-
-def _pass_conf(sub_query: StarQuery, input_dir: str, is_cif: bool,
-               input_schema: Schema, cluster: ClusterSpec,
-               cost_model: CostModel, features: ClydesdaleFeatures,
-               dim_schemas: dict[str, Schema]) -> JobConf:
-    from repro.core.joinjob import KEY_VECTORIZED, MTMapRunner
-    from repro.mapreduce.scheduler import CapacityScheduler, FifoScheduler
-
-    conf = JobConf(f"clydesdale:{sub_query.name}")
-    conf.set_input_paths(input_dir)
-    conf.set(KEY_VECTORIZED, features.vectorized)
-    if is_cif:
-        conf.input_format = (MultiColumnInputFormat()
-                             if features.multithreaded
-                             else ColumnInputFormat())
-        ColumnInputFormat.set_projection(conf, list(input_schema.names))
-        conf.set(KEY_BLOCK_ITERATION, features.block_iteration)
-    else:
-        conf.input_format = RowInputFormat()
-    if features.multithreaded:
-        conf.map_runner_class = MTMapRunner
-        conf.scheduler = CapacityScheduler()
-        conf.set_task_memory_mb(
-            int(cluster.node.memory_bytes * 0.9 / (1024 * 1024)))
-        conf.enable_jvm_reuse(features.jvm_reuse)
-    else:
-        conf.scheduler = FifoScheduler()
-        conf.enable_jvm_reuse(False)
-
-    probe_rate = cost_model.clydesdale_rows_s_per_thread
-    if not features.block_iteration:
-        probe_rate /= cost_model.row_at_a_time_penalty
-    conf.set(KEY_PROBE_RATE, probe_rate)
-    conf.set(KEY_BUILD_RATE, cost_model.hash_build_rows_s)
-    conf.set(KEY_HT_BYTES_PER_ENTRY,
-             cost_model.clydesdale_hash_bytes_per_entry)
-    sub_dims = {j.dimension: dim_schemas[j.dimension]
-                for j in sub_query.joins}
-    configure_query(conf, sub_query, input_schema, sub_dims)
-    return conf
+                            else TruePredicate()),
+            # A materializing pass groups by only the columns its own
+            # dimensions supply, so the mapper builds hash tables with
+            # exactly those aux payloads.
+            group_by=[c for c in query.group_by
+                      if final or any(c in dim_schemas[d] for d in group)],
+            order_by=list(query.order_by) if final else [],
+            limit=query.limit if final else None)
+        sink = None
+        if not final:
+            # Carry forward only what later passes still need (consumed
+            # foreign keys are dropped), then append this pass's aux
+            # columns.
+            needed = set(query.group_by)
+            needed.update(query.join_for(d).fact_fk
+                          for later in passes[index:] for d in later)
+            for agg in query.aggregates:
+                needed |= agg.expr.columns()
+            carried = Schema(
+                [c for c in carried.columns if c.name in needed]
+                + [dim_schemas[d].column(name) for d in group
+                   for name in query.aux_columns(d, dim_schemas[d].names)])
+            sink = RowTableOutputFormat(
+                f"{scratch_dir(query)}/pass{index}", carried,
+                f"{query.name}-pass{index}")
+        steps.append((sub_query, sink))
+    return steps

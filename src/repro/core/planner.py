@@ -1,19 +1,22 @@
-"""Planning a star query into a single Clydesdale MapReduce job.
+"""Planning a star query into Clydesdale MapReduce jobs.
 
 The planner validates the query against the catalog, computes the exact
 fact-table column set to push into CIF, and assembles the ``JobConf`` —
 input format (MultiCIF or plain CIF), the MTMapRunner, the capacity
 scheduler's one-task-per-node memory request, JVM reuse, and the
 calibrated cost rates. Feature toggles reproduce the paper's section 6.5
-ablation.
+ablation. A query is one job unless its hash tables outgrow a node
+(section 5.1); then it is the same job once per pass, planned here too.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
 from repro.common.errors import PlanningError
+from repro.common.keys import KEY_PASS_OUTPUT_SCHEMA
 from repro.common.units import MB
 from repro.core.expressions import And, Between, Predicate, TruePredicate
 from repro.core.hashtable import flatten_dimension
@@ -28,6 +31,7 @@ from repro.core.joinjob import (
     StarJoinReducer,
     configure_query,
 )
+from repro.core.multipass import PartialJoinMapper, pass_queries
 from repro.core.query import StarQuery
 from repro.hdfs.filesystem import MiniDFS
 from repro.mapreduce.job import JobConf
@@ -42,7 +46,7 @@ from repro.storage.cif import (
     ColumnInputFormat,
 )
 from repro.storage.multicif import MultiColumnInputFormat
-from repro.storage.rowformat import read_row_table
+from repro.storage.rowformat import RowInputFormat, read_row_table
 from repro.storage.tablemeta import FORMAT_CIF
 
 
@@ -180,7 +184,6 @@ def _branch_is_trivial(join) -> bool:
 
 def _cached_fk_range(join, catalog: Catalog,
                      fs: MiniDFS) -> Predicate | None:
-    import json
     per_fs = _ZONEMAP_PRED_CACHE.setdefault(fs, {})
     key = (catalog.meta(join.dimension).directory,
            json.dumps(join.to_dict(), sort_keys=True))
@@ -209,64 +212,101 @@ def plan_star_join(query: StarQuery, catalog: Catalog,
     without it no pruning predicate can be derived, which only costs
     performance, never correctness.
     """
+    (conf,), output = plan_join_passes(query, None, catalog, cluster,
+                                       cost_model, features, fs=fs)
+    return conf, output
+
+
+def plan_join_passes(query: StarQuery, passes: list[list[str]] | None,
+                     catalog: Catalog, cluster: ClusterSpec,
+                     cost_model: CostModel, features: ClydesdaleFeatures,
+                     fs: MiniDFS | None = None,
+                     ) -> tuple[list[JobConf], CollectingOutputFormat]:
+    """One ready-to-run JobConf per join pass, in run order.
+
+    ``passes=None`` is the single pass over every dimension — the query
+    itself, snowflake branches included; a pass list (paper section
+    5.1) splits it with :func:`~repro.core.multipass.pass_queries`.
+    The first job scans the CIF fact table, every later one the row
+    table the pass before it wrote; the last aggregates into the
+    returned collector.  Every job gets the same execution shape.
+    """
     validate_query(query, catalog)
     fact_meta = catalog.meta(query.fact_table)
     if fact_meta.format != FORMAT_CIF:
         raise PlanningError(
             f"Clydesdale expects the fact table in CIF format, found "
             f"{fact_meta.format!r}")
+    steps = ([(query, None)] if passes is None
+             else pass_queries(query, passes, catalog))
+    input_dir, input_schema = fact_meta.directory, fact_meta.schema
+    confs: list[JobConf] = []
+    for sub_query, sink in steps:
+        conf = JobConf(f"clydesdale:{sub_query.name}")
+        conf.set_input_paths(input_dir)
+        conf.set(KEY_BLOCK_ITERATION, features.block_iteration)
+        conf.set(KEY_VECTORIZED, features.vectorized)
+        conf.set(KEY_ENCODED_EXEC, features.encoded_exec)
 
-    conf = JobConf(f"clydesdale:{query.name}")
-    conf.set_input_paths(fact_meta.directory)
-    output = CollectingOutputFormat()
-    conf.output_format = output
-    conf.mapper_class = StarJoinMapper
-    conf.reducer_class = StarJoinReducer
-    conf.combiner_class = StarJoinCombiner
-    conf.set_num_reduce_tasks(max(1, cluster.total_reduce_slots))
+        if confs:
+            conf.input_format = RowInputFormat()
+        else:
+            conf.input_format = (MultiColumnInputFormat()
+                                 if features.multithreaded
+                                 else ColumnInputFormat())
+            # The scan serves the whole query: later passes still need
+            # their foreign keys, and a row group no later join can
+            # match is as dead in pass 1 as in a single pass.
+            if features.columnar:
+                ColumnInputFormat.set_projection(
+                    conf, fact_scan_columns(query, catalog))
+            # else: no projection -> CIF reads every column (section
+            # 6.5's "turning off columnar storage").
+            if features.zone_maps and fs is not None:
+                pruner = derive_zonemap_predicate(query, catalog, fs)
+                if pruner is not None:
+                    ColumnInputFormat.set_zonemap_filter(conf, pruner)
 
-    if features.columnar:
-        ColumnInputFormat.set_projection(
-            conf, fact_scan_columns(query, catalog))
-    # else: no projection -> CIF reads every column (section 6.5's
-    # "turning off columnar storage").
+        if features.multithreaded:
+            conf.map_runner_class = MTMapRunner
+            conf.scheduler = CapacityScheduler()
+            # Request (almost) the whole node so the capacity scheduler
+            # admits one join task per node (paper section 5.2).
+            conf.set_task_memory_mb(
+                int(cluster.node.memory_bytes * 0.9 / MB))
+            conf.enable_jvm_reuse(features.jvm_reuse)
+        else:
+            conf.scheduler = FifoScheduler()
+            # Single-threaded tasks each build their own hash tables: no
+            # JVM reuse, exactly the section 6.5 configuration.
+            conf.enable_jvm_reuse(False)
 
-    conf.set(KEY_BLOCK_ITERATION, features.block_iteration)
-    conf.set(KEY_VECTORIZED, features.vectorized)
-    conf.set(KEY_ENCODED_EXEC, features.encoded_exec)
+        probe_rate = cost_model.clydesdale_rows_s_per_thread
+        if not features.block_iteration:
+            probe_rate /= cost_model.row_at_a_time_penalty
+        conf.set(KEY_PROBE_RATE, probe_rate)
+        conf.set(KEY_BUILD_RATE, cost_model.hash_build_rows_s)
+        conf.set(KEY_HT_BYTES_PER_ENTRY,
+                 cost_model.clydesdale_hash_bytes_per_entry)
 
-    if features.zone_maps and fs is not None:
-        pruner = derive_zonemap_predicate(query, catalog, fs)
-        if pruner is not None:
-            ColumnInputFormat.set_zonemap_filter(conf, pruner)
+        if sink is None:
+            output = CollectingOutputFormat()
+            conf.output_format = output
+            conf.mapper_class = StarJoinMapper
+            conf.reducer_class = StarJoinReducer
+            conf.combiner_class = StarJoinCombiner
+            conf.set_num_reduce_tasks(max(1, cluster.total_reduce_slots))
+        else:
+            conf.output_format = sink
+            conf.mapper_class = PartialJoinMapper
+            conf.set_num_reduce_tasks(0)
+            conf.set(KEY_PASS_OUTPUT_SCHEMA,
+                     json.dumps(sink.schema.to_dict()))
 
-    if features.multithreaded:
-        conf.input_format = MultiColumnInputFormat()
-        conf.map_runner_class = MTMapRunner
-        conf.scheduler = CapacityScheduler()
-        # Request (almost) the whole node so the capacity scheduler admits
-        # one join task per node (paper section 5.2).
-        conf.set_task_memory_mb(
-            int(cluster.node.memory_bytes * 0.9 / MB))
-        conf.enable_jvm_reuse(features.jvm_reuse)
-    else:
-        conf.input_format = ColumnInputFormat()
-        conf.scheduler = FifoScheduler()
-        # Single-threaded tasks each build their own hash tables: no JVM
-        # reuse, exactly the section 6.5 configuration.
-        conf.enable_jvm_reuse(False)
-
-    probe_rate = cost_model.clydesdale_rows_s_per_thread
-    if not features.block_iteration:
-        probe_rate /= cost_model.row_at_a_time_penalty
-    conf.set(KEY_PROBE_RATE, probe_rate)
-    conf.set(KEY_BUILD_RATE, cost_model.hash_build_rows_s)
-    conf.set(KEY_HT_BYTES_PER_ENTRY,
-             cost_model.clydesdale_hash_bytes_per_entry)
-
-    fact_schema = fact_meta.schema
-    dim_schemas = {table: catalog.meta(table).schema
-                   for join in query.joins
-                   for table in join.all_tables()}
-    configure_query(conf, query, fact_schema, dim_schemas)
-    return conf, output
+        configure_query(conf, sub_query, input_schema, {
+            table: catalog.meta(table).schema
+            for join in sub_query.joins for table in join.all_tables()})
+        confs.append(conf)
+        if sink is not None:
+            input_dir, input_schema = sink.directory, sink.schema
+    return confs, output

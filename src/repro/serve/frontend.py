@@ -74,7 +74,13 @@ from repro.mapreduce.fairshare import validate_shares
 from repro.serve.aggstore import AggStore, AggStoreStats, Provenance
 from repro.serve.cache import ResultCache, ResultCacheStats
 from repro.serve.routing import ShapeRouter, query_shape
-from repro.serve.session import ExplainReport, SessionStats
+from repro.serve.session import (
+    ExplainReport,
+    SessionStats,
+    answer_with_reuse,
+    peek_reuse,
+    trace_provenance,
+)
 from repro.serve.worker import WorkerHandle
 from repro.trace.tracer import (
     CAT_CACHE,
@@ -149,10 +155,10 @@ class FrontendSession:
         self.in_flight = 0
         #: Span tree of the most recent traced ``execute``.
         self.last_trace: SpanTree | None = None
-        #: Worker-side evidence for the most recent ``execute``:
-        #: worker id, ht_builds, cache hit/miss totals, warm_route,
-        #: attempts, ``provenance``, and ``source`` ("worker",
-        #: "result_cache", "agg_exact", or "agg_rollup").
+        #: Evidence for the most recent ``execute``: ``source``
+        #: ("worker", "result_cache", "agg_exact", or "agg_rollup"),
+        #: ``provenance``, worker id, warm_route, attempts and — from
+        #: the worker — ht_builds, cache hit/miss totals, generation.
         self.last_summary: dict[str, Any] | None = None
 
     def execute(self, query: StarQuery, *,
@@ -182,21 +188,15 @@ class FrontendSession:
         :meth:`repro.serve.session.Session.stats`: the frontend's
         admission/routing counters and shared caches, plus the
         provenance of this session's most recent answer."""
-        summary = self.last_summary or {}
-        provenance = None
-        if summary.get("provenance") is not None:
-            provenance = Provenance.from_dict(summary["provenance"])
-        elif summary.get("source") == "result_cache":
-            provenance = Provenance(source="result_cache")
+        summary = self.last_summary
         return SessionStats(
             backend=self.frontend.backend,
             name=self.name,
-            execution=None,
-            cache=None,
             aggstore=self.frontend.aggstore_stats(),
             result_cache=self.frontend.result_cache_stats(),
             frontend=self.frontend.stats(),
-            provenance=provenance)
+            provenance=(Provenance.from_dict(summary["provenance"])
+                        if summary is not None else None))
 
     def close(self) -> None:
         """Detach this session (the frontend itself stays up)."""
@@ -266,10 +266,10 @@ class Frontend:
             ResultCache(conf.get_int(KEY_SERVE_RESULT_CACHE_BYTES),
                         sanitize=sanitize)
             if conf.get_bool(KEY_SERVE_RESULT_CACHE) else None)
-        # The frontend's own subsumption check before dispatch: a
-        # rollup served here reaches no worker at all. Per-worker
-        # stores cover the post-routing path with their own shard-local
-        # admission. Like them it rides the hash-table cache.
+        # The frontend's own store answers before dispatch: a rollup
+        # served here reaches no worker at all. Per-worker stores
+        # coalesce duplicates queued on a pipe behind an in-flight first
+        # execution. Like them it rides the hash-table cache.
         self._aggstore = (
             AggStore(conf.get_int(KEY_SERVE_AGGSTORE_BYTES),
                      sanitize=sanitize)
@@ -375,7 +375,7 @@ class Frontend:
         changes: dict[str, Any] = {
             "routing": {"worker": worker_id, "warm": warm}}
         if self._aggstore is not None:
-            decision = self._aggstore.peek(query)
+            decision = peek_reuse(query, self._aggstore)
             if decision.kind != "miss":
                 changes["aggstore"] = decision.kind
                 changes["candidates"] = decision.candidates
@@ -496,35 +496,44 @@ class Frontend:
                tracer: Tracer | NullTracer,
                ) -> tuple[QueryResult, dict]:
         canonical = CanonicalQuery(query)
+        summary: dict[str, Any] = {"worker": None, "warm_route": None,
+                                   "attempts": 0}
         if self._results is not None:
             cached = self._results.lookup(canonical.exact)
             if cached is not None:
                 with tracer.span("result_cache", CAT_CACHE) as span:
                     span.set("hit", True)
-                return _fresh_result(cached), {
-                    "source": "result_cache", "worker": None,
-                    "warm_route": None, "attempts": 0}
-        agg_gen: int | None = None
-        if self._aggstore is not None:
-            decision = self._aggstore.fetch(query)
-            if decision.result is not None:
-                source = ("agg_exact" if decision.kind == "exact"
-                          else "agg_rollup")
-                with tracer.span("aggstore", CAT_CACHE) as span:
-                    span.set("source", source)
-                    span.set("rolled_rows", decision.rolled_rows)
-                prov = Provenance(
-                    source=source, candidates=decision.candidates,
-                    rolled_rows=decision.rolled_rows,
-                    rolled_bytes=decision.rolled_bytes)
-                return decision.result, {
-                    "source": source, "worker": None,
-                    "warm_route": None, "attempts": 0,
-                    "provenance": prov.to_dict()}
-            # Same pre-dispatch snapshot discipline as the result
-            # cache: a reload that lands mid-flight must keep the
-            # stale answer out of the store.
-            agg_gen = self._aggstore.current_generation()
+                summary.update(source="result_cache", provenance=Provenance(
+                    source="result_cache").to_dict())
+                return _fresh_result(cached), summary
+        # Every form of a query shares one shape, so the asked query's
+        # routes whichever form runs (cut only if something does run).
+        result, provenance = answer_with_reuse(
+            query, self._aggstore,
+            partial(self._dispatch, session, canonical, tracer, summary))
+        summary["provenance"] = provenance.to_dict()
+        if self._aggstore is not None and tracer is not NULL_TRACER:
+            trace_provenance(tracer, provenance)
+        if "source" not in summary:
+            summary["source"] = provenance.source   # the frontend's store
+        elif self._results is not None:
+            # Stamp the entry with the generation the query actually
+            # executed under: the worker reports the generation it had
+            # applied at execute time (exact even when our execute raced
+            # ahead of a reload broadcast on the worker's pipe), so
+            # store() refuses an old-catalog result.
+            self._results.store(canonical.exact, _fresh_result(result),
+                                _result_nbytes(result),
+                                generation=summary["generation"])
+        return result, summary
+
+    def _dispatch(self, session: FrontendSession,
+                  canonical: CanonicalQuery, tracer: Tracer | NullTracer,
+                  summary: dict, query: StarQuery,
+                  ) -> tuple[QueryResult, Provenance]:
+        """Route by shape, send ``query`` and block for the reply,
+        retrying on another worker when one dies mid-query; the worker's
+        evidence lands in ``summary``, its provenance is what ran."""
         attempts = 0
         while True:
             route_span = tracer.start("route", CAT_ROUTE)
@@ -545,7 +554,7 @@ class Frontend:
             attempts += 1
             worker_span = tracer.start(f"worker:{worker_id}", CAT_WORKER)
             try:
-                result, summary = self._workers[worker_id].request(
+                result, reply = self._workers[worker_id].request(
                     ("execute", query, session.share))
             except WorkerCrashError as crash:
                 worker_span.finish(STATUS_FAILED)
@@ -560,32 +569,9 @@ class Frontend:
                 raise
             worker_span.set("attempts", attempts)
             worker_span.finish()
-            break
-        summary = dict(summary)
-        summary["source"] = "worker"
-        summary["warm_route"] = warm
-        summary["attempts"] = attempts
-        if self._aggstore is not None:
-            # Admit complete answers only: a LIMIT that actually
-            # truncated (len == limit) cannot seed exact or rollup
-            # serves. The stamp refuses results that raced a reload.
-            complete = (query.limit is None
-                        or len(result.rows) < query.limit)
-            if complete:
-                self._aggstore.admit(
-                    query.without_limit(), result,
-                    cost=result.simulated_seconds,
-                    generation=agg_gen)
-        if self._results is not None:
-            # Stamp the entry with the generation the query actually
-            # executed under: the worker reports the generation it had
-            # applied at execute time (exact even when our execute raced
-            # ahead of a reload broadcast on the worker's pipe), so
-            # store() refuses an old-catalog result.
-            self._results.store(canonical.exact, _fresh_result(result),
-                                _result_nbytes(result),
-                                generation=summary["generation"])
-        return result, summary
+            summary.update(reply, source="worker", warm_route=warm,
+                           attempts=attempts)
+            return result, Provenance.from_dict(reply["provenance"])
 
     def _recover_worker(self, worker_id: int,
                         crashed_pid: int | None = None) -> None:

@@ -25,13 +25,19 @@ build one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Callable
 
 from repro.common.errors import ValidationError
 from repro.core.query import Aggregate, OrderKey, StarQuery
 from repro.core.result import QueryResult, apply_order_by
-from repro.serve.aggstore import AggStore, AggStoreStats, Provenance
+from repro.serve.aggstore import (
+    AggDecision,
+    AggStore,
+    AggStoreStats,
+    Provenance,
+)
 from repro.serve.cache import CacheStats, HashTableCache
 from repro.trace.tracer import (
     CAT_CACHE,
@@ -109,11 +115,15 @@ def backend_name(engine: object) -> str:
     return "clydesdale"
 
 
-def _rewrite_avg(query: StarQuery) -> tuple[StarQuery, list[tuple]]:
+def _rewrite_avg(query: StarQuery,
+                 ) -> tuple[StarQuery, list[tuple] | None]:
     """Rewrite AVG aggregates to hidden SUM+COUNT pairs (store-time
     rewrite: the aggregate store only ever materializes re-aggregable
     functions). Returns the rewritten query — order-free and limit-free,
-    the caller finalizes both — plus the per-output finalize plan."""
+    the caller finalizes both — plus the per-output finalize plan; a
+    query without AVG comes back as it is, with no plan."""
+    if not any(a.function == "avg" for a in query.aggregates):
+        return query, None
     rewritten: list[Aggregate] = []
     finalize: list[tuple] = []
     for agg in query.aggregates:
@@ -128,6 +138,100 @@ def _rewrite_avg(query: StarQuery) -> tuple[StarQuery, list[tuple]]:
             finalize.append(("plain", agg.alias))
     return (query.with_aggregates(rewritten)
             .without_order_by().without_limit(), finalize)
+
+
+def _finalize_avg(query: StarQuery, full: QueryResult,
+                  finalize: list[tuple]) -> QueryResult:
+    """AVG = SUM/COUNT, finalized here — no engine ever sees an avg
+    aggregate (``Aggregate.initial`` raises on one).
+
+    The rewritten query ran order-free and limit-free (the hidden
+    sum/count aliases cannot appear in an ORDER BY), so this finalizer
+    owns the ordering: the requested keys plus every group column
+    ascending — a total order, which makes a store-served answer and a
+    fresh execution byte-identical by construction."""
+    position = {name: i for i, name in enumerate(full.columns)}
+    group_pos = [position[c] for c in query.group_by]
+    rows = []
+    for row in full.rows:
+        out = [row[p] for p in group_pos]
+        for step in finalize:
+            if step[0] == "avg":
+                total, count = row[position[step[1]]], \
+                    row[position[step[2]]]
+                out.append(total / count)
+            else:
+                out.append(row[position[step[1]]])
+        rows.append(tuple(out))
+    columns = list(query.group_by) + [a.alias for a in query.aggregates]
+    order = list(query.order_by)
+    seen = {key.column for key in order}
+    order += [OrderKey(c) for c in query.group_by if c not in seen]
+    rows = apply_order_by(rows, columns, order, query.limit)
+    return QueryResult(query_name=query.name, columns=columns, rows=rows,
+                       simulated_seconds=full.simulated_seconds,
+                       breakdown=dict(full.breakdown))
+
+
+def answer_with_reuse(
+        query: StarQuery, store: AggStore | None,
+        run: Callable[[StarQuery], tuple[QueryResult, Provenance]],
+        ) -> tuple[QueryResult, Provenance]:
+    """The reuse protocol, once, for every route to an answer.
+
+    AVG becomes hidden SUM+COUNT; ``store`` answers when subsumption
+    allows; on a miss ``run`` executes the *limit-free* query (a
+    truncated answer cannot roll up) and the complete result is admitted
+    under the generation read before the run, so an answer that raced a
+    reload is refused; then the requested slice is cut — sort-then-slice
+    is exactly ``apply_order_by``'s limit semantics — and AVG finalized.
+    ``run`` returns the result plus the provenance of what ran: the
+    session's engine reports ``executed``, the frontend's worker
+    dispatch may itself report a worker-store hit, which passes through
+    untouched.  ``store=None`` runs the query as asked."""
+    asked = query
+    query, finalize = _rewrite_avg(asked)
+    if store is None:
+        result, provenance = run(query)
+    else:
+        decision = store.fetch(query, any_order=finalize is not None)
+        if decision.result is not None:
+            result = decision.result
+            provenance = Provenance(
+                source=("agg_exact" if decision.kind == "exact"
+                        else "agg_rollup"),
+                candidates=decision.candidates,
+                rolled_rows=decision.rolled_rows,
+                rolled_bytes=decision.rolled_bytes)
+        else:
+            generation = store.current_generation()
+            full = query.without_limit()
+            result, provenance = run(full)
+            store.admit(full, result, cost=result.simulated_seconds,
+                        generation=generation)
+            if provenance.source == "executed":
+                provenance = replace(provenance,
+                                     candidates=decision.candidates,
+                                     declined=decision.declined)
+            if (query.limit is not None
+                    and len(result.rows) > query.limit):
+                result = replace(result, rows=result.rows[:query.limit])
+    if finalize is not None:
+        result = _finalize_avg(asked, result, finalize)
+    return result, provenance
+
+
+def peek_reuse(query: StarQuery, store: AggStore) -> AggDecision:
+    """What :func:`answer_with_reuse` would find in ``store`` — the
+    read-only :meth:`AggStore.peek` on the form it would fetch."""
+    return store.peek(_rewrite_avg(query)[0])
+
+
+def trace_provenance(tracer: Tracer, provenance: Provenance) -> None:
+    """The ``aggstore`` span: how the traced answer was produced."""
+    with tracer.span("aggstore", CAT_CACHE) as span:
+        for name, value in provenance.to_dict().items():
+            span.set(name, value)
 
 
 class Session:
@@ -222,15 +326,8 @@ class Session:
                 cache_span.set("misses", after.misses - before.misses)
                 cache_span.set("entries", after.entries)
                 cache_span.set("bytes_cached", after.bytes_cached)
-        if self.aggstore is not None and self.last_provenance is not None:
-            prov = self.last_provenance
-            with tracer.span("aggstore", CAT_CACHE) as agg_span:
-                agg_span.set("source", prov.source)
-                agg_span.set("candidates",
-                             [list(c) for c in prov.candidates])
-                agg_span.set("rolled_rows", prov.rolled_rows)
-                agg_span.set("rolled_bytes", prov.rolled_bytes)
-                agg_span.set("scanned_rows", prov.scanned_rows)
+        if self.aggstore is not None:
+            trace_provenance(tracer, self.last_provenance)
         span.finish()
         tree = tracer.tree()
         self.last_trace = tree
@@ -246,12 +343,8 @@ class Session:
         plan's pruning lines.
         """
         plan = self._plan_text(query)
-        decision = None
-        if self.aggstore is not None:
-            probe = query
-            if any(a.function == "avg" for a in query.aggregates):
-                probe, _ = _rewrite_avg(query)
-            decision = self.aggstore.peek(probe)
+        decision = (peek_reuse(query, self.aggstore)
+                    if self.aggstore is not None else None)
         from repro.serve.routing import query_shape
         pruning = "\n".join(line for line in plan.splitlines()
                             if "zone maps" in line) or None
@@ -298,12 +391,15 @@ class Session:
         fair-share grant without rebuilding the session.
 
         The scale-out frontend's workers serve many clients through one
-        engine+cache pair; each client may carry its own slot share. ``slot_share=None`` (or the session's
-        own share) is plain :meth:`execute`; otherwise the engine and
-        cache are borrowed under the caller's grant for this one call —
-        the borrowed session deliberately carries **no aggregate
-        store**: a store-served answer takes zero simulated time, which
-        would falsify the fair-share grant the caller paid for.
+        engine+cache pair; each client may carry its own slot share.
+        ``slot_share=None`` (or the session's own share) is plain
+        :meth:`execute`; otherwise the engine and cache are borrowed
+        under the caller's grant for this one call.  One rule covers
+        reuse and shares: reuse is consulted *before* a grant exists
+        (the frontend's store answers share-carrying sessions without
+        taking one), and an execute that does run under a borrowed
+        grant bypasses this session's store — the borrowed session
+        carries none, so its simulated time is the grant's.
         """
         if slot_share is None or slot_share == self.slot_share:
             return self.execute(query, trace=trace)
@@ -376,100 +472,28 @@ class Session:
     # Internals.
     # ------------------------------------------------------------------ #
 
-    def _scanned_rows(self) -> int:
-        stats = getattr(self._engine, "last_stats", None)
-        return int(getattr(stats, "rows_probed", 0) or 0)
-
     def _execute_query(self, query: StarQuery,
-                       tracer: Tracer | NullTracer,
-                       any_order: bool = False) -> QueryResult:
-        """Serve from the aggregate store when subsumption allows, else
-        execute (limit-free) and admit; sets ``last_provenance``."""
-        if any(a.function == "avg" for a in query.aggregates):
-            return self._execute_avg(query, tracer)
-        store = self.aggstore
-        if store is None:
-            result = self._run_engine(query, tracer=tracer)
-            self.last_provenance = Provenance(
-                source="executed", scanned_rows=self._scanned_rows())
-            return result
-        decision = store.fetch(query, any_order=any_order)
-        if decision.result is not None:
-            self.last_provenance = Provenance(
-                source=("agg_exact" if decision.kind == "exact"
-                        else "agg_rollup"),
-                candidates=decision.candidates,
-                rolled_rows=decision.rolled_rows,
-                rolled_bytes=decision.rolled_bytes)
-            return decision.result
-        # Miss: execute the *limit-free* query so the admitted entry is
-        # complete (a truncated answer cannot roll up), slice locally —
-        # sort-then-slice is exactly apply_order_by's limit semantics.
-        generation = store.current_generation()
-        full = query.without_limit()
-        result = self._run_engine(full, tracer=tracer)
-        store.admit(full, result, cost=result.simulated_seconds,
-                    generation=generation)
-        self.last_provenance = Provenance(
-            source="executed", candidates=decision.candidates,
-            declined=decision.declined,
-            scanned_rows=self._scanned_rows())
-        if query.limit is not None and len(result.rows) > query.limit:
-            result = QueryResult(
-                query_name=result.query_name,
-                columns=list(result.columns),
-                rows=list(result.rows[:query.limit]),
-                simulated_seconds=result.simulated_seconds,
-                breakdown=dict(result.breakdown))
+                       tracer: Tracer | NullTracer) -> QueryResult:
+        """Answer through the reuse protocol with this session's engine
+        as what runs on a miss; sets ``last_provenance``."""
+        result, self.last_provenance = answer_with_reuse(
+            query, self.aggstore, partial(self._run_engine, tracer=tracer))
         return result
 
-    def _execute_avg(self, query: StarQuery,
-                     tracer: Tracer | NullTracer) -> QueryResult:
-        """AVG = SUM/COUNT, finalized here — no engine ever sees an avg
-        aggregate (``Aggregate.initial`` raises on one).
-
-        The rewritten query runs order-free and limit-free (the hidden
-        sum/count aliases cannot appear in an ORDER BY), so this
-        finalizer owns the ordering: the requested keys plus every
-        group column ascending — a total order, which makes an
-        aggstore-served answer and a fresh execution byte-identical by
-        construction."""
-        rewritten, finalize = _rewrite_avg(query)
-        full = self._execute_query(rewritten, tracer, any_order=True)
-        position = {name: i for i, name in enumerate(full.columns)}
-        group_pos = [position[c] for c in query.group_by]
-        rows = []
-        for row in full.rows:
-            out = [row[p] for p in group_pos]
-            for step in finalize:
-                if step[0] == "avg":
-                    total, count = row[position[step[1]]], \
-                        row[position[step[2]]]
-                    out.append(total / count)
-                else:
-                    out.append(row[position[step[1]]])
-            rows.append(tuple(out))
-        columns = list(query.group_by) + [a.alias
-                                          for a in query.aggregates]
-        order = list(query.order_by)
-        seen = {key.column for key in order}
-        order += [OrderKey(c) for c in query.group_by if c not in seen]
-        rows = apply_order_by(rows, columns, order, query.limit)
-        return QueryResult(query_name=query.name, columns=columns,
-                           rows=rows,
-                           simulated_seconds=full.simulated_seconds,
-                           breakdown=dict(full.breakdown))
-
-    def _run_engine(self, query: StarQuery,
-                    tracer: Tracer | NullTracer) -> QueryResult:
+    def _run_engine(self, query: StarQuery, tracer: Tracer | NullTracer,
+                    ) -> tuple[QueryResult, Provenance]:
         if self.backend == "clydesdale":
-            return self._engine.run(
+            result = self._engine.run(
                 query, features=self.features, tracer=tracer,
                 ht_cache=self.cache, slot_share=self.slot_share)
-        if self.backend == "hive":
-            return self._engine.run(query, plan=self.plan, tracer=tracer,
-                                    ht_cache=self.cache)
-        return self._engine.execute(query)
+        elif self.backend == "hive":
+            result = self._engine.run(query, plan=self.plan, tracer=tracer,
+                                      ht_cache=self.cache)
+        else:
+            result = self._engine.execute(query)
+        stats = getattr(self._engine, "last_stats", None)
+        return result, Provenance(source="executed", scanned_rows=int(
+            getattr(stats, "rows_probed", 0) or 0))
 
     def _attach_trace(self, tree: SpanTree) -> None:
         """Mirror the finished span tree onto the backend's

@@ -60,8 +60,7 @@ def _execute_summary(session, worker_id: int,
     stats = snapshot.execution
     cache = snapshot.cache
     prov = snapshot.provenance
-    agg_served = (prov is not None
-                  and prov.source in ("agg_exact", "agg_rollup"))
+    agg_served = prov.source != "executed"
     return {
         "worker": worker_id,
         "pid": os.getpid(),
@@ -72,7 +71,7 @@ def _execute_summary(session, worker_id: int,
         "ht_cache_hits": cache.hits if cache is not None else None,
         "ht_cache_misses": cache.misses if cache is not None else None,
         "generation": generation,
-        "provenance": prov.to_dict() if prov is not None else None,
+        "provenance": prov.to_dict(),
     }
 
 

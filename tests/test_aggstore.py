@@ -560,6 +560,52 @@ def test_ssb_rollups_byte_identical(name, agg_and_oracle):
 
 
 # --------------------------------------------------------------------- #
+# Every route answers through one reuse protocol.
+# --------------------------------------------------------------------- #
+
+
+def _fine_then_coarse(queries):
+    """Six families, each a fine query then a coarser GROUP BY of it:
+    three AVG forms and three ``LIMIT 2`` forms, every ordering total.
+    The coarse form has another routing shape than the fine one."""
+    script = []
+    for name in ("Q2.1", "Q3.1", "Q4.1", "Q2.2", "Q3.2", "Q4.2"):
+        base = queries[name].without_order_by()
+        if name.endswith(".1"):
+            base = base.with_aggregates(
+                [Aggregate("avg", Col("lo_revenue"), alias="avg_rev")])
+        else:
+            base = base.with_limit(2)
+        for label, keep in (("fine", base.group_by),
+                            ("coarse", base.group_by[:1])):
+            script.append(
+                base.with_name(f"{name}-{label}").with_group_by(keep)
+                .with_order_by([OrderKey(c) for c in keep]))
+    return script
+
+
+@pytest.mark.parametrize("workers", [None, 2],
+                         ids=["in-process", "workers=2"])
+def test_every_route_reuses_alike(workers, ssb_data, queries):
+    oracle = connect("reference", data=ssb_data)
+    session = connect("clydesdale", data=ssb_data, workers=workers)
+    try:
+        sources = []
+        for query in _fine_then_coarse(queries):
+            if query.name.endswith("-coarse"):
+                assert session.explain(query).aggstore == "rollup"
+            assert session.execute(query).rows == \
+                oracle.execute(query).rows, query.name
+            sources.append(session.stats().provenance.source)
+        assert [s if s == "executed" else "reuse" for s in sources] == \
+            ["executed", "reuse"] * 6, sources
+        assert set(sources) <= {"executed", "agg_exact", "agg_rollup"}
+    finally:
+        if workers:
+            session.frontend.close()
+
+
+# --------------------------------------------------------------------- #
 # Scale-out: the frontend's store, admission races, reload fences.
 # --------------------------------------------------------------------- #
 
@@ -605,7 +651,8 @@ class TestFrontendAggStore:
         finally:
             front.close()
 
-    def test_truncated_results_never_admitted(self, ssb_data, queries):
+    def test_truncated_results_never_admitted(self, ssb_data, queries,
+                                              reference):
         from repro.serve.frontend import Frontend
         front = Frontend(backend="clydesdale", data=ssb_data,
                          conf=Configuration({
@@ -613,10 +660,18 @@ class TestFrontendAggStore:
                              KEY_SERVE_RESULT_CACHE: False}))
         try:
             handle = front.session("trunc")
-            # Q3.1 yields dozens of groups; limit=2 truncates, so the
-            # frontend must not materialize the partial answer.
-            handle.execute(queries["Q3.1"].with_limit(2))
-            assert front.aggstore_stats().puts == 0
+            # Q3.1 yields dozens of groups and limit=2 truncates them:
+            # the worker runs the limit-free query, so what the
+            # frontend materializes is the complete answer, and a wider
+            # LIMIT is served from it — never from two rows.
+            query = queries["Q3.1"]
+            top2 = handle.execute(query.with_limit(2))
+            assert top2.rows == reference.execute(query.with_limit(2)).rows
+            assert front.aggstore_stats().puts == 1
+            top5 = handle.execute(query.with_limit(5))
+            assert handle.last_summary["source"] == "agg_exact"
+            assert top5.rows == reference.execute(query.with_limit(5)).rows
+            assert len(top5.rows) == 5
         finally:
             front.close()
 

@@ -1,6 +1,6 @@
-"""The central correctness claim: Clydesdale, Hive-mapjoin, and
-Hive-repartition return identical answers to the reference engine for
-every SSB query."""
+"""The central correctness claim: Clydesdale (single-pass and split in
+two passes), Hive-mapjoin, and Hive-repartition return identical answers
+to the reference engine for every SSB query."""
 
 import pytest
 
@@ -19,6 +19,11 @@ def test_all_engines_agree(name, clydesdale, hive, reference, queries):
     assert got_clyde.rows == expected.rows, f"{name}: clydesdale differs"
     assert got_mapjoin.rows == expected.rows, f"{name}: mapjoin differs"
     assert got_repart.rows == expected.rows, f"{name}: repartition differs"
+    dims = [join.dimension for join in query.joins]
+    if len(dims) >= 2:
+        got_passes = clydesdale.engine.execute_multipass(
+            query, [dims[:1], dims[1:]])
+        assert got_passes.rows == expected.rows, f"{name}: 2-pass differs"
 
 
 def test_larger_scale_factor_sample(queries):

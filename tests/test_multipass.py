@@ -7,6 +7,7 @@ import pytest
 from repro.common.errors import PlanningError
 from repro.core.engine import ClydesdaleEngine
 from repro.core.multipass import estimate_ht_bytes, plan_passes
+from repro.serve.cache import HashTableCache
 from repro.serve.session import Session
 from repro.sim.costs import DEFAULT_COST_MODEL
 from repro.sim.hardware import tiny_cluster
@@ -95,28 +96,63 @@ class TestMultipassCorrectness:
             engine.execute_multipass(query, [["customer"]])
 
 
+def _starved_engine(data):
+    # 360 kB/entry puts the date table at ~878 MB worst case — above
+    # the 870 MB heap budget, so it gets its own pass, while the actual
+    # (year-filtered) table at ~752 MB still executes within budget.
+    return ClydesdaleEngine.with_ssb_data(
+        data=data, num_nodes=4,
+        cluster=tiny_cluster(workers=4, map_slots=2, memory_gb=1),
+        cost_model=DEFAULT_COST_MODEL.with_overrides(
+            clydesdale_hash_bytes_per_entry=360_000.0))
+
+
 class TestAutomaticFallback:
     def test_engine_falls_back_when_memory_tight(self, queries,
-                                                 reference):
+                                                 ssb_data, reference):
         """A starved cluster triggers the multi-pass path inside plain
         ``execute`` and the answer is still right."""
-        from repro.ssb.datagen import SSBGenerator
-        data = SSBGenerator(scale_factor=0.002, seed=42).generate()
-        # 360 kB/entry puts the date table at ~878 MB worst case — above
-        # the 870 MB heap budget, so it gets its own pass, while the actual
-        # (year-filtered) table at ~752 MB still executes within budget.
-        engine = ClydesdaleEngine.with_ssb_data(
-            data=data, num_nodes=4,
-            cluster=tiny_cluster(workers=4, map_slots=2, memory_gb=1),
-            cost_model=DEFAULT_COST_MODEL.with_overrides(
-                clydesdale_hash_bytes_per_entry=360_000.0))
-        from repro.reference.engine import ReferenceEngine
-        ref = ReferenceEngine.from_ssb(data)
         query = queries["Q3.1"]
-        got = Session(engine).execute(query)
-        assert got.rows == ref.execute(query).rows
+        got = Session(_starved_engine(ssb_data)).execute(query)
+        assert got.rows == reference.execute(query).rows
         assert any(k.startswith("pass") for k in got.breakdown)
 
     def test_no_fallback_when_memory_ample(self, engine, queries):
         got = Session(engine).execute(queries["Q3.1"])
         assert not any(k.startswith("pass") for k in got.breakdown)
+
+    def test_fallback_is_traced_cached_and_counted(self, queries,
+                                                   ssb_data, reference):
+        """The fallback is the main path run more than once: it reports
+        execution stats, probes the session's hash-table cache and
+        leaves one ``job`` span per pass."""
+        query = queries["Q3.1"]
+        session = Session(_starved_engine(ssb_data),
+                          cache=HashTableCache(1 << 42), trace=True)
+        cold = session.execute(query)
+        assert len([k for k in cold.breakdown
+                    if k.startswith("pass") or k == "final"]) == 2
+        assert session.stats().execution.ht_builds > 0
+        warm = session.execute(query)
+        assert warm.rows == cold.rows == reference.execute(query).rows
+        execution = session.stats().execution
+        assert execution is not None and execution.rows_probed > 0
+        assert session.last_provenance.scanned_rows > 0
+        assert execution.ht_builds == 0
+        assert session.cache_stats().hits >= 3
+        tree = session.last_trace
+        (root,) = tree.find("query:Q3.1")
+        jobs = [span for span in tree.find("job")
+                if span.parent_id == root.span_id]
+        assert len(jobs) == 2
+        assert tree.find("build") and tree.find("probe")
+        assert execution.phases["probe"] > 0
+
+    def test_fallback_pays_for_a_smaller_slot_share(self, queries,
+                                                    ssb_data):
+        query = queries["Q3.1"]
+        full = Session(_starved_engine(ssb_data)).execute(query)
+        half = Session(_starved_engine(ssb_data),
+                       slot_share=0.5).execute(query)
+        assert any(k.startswith("pass") for k in half.breakdown)
+        assert half.simulated_seconds > full.simulated_seconds

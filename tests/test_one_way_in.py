@@ -3,7 +3,8 @@
 ``connect()`` -> (``Frontend`` -> worker ``connect()`` ->) ``Session`` ->
 engine is the only line of descent, and ``Configuration`` the only
 carrier of a serving knob. These checks fail if a shim, a second tracer
-owner or a keyword/conf twin comes back.
+owner or a keyword/conf twin comes back — or if a route grows its own
+copy of the reuse protocol, the planner or the run loop again.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ import pytest
 import repro
 from repro.api import connect
 from repro.common.config import Configuration
-from repro.common.keys import CONFIG_KEYS
+from repro.common.keys import CONFIG_KEYS, LOCK_HIERARCHY
 from repro.core.engine import ClydesdaleEngine
 from repro.hive.engine import HiveEngine
 from repro.serve.frontend import Frontend
 from repro.serve.session import Session
 
 SRC = Path(repro.__file__).parent
+DESIGN = SRC.parents[1] / "DESIGN.md"
 
 
 def test_entry_points_stay_small():
@@ -59,6 +61,25 @@ def test_run_has_one_caller_outside_the_engines():
     assert inspect.getsource(Session._run_engine).count(".run(") == 2
 
 
+def _occurrences(needle: str, *paths: Path) -> int:
+    return sum(path.read_text().count(needle) for path in paths)
+
+
+def test_one_reuse_protocol_for_every_route():
+    serve = [path for path in (SRC / "serve").glob("*.py")
+             if path.name != "aggstore.py"]
+    assert _occurrences(".fetch(", *serve) == 1
+    assert _occurrences(".admit(", *serve) == 1
+
+
+def test_one_planner_and_one_runner_for_every_pass():
+    core = list((SRC / "core").glob("*.py"))
+    assert _occurrences("JobRunner(", SRC / "core" / "multipass.py") == 0
+    assert _occurrences("_pass_conf", *core) == 0
+    assert _occurrences("map_runner_class = MTMapRunner", *core) == 1
+    assert _occurrences("CapacityScheduler()", *core) == 1
+
+
 def test_registry_defaults_need_no_call_site_default():
     conf = Configuration()
     getters = {"int": conf.get_int, "float": conf.get_float,
@@ -84,3 +105,27 @@ def test_no_deprecation_shims_under_src():
                  if re.search(r"warnings\.warn|DeprecationWarning",
                               path.read_text())]
     assert offenders == []
+
+
+def _rendered_default(key) -> str:
+    if key.kind == "bool":
+        return "on" if key.default else "off"
+    if key.name.endswith("bytes"):
+        return f"{key.default // (1024 * 1024)} MiB"
+    return str(key.default)
+
+
+def test_design_tables_are_the_registries():
+    text = DESIGN.read_text()
+    knobs = re.findall(r"^\| `(clydesdale\.[\w.]+)` \| ([^|]+) \|", text,
+                       re.MULTILINE)
+    registered = {
+        name: _rendered_default(key) for name, key in CONFIG_KEYS.items()
+        if name.startswith(("clydesdale.cache.", "clydesdale.serve."))
+        or name == "clydesdale.trace"}
+    assert sorted(name for name, _ in knobs) == sorted(registered)
+    assert {name: shown.strip() for name, shown in knobs} == registered
+    locks = re.findall(r"^ *\| `([\w.]+)` \(`[^`]+`\) \| (\d+) \|", text,
+                       re.MULTILINE)
+    assert locks == [(lock.name, str(lock.rank))
+                     for lock in LOCK_HIERARCHY.values()]
