@@ -105,14 +105,16 @@ BLOCK_ROWS = 4096
 
 @pytest.fixture(scope="module")
 def sf01_scan():
-    """A Q1.1-shaped SF0.1 fact scan: date rows + B-CIF row blocks.
+    """A Q1.1-shaped SF0.1 fact scan: date rows, the fact rows as
+    records and as B-CIF row blocks.
 
     Only the four columns the query touches are materialized, streamed
     straight out of the generator so the full 17-column table never
-    exists in memory. Blocks come in both representations: encoded
-    typed buffers (slice views, what the reader hands kernels under
-    ``cif.encoded.exec``) and decoded plain lists (the flag-off arm).
+    exists in memory. Blocks are typed buffers (slice views, what the
+    B-CIF reader hands the kernel); records are what the row reader
+    hands ``process_record``.
     """
+    from repro.common.record import Record
     from repro.ssb.datagen import (
         SSBGenerator,
         customer_count,
@@ -136,17 +138,14 @@ def sf01_scan():
     num_rows = len(columns["lo_orderdate"])
     vectors = {name: ensure_vector(values, "<i8")
                for name, values in columns.items()}
-    vector_blocks = [
+    blocks = [
         RowBlock(schema, start,
                  {name: vec[start:start + BLOCK_ROWS]
                   for name, vec in vectors.items()})
         for start in range(0, num_rows, BLOCK_ROWS)]
-    list_blocks = [
-        RowBlock(schema, start,
-                 {name: values[start:start + BLOCK_ROWS]
-                  for name, values in columns.items()})
-        for start in range(0, num_rows, BLOCK_ROWS)]
-    return date_rows, vector_blocks, list_blocks, num_rows
+    records = [Record(schema, row) for row in zip(
+        *(columns[name] for name in names))]
+    return date_rows, blocks, records, num_rows
 
 
 def _q11_mapper(date_rows):
@@ -175,7 +174,7 @@ def _q11_mapper(date_rows):
         node_local_read=lambda n, f: blob, threads=1)
     mapper = StarJoinMapper()
     mapper.initialize(context)
-    return mapper
+    return mapper, context
 
 
 def _best_of(fn, repeats=3):
@@ -188,36 +187,28 @@ def _best_of(fn, repeats=3):
 
 
 def test_vectorized_vs_rowwise_fact_scan(sf01_scan):
-    """The tentpole's acceptance number: encoded selection-vector
-    kernels must beat the row-wise block loop by >= 11x on an SF0.1
-    fact scan (the pre-v2 kernels measured 10.05x; the floor sits
-    above that so the columnar memory model can never silently erode
-    back to list execution)."""
+    """Block iteration in wall-clock: the block kernel over typed
+    buffers must beat record-at-a-time execution by >= 11x on an SF0.1
+    fact scan, both through the public ``mapper.map`` (the list-era
+    kernels measured 10.05x; the floor sits above that so the columnar
+    memory model can never silently erode back to list execution)."""
     from repro.mapreduce.types import OutputCollector
 
-    date_rows, vector_blocks, list_blocks, num_rows = sf01_scan
+    date_rows, blocks, records, num_rows = sf01_scan
     assert num_rows >= 600_000
-    mapper = _q11_mapper(date_rows)
+    mapper, context = _q11_mapper(date_rows)
 
     vec_out = OutputCollector()
     row_out = OutputCollector()
 
-    def run_vectorized():
+    def run(values, sink):
         out = OutputCollector()
-        for block in vector_blocks:
-            mapper._map_block_kernels(block, out)
-        vec_out.pairs = out.pairs
-        return out
+        for key, value in enumerate(values):
+            mapper.map(key, value, out, context)
+        sink.pairs = out.pairs
 
-    def run_rowwise():
-        out = OutputCollector()
-        for block in list_blocks:
-            mapper._map_block_eager(block, out)
-        row_out.pairs = out.pairs
-        return out
-
-    vectorized_s = _best_of(run_vectorized)
-    rowwise_s = _best_of(run_rowwise)
+    vectorized_s = _best_of(lambda: run(blocks, vec_out))
+    rowwise_s = _best_of(lambda: run(records, row_out))
     assert sorted(vec_out.pairs) == sorted(row_out.pairs)
     assert vec_out.pairs  # the query matches something
 
@@ -226,34 +217,5 @@ def test_vectorized_vs_rowwise_fact_scan(sf01_scan):
           f"rowwise={rowwise_s * 1000:.1f}ms "
           f"speedup={speedup:.2f}x over {num_rows:,} rows")
     assert speedup >= 11.0, (
-        f"vectorized path only {speedup:.2f}x faster than row-wise")
-
-
-def test_encoded_vs_decoded_kernels(sf01_scan):
-    """The columnar_v2 ablation at microbench scale: the same kernel
-    pipeline must run >= 1.4x faster on typed buffers than on decoded
-    lists, and produce identical output."""
-    from repro.mapreduce.types import OutputCollector
-
-    date_rows, vector_blocks, list_blocks, num_rows = sf01_scan
-    mapper = _q11_mapper(date_rows)
-
-    outputs = {}
-
-    def run(label, blocks):
-        out = OutputCollector()
-        for block in blocks:
-            mapper._map_block_kernels(block, out)
-        outputs[label] = sorted(out.pairs)
-
-    encoded_s = _best_of(lambda: run("encoded", vector_blocks))
-    decoded_s = _best_of(lambda: run("decoded", list_blocks))
-    assert outputs["encoded"] == outputs["decoded"]
-
-    speedup = decoded_s / encoded_s
-    print(f"\nencoded={encoded_s * 1000:.1f}ms "
-          f"decoded={decoded_s * 1000:.1f}ms "
-          f"speedup={speedup:.2f}x over {num_rows:,} rows")
-    assert speedup >= 1.4, (
-        f"encoded execution only {speedup:.2f}x faster than decoded "
-        f"lists")
+        f"block kernel only {speedup:.2f}x faster than "
+        f"record-at-a-time")

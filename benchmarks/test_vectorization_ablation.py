@@ -1,7 +1,7 @@
-"""Ablation grid for this PR's two techniques: selection-vector
-kernels (``vectorized``) and row-group zone maps (``zone_maps``),
-crossed with the paper's block iteration — eight configurations
-(mirroring the Figure 9 ablation harness in ``test_fig9_ablation.py``).
+"""Ablation grid: row-group zone maps (``zone_maps``) crossed with the
+paper's block iteration (block kernel vs record-at-a-time) — four
+configurations (mirroring the Figure 9 ablation harness in
+``test_fig9_ablation.py``).
 
 The fact table is clustered by ``lo_orderdate`` before loading so
 zone-map pruning has something to bite on (row order never changes
@@ -34,16 +34,15 @@ def clustered():
     return engine, reference
 
 
-GRID = sorted(itertools.product([False, True], repeat=3))
+GRID = sorted(itertools.product([False, True], repeat=2))
 
 
-@pytest.mark.parametrize("block_iteration,vectorized,zone_maps", GRID)
+@pytest.mark.parametrize("block_iteration,zone_maps", GRID)
 def test_ablation_grid_q11(benchmark, clustered, block_iteration,
-                           vectorized, zone_maps):
-    """All eight configurations agree with the reference engine."""
+                           zone_maps):
+    """All four configurations agree with the reference engine."""
     engine, reference = clustered
     features = ClydesdaleFeatures(block_iteration=block_iteration,
-                                  vectorized=vectorized,
                                   zone_maps=zone_maps)
     query = ssb_queries()["Q1.1"]
     expected = reference.execute(query).rows

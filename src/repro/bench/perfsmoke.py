@@ -1,12 +1,12 @@
-"""Perf smoke test: vectorized execution, zone maps, session cache.
+"""Perf smoke test: block iteration, zone maps, session cache.
 
-Run as ``python -m repro.bench perfsmoke``: times the selection-vector
-kernel pipeline against the row-wise block loop on one generated fact
-scan, isolates the columnar memory model v2 win (encoded typed buffers
-vs plain lists through the *same* kernels — the ``columnar_v2``
-ablation), runs a zone-map-pruned query on date-clustered data, times
-a warm-vs-cold Q2.1 repeat through a cache-carrying session, and
-writes the numbers to ``BENCH_perfsmoke.json``. ``--check`` compares
+Run as ``python -m repro.bench perfsmoke``: times the block kernel
+against record-at-a-time execution on one generated fact scan (the
+paper's block-iteration technique in wall-clock, both through the
+public ``mapper.map``), runs a zone-map-pruned query on date-clustered
+data, times a warm-vs-cold Q2.1 repeat through a cache-carrying
+session, and writes the numbers to ``BENCH_perfsmoke.json``.
+``--check`` compares
 each headline number against :data:`FLOORS` and fails the run (and the
 CI bench job) on any regression instead of just uploading the report.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import time
 
+from repro.common.record import Record
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.types import OutputCollector
 from repro.ssb.schema import SCHEMAS
@@ -29,10 +30,8 @@ ORDERDATE_INDEX = 5  # lineorder schema position of lo_orderdate
 #: these (see EXPERIMENTS.md); a breach means a real regression, not
 #: runner noise. Keys are dotted paths into the perfsmoke report.
 FLOORS = {
-    # encoded kernels vs the row-wise loop (was 3.0 pre-v2)
-    "kernels.speedup": 8.0,
-    # encoded buffers vs plain lists through the same kernels
-    "columnar_v2.speedup": 1.5,
+    # the block kernel vs record-at-a-time through mapper.map
+    "kernels.speedup": 10.0,
     # warm hash-table cache vs cold builds
     "session_cache.speedup": 1.5,
     # subsumption rollup vs re-executing the coarser query
@@ -74,7 +73,7 @@ def _mapper(date_rows):
         node_local_read=lambda n, f: blob, threads=1)
     mapper = StarJoinMapper()
     mapper.initialize(context)
-    return mapper
+    return mapper, context
 
 
 def _best_of(fn, repeats: int = 3) -> float:
@@ -87,12 +86,11 @@ def _best_of(fn, repeats: int = 3) -> float:
 
 
 def _q11_scan(scale_factor: float):
-    """Q1.1-shaped fact scan as (date_rows, list blocks, vector blocks).
+    """Q1.1-shaped fact scan as (date_rows, records, blocks, num_rows).
 
-    The vector blocks are slice *views* of four whole-scan typed
-    buffers, exactly how the B-CIF reader cuts blocks from a row group
-    under ``cif.encoded.exec``; the list blocks are the decoded
-    (flag-off) representation of the same data.
+    The blocks are slice *views* of four whole-scan typed buffers,
+    exactly how the B-CIF reader cuts blocks from a row group; the
+    records are the same rows as the row reader hands them.
     """
     from repro.ssb.datagen import (
         SSBGenerator,
@@ -114,66 +112,44 @@ def _q11_scan(scale_factor: float):
             columns[name].append(row[idx])
     num_rows = len(columns["lo_orderdate"])
     schema = SCHEMAS["lineorder"].project(list(names))
+    records = [Record(schema, row) for row in zip(
+        *(columns[name] for name in names))]
     vectors = {name: ensure_vector(values, "<i8")
                for name, values in columns.items()}
-    list_blocks = [
-        RowBlock(schema, start,
-                 {name: values[start:start + BLOCK_ROWS]
-                  for name, values in columns.items()})
-        for start in range(0, num_rows, BLOCK_ROWS)]
-    vector_blocks = [
+    blocks = [
         RowBlock(schema, start,
                  {name: vec[start:start + BLOCK_ROWS]
                   for name, vec in vectors.items()})
         for start in range(0, num_rows, BLOCK_ROWS)]
-    return date_rows, list_blocks, vector_blocks, num_rows
+    return date_rows, records, blocks, num_rows
 
 
-def kernel_smoke(scale_factor: float = 0.05) -> tuple[dict, dict]:
-    """Time the Q1.1 scan three ways; return (kernels, columnar_v2).
-
-    * ``kernels`` — encoded kernels vs the row-wise block loop (the
-      headline speedup);
-    * ``columnar_v2`` — the same kernel pipeline on typed buffers vs on
-      plain lists, isolating what encoded execution itself buys.
-    """
-    date_rows, list_blocks, vector_blocks, num_rows = _q11_scan(
-        scale_factor)
-    mapper = _mapper(date_rows)
+def kernel_smoke(scale_factor: float = 0.05) -> dict:
+    """Time the Q1.1 scan as blocks and as records, both through the
+    public ``mapper.map`` — block iteration's wall-clock win."""
+    date_rows, records, blocks, num_rows = _q11_scan(scale_factor)
+    mapper, context = _mapper(date_rows)
 
     results: dict[str, list] = {}
 
-    def run(label, method_name, blocks):
-        method = getattr(mapper, method_name)
+    def run(label, values):
         out = OutputCollector()
-        for block in blocks:
-            method(block, out)
+        for key, value in enumerate(values):
+            mapper.map(key, value, out, context)
         results[label] = sorted(out.pairs)
 
-    encoded_s = _best_of(
-        lambda: run("encoded", "_map_block_kernels", vector_blocks))
-    decoded_s = _best_of(
-        lambda: run("decoded", "_map_block_kernels", list_blocks))
-    rowwise_s = _best_of(
-        lambda: run("rowwise", "_map_block_eager", list_blocks))
-    if not (results["encoded"] == results["decoded"]
-            == results["rowwise"]):
+    block_s = _best_of(lambda: run("block", blocks))
+    record_s = _best_of(lambda: run("record", records))
+    if results["block"] != results["record"]:
         raise AssertionError(
-            "encoded, decoded and row-wise paths disagree on the smoke "
+            "block and record-at-a-time paths disagree on the smoke "
             "query")
-    kernels = {
+    return {
         "fact_rows": num_rows,
-        "vectorized_s": round(encoded_s, 4),
-        "rowwise_s": round(rowwise_s, 4),
-        "speedup": round(rowwise_s / encoded_s, 2),
+        "block_s": round(block_s, 4),
+        "record_s": round(record_s, 4),
+        "speedup": round(record_s / block_s, 2),
     }
-    columnar_v2 = {
-        "fact_rows": num_rows,
-        "encoded_s": round(encoded_s, 4),
-        "decoded_s": round(decoded_s, 4),
-        "speedup": round(decoded_s / encoded_s, 2),
-    }
-    return kernels, columnar_v2
 
 
 def zonemap_smoke(scale_factor: float = 0.002) -> dict:
@@ -297,10 +273,8 @@ def aggstore_smoke(scale_factor: float = 0.002) -> dict:
 def run_perfsmoke(scale_factor: float = 0.05,
                   out_path: str = "BENCH_perfsmoke.json") -> dict:
     """Run all smokes, write ``out_path``, return the combined report."""
-    kernels, columnar_v2 = kernel_smoke(scale_factor=scale_factor)
     report = {
-        "kernels": kernels,
-        "columnar_v2": columnar_v2,
+        "kernels": kernel_smoke(scale_factor=scale_factor),
         "zonemaps": zonemap_smoke(),
         "session_cache": session_cache_smoke(),
         "aggstore": aggstore_smoke(),
@@ -354,21 +328,12 @@ def render_perfsmoke(report: dict) -> str:
     kernels = report["kernels"]
     zone = report["zonemaps"]
     lines = [
-        "Perf smoke: vectorized execution + zone maps + session cache",
+        "Perf smoke: block iteration + zone maps + session cache",
         "=" * 60,
         f"fact scan: {kernels['fact_rows']:,} rows, "
-        f"vectorized {kernels['vectorized_s'] * 1000:.1f} ms vs "
-        f"row-wise {kernels['rowwise_s'] * 1000:.1f} ms "
+        f"block kernel {kernels['block_s'] * 1000:.1f} ms vs "
+        f"record-at-a-time {kernels['record_s'] * 1000:.1f} ms "
         f"-> {kernels['speedup']:.2f}x",
-    ]
-    ablation = report.get("columnar_v2")
-    if ablation:
-        lines.append(
-            f"columnar v2 (same kernels): encoded "
-            f"{ablation['encoded_s'] * 1000:.1f} ms vs decoded lists "
-            f"{ablation['decoded_s'] * 1000:.1f} ms "
-            f"-> {ablation['speedup']:.2f}x")
-    lines += [
         f"zone maps ({zone['query']}, date-clustered): "
         f"{zone['rowgroups_pruned']} row groups / "
         f"{zone['rows_skipped']:,} rows skipped, "

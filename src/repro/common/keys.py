@@ -127,12 +127,6 @@ KEY_BLOCK_ITERATION = _flag(
 KEY_BLOCK_ROWS = _config(
     "cif.block.rows", kind="int", default=1024,
     doc="Rows per RowBlock batch under cif.block.iteration.")
-KEY_ENCODED_EXEC = _flag(
-    "cif.encoded.exec", default=True,
-    doc="Columnar memory model v2: CIF readers hand kernels typed "
-        "zero-copy buffers (NumericVector / DictionaryVector) and "
-        "dictionary predicates run in code space. Off = decode every "
-        "column to a plain Python list (the columnar_v2 ablation arm).")
 KEY_ZONEMAP_FILTER = _config(
     "cif.zonemap.filter", kind="json",
     doc="Serialized predicate used to prune row groups via zone maps.")
@@ -163,10 +157,6 @@ KEY_HT_BYTES_PER_ENTRY = _config(
 KEY_PASS_OUTPUT_SCHEMA = _config(
     "clydesdale.pass.output.schema", kind="json",
     doc="Intermediate schema between multipass join passes.")
-KEY_VECTORIZED = _flag(
-    "clydesdale.vectorized", default=True,
-    doc="Selection-vector kernels over B-CIF blocks; off = row-at-a-time "
-        "block loop (section 6.5-style ablation).")
 KEY_SANITIZER = _flag(
     "clydesdale.sanitizer", default=False,
     doc="Runtime shared-state sanitizer: freezes published dimension "
@@ -316,6 +306,8 @@ CTR_TRACE_SPANS = _counter(COUNTER_GROUP_JOB, "trace_spans")
 
 CTR_ROWS_PROBED = _counter(COUNTER_GROUP_CLYDESDALE, "rows_probed")
 CTR_ROWS_MATCHED = _counter(COUNTER_GROUP_CLYDESDALE, "rows_matched")
+CTR_ROWS_SCALAR_PROBED = _counter(COUNTER_GROUP_CLYDESDALE,
+                                  "rows_scalar_probed")
 CTR_HT_BUILDS = _counter(COUNTER_GROUP_CLYDESDALE, "ht_builds")
 CTR_HT_BUILDS_REUSED = _counter(COUNTER_GROUP_CLYDESDALE,
                                 "ht_builds_reused")

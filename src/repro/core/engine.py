@@ -60,6 +60,10 @@ class ExecutionStats:
     job: JobResult
     rows_probed: int = 0
     rows_matched: int = 0
+    #: Rows the block kernel handed to a per-row dict probe because a
+    #: table had no mask to answer with (0 = the query never left the
+    #: mask path).
+    rows_scalar_probed: int = 0
     hdfs_bytes_read: int = 0
     ht_builds: int = 0
     ht_cache_hits: int = 0
@@ -81,6 +85,8 @@ class ExecutionStats:
         stats = cls(query_name=query_name, job=job)
         stats.rows_probed = counters.get("clydesdale", "rows_probed")
         stats.rows_matched = counters.get("clydesdale", "rows_matched")
+        stats.rows_scalar_probed = counters.get("clydesdale",
+                                                "rows_scalar_probed")
         stats.hdfs_bytes_read = counters.get(Counters.GROUP_HDFS,
                                              "bytes_read")
         stats.ht_builds = counters.get("clydesdale", "ht_builds")

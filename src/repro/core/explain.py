@@ -60,9 +60,7 @@ def explain_clydesdale(query: StarQuery, catalog: Catalog,
     fact_meta = catalog.meta(query.fact_table)
     if ft.columnar:
         block_mode = ("B-CIF blocks (vectorized kernels)"
-                      if ft.block_iteration and ft.vectorized
-                      else "B-CIF blocks" if ft.block_iteration
-                      else "CIF rows")
+                      if ft.block_iteration else "CIF rows")
         lines.append(
             f"scan {query.fact_table} ({fact_meta.num_rows:,} rows) "
             f"via {block_mode}, columns {columns}")

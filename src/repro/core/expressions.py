@@ -8,23 +8,22 @@ Value expressions compute aggregate inputs such as
 Both kinds serialize to plain dicts so a whole query can travel through a
 ``JobConf`` the way the paper's Figure 4 passes ``queryParams``.
 
-Besides the row-at-a-time ``evaluate(get)``, every predicate supports two
-batch protocols used by the vectorized block pipeline:
+A predicate has two forms: the row-at-a-time ``evaluate(get)`` and the
+whole-block ``evaluate_mask``; ``evaluate_block`` chooses between them.
 
-* ``evaluate_block(columns, selection)`` — the selection-vector kernel.
-  ``columns`` maps column name to a whole column (a plain list or a
-  typed :class:`~repro.storage.columnvector.ColumnVector`) and
-  ``selection`` is an ordered list of candidate row positions; the kernel
-  returns the ordered subsequence of positions whose rows satisfy the
-  predicate, without building a per-row getter.
-* ``evaluate_mask(columns, num_rows)`` — the whole-block verdict mask
-  (columnar memory model v2). Returns one boolean numpy array over all
-  ``num_rows`` positions, or ``None`` when the predicate cannot run on
-  the block's buffers (plain lists, mixed-type literals); callers fall
-  back to ``evaluate_block``. On dictionary-encoded columns the literal
-  is translated to code space once — an ``=`` against a value absent
-  from the dictionary short-circuits to an all-False mask without
-  touching a single row.
+* ``evaluate_mask(columns, num_rows)`` — the whole-block verdict mask.
+  ``columns`` maps column name to a whole column (a typed
+  :class:`~repro.storage.columnvector.ColumnVector` or a plain list).
+  Returns one boolean numpy array over all ``num_rows`` positions, or
+  ``None`` when the predicate cannot run on the block's buffers (plain
+  lists, mixed-type literals). On dictionary-encoded columns the
+  literal is translated to code space once — an ``=`` against a value
+  absent from the dictionary short-circuits to an all-False mask
+  without touching a single row.
+* ``evaluate_block(columns, selection)`` — filter an ordered selection
+  of candidate row positions to those whose rows satisfy the predicate:
+  through the mask when there is one, else row by row through
+  ``evaluate`` (exact Python semantics on any sequence).
 * ``can_match(ranges)`` — the zone-map test. ``ranges`` maps column name
   to that column's (min, max) over a row group; the method returns False
   only when *no* row in the group can possibly satisfy the predicate, so
@@ -42,7 +41,6 @@ import numpy as np
 
 from repro.common.errors import QueryError
 from repro.storage.columnvector import (
-    ColumnVector,
     DictionaryVector,
     NumericVector,
     as_index_array,
@@ -78,13 +76,16 @@ class Predicate(ABC):
         """Evaluate against ``get(column_name) -> value``."""
 
     def evaluate_block(self, columns: Columns,
-                       selection: Sequence[int]) -> list[int]:
-        """Filter ``selection`` to the positions satisfying the predicate.
-
-        Subclasses override with tight loops over the raw column lists;
-        this fallback keeps third-party predicates correct by routing
-        each selected row through ``evaluate``.
-        """
+                       selection: Sequence[int]) -> Sequence[int]:
+        """Filter ``selection`` to the positions satisfying the predicate
+        (order kept): one gather from :meth:`evaluate_mask` when the
+        block's buffers allow it, else each selected row through
+        :meth:`evaluate`."""
+        num_rows = max(map(len, columns.values()), default=0)
+        mask = self.evaluate_mask(columns, num_rows)
+        if mask is not None:
+            sel = as_index_array(selection)
+            return sel[mask[sel]]
         getter = _ColumnsRowGetter(columns)
         out = []
         append = out.append
@@ -99,8 +100,8 @@ class Predicate(ABC):
                       num_rows: int) -> np.ndarray | None:
         """One boolean verdict per block position, or ``None`` when the
         predicate cannot run on these buffers (see the module docstring).
-        Kernels AND the masks of the whole pipeline before any survivor
-        materializes — the fused filter+probe pass."""
+        The block kernel ANDs the masks of the whole pipeline before any
+        survivor materializes."""
         return None
 
     def can_match(self, ranges: Ranges) -> bool:
@@ -155,10 +156,6 @@ class TruePredicate(Predicate):
     def evaluate(self, get: Getter) -> bool:
         return True
 
-    def evaluate_block(self, columns: Columns,
-                       selection: Sequence[int]) -> list[int]:
-        return list(selection)
-
     def evaluate_mask(self, columns: Columns,
                       num_rows: int) -> np.ndarray | None:
         return np.ones(num_rows, dtype=bool)
@@ -186,29 +183,12 @@ class Comparison(Predicate):
     def evaluate(self, get: Getter) -> bool:
         return _OPS[self.op](get(self.column), self.literal)
 
-    def evaluate_block(self, columns: Columns,
-                       selection: Sequence[int]):
-        values = columns[self.column]
-        if isinstance(values, ColumnVector):
-            mask = self._column_mask(values)
-            if mask is not None:
-                sel = as_index_array(selection)
-                return sel[mask[sel]]
-        op = _OPS[self.op]
-        literal = self.literal
-        return [i for i in selection if op(values[i], literal)]
-
     def evaluate_mask(self, columns: Columns,
                       num_rows: int) -> np.ndarray | None:
-        values = columns[self.column]
-        if isinstance(values, ColumnVector):
-            return self._column_mask(values)
-        return None
-
-    def _column_mask(self, vector: ColumnVector) -> np.ndarray | None:
         """Whole-column verdicts on a typed buffer; ``None`` when the
         literal cannot be compared in the buffer's domain (the row-wise
         loop then reproduces exact Python semantics)."""
+        vector = columns[self.column]
         literal = self.literal
         if isinstance(vector, NumericVector):
             if not isinstance(literal, (int, float)):
@@ -284,25 +264,9 @@ class Between(Predicate):
         value = get(self.column)
         return self.low <= value <= self.high
 
-    def evaluate_block(self, columns: Columns,
-                       selection: Sequence[int]):
-        values = columns[self.column]
-        if isinstance(values, ColumnVector):
-            mask = self._column_mask(values)
-            if mask is not None:
-                sel = as_index_array(selection)
-                return sel[mask[sel]]
-        low, high = self.low, self.high
-        return [i for i in selection if low <= values[i] <= high]
-
     def evaluate_mask(self, columns: Columns,
                       num_rows: int) -> np.ndarray | None:
-        values = columns[self.column]
-        if isinstance(values, ColumnVector):
-            return self._column_mask(values)
-        return None
-
-    def _column_mask(self, vector: ColumnVector) -> np.ndarray | None:
+        vector = columns[self.column]
         low, high = self.low, self.high
         if isinstance(vector, NumericVector):
             if not (isinstance(low, (int, float))
@@ -352,39 +316,24 @@ class InList(Predicate):
         self.column = column
         self.values = frozenset(values)
         self._ordered = list(values)
+        # Non-numeric members can never equal a numeric value (frozenset
+        # membership is equality-based), so a numeric buffer is probed
+        # with the numeric members only — they would otherwise poison
+        # the array compare.
+        self._numeric = [v for v in self._ordered
+                         if isinstance(v, (int, float))]
 
     def evaluate(self, get: Getter) -> bool:
         return get(self.column) in self.values
 
-    def evaluate_block(self, columns: Columns,
-                       selection: Sequence[int]):
-        values = columns[self.column]
-        if isinstance(values, ColumnVector):
-            mask = self._column_mask(values)
-            if mask is not None:
-                sel = as_index_array(selection)
-                return sel[mask[sel]]
-        members = self.values  # prebuilt frozenset probe
-        return [i for i in selection if values[i] in members]
-
     def evaluate_mask(self, columns: Columns,
                       num_rows: int) -> np.ndarray | None:
-        values = columns[self.column]
-        if isinstance(values, ColumnVector):
-            return self._column_mask(values)
-        return None
-
-    def _column_mask(self, vector: ColumnVector) -> np.ndarray | None:
+        vector = columns[self.column]
         if isinstance(vector, NumericVector):
-            # Non-numeric members can never equal a numeric value
-            # (frozenset membership is equality-based), so they drop out
-            # of the probe list instead of poisoning the array compare.
-            members = [v for v in self._ordered
-                       if isinstance(v, (int, float))]
-            if not members:
+            if not self._numeric:
                 return np.zeros(len(vector), dtype=bool)
             try:
-                return np.isin(vector.data, members)
+                return np.isin(vector.data, self._numeric)
             except (TypeError, OverflowError):
                 return None
         if isinstance(vector, DictionaryVector):
@@ -427,16 +376,6 @@ class And(Predicate):
     def evaluate(self, get: Getter) -> bool:
         return all(p.evaluate(get) for p in self.parts)
 
-    def evaluate_block(self, columns: Columns,
-                       selection: Sequence[int]):
-        survivors: Sequence[int] = selection
-        for part in self.parts:  # each conjunct shrinks the selection
-            # len(), not truthiness: survivors may be an index array.
-            if len(survivors) == 0:
-                break
-            survivors = part.evaluate_block(columns, survivors)
-        return survivors
-
     def evaluate_mask(self, columns: Columns,
                       num_rows: int) -> np.ndarray | None:
         mask = None
@@ -472,22 +411,6 @@ class Or(Predicate):
     def evaluate(self, get: Getter) -> bool:
         return any(p.evaluate(get) for p in self.parts)
 
-    def evaluate_block(self, columns: Columns,
-                       selection: Sequence[int]) -> list[int]:
-        # Rows already matched by an earlier disjunct skip the rest.
-        matched: set[int] = set()
-        remaining = list(selection)
-        for part in self.parts:
-            if not remaining:
-                break
-            hits = part.evaluate_block(columns, remaining)
-            matched.update(hits)
-            if len(hits):  # len(), not truthiness: may be an index array
-                # Rebuilt once per *disjunct* (rarely >3), not per row;
-                # shrinking the candidate list is the point of the pass.
-                remaining = [i for i in remaining if i not in matched]  # analyze: allow-alloc
-        return [i for i in selection if i in matched]
-
     def evaluate_mask(self, columns: Columns,
                       num_rows: int) -> np.ndarray | None:
         mask = None
@@ -520,11 +443,6 @@ class Not(Predicate):
 
     def evaluate(self, get: Getter) -> bool:
         return not self.inner.evaluate(get)
-
-    def evaluate_block(self, columns: Columns,
-                       selection: Sequence[int]) -> list[int]:
-        hits = set(self.inner.evaluate_block(columns, selection))
-        return [i for i in selection if i not in hits]
 
     def evaluate_mask(self, columns: Columns,
                       num_rows: int) -> np.ndarray | None:

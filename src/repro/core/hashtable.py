@@ -17,7 +17,11 @@ import numpy as np
 from repro.common.errors import QueryError
 from repro.common.schema import Schema
 from repro.core.expressions import Predicate
-from repro.storage.columnvector import NumericVector, as_index_array
+from repro.storage.columnvector import (
+    NumericVector,
+    as_index_array,
+    gather_values,
+)
 
 #: Dense-lookup bounds: keys must be ints whose span is at most
 #: max(_DENSE_MIN_SLOTS, _DENSE_SPREAD_FACTOR * entries) slots, so a
@@ -99,16 +103,25 @@ class DimensionHashTable:
             aux_rows.append(aux)
         return lookup, lo, hi, tuple(aux_rows)
 
+    def _dense_for(self, keys: Sequence[Any]):
+        """The dense view when ``keys`` can index it — a typed buffer of
+        integers — else ``None``: the dict leg then gives any other key
+        (a float FK, a hand-built list) exact ``probe`` semantics."""
+        if (isinstance(keys, NumericVector)
+                and keys.data.dtype.kind in "iu"):
+            return self._dense
+        return None
+
     def hit_mask(self, keys: Sequence[Any]) -> np.ndarray | None:
         """Join-hit verdicts for a whole FK column in one pass.
 
-        The probe half of the fused filter+probe kernel: the caller ANDs
-        this with the fact-predicate mask before materializing anything.
-        ``None`` when the column is not a typed buffer or the table has
-        no dense view — the staged ``probe_block`` path still applies.
+        The mask stage of the block kernel: the caller ANDs this with
+        the fact-predicate mask before materializing anything. ``None``
+        when the column is not an integer typed buffer or the table has
+        no dense view — ``probe_block``'s dict leg still applies.
         """
-        dense = self._dense
-        if dense is None or not isinstance(keys, NumericVector):
+        dense = self._dense_for(keys)
+        if dense is None:
             return None
         lookup, lo, hi, _ = dense
         data = keys.data
@@ -176,14 +189,14 @@ class DimensionHashTable:
                     ) -> tuple[Sequence[int], list[tuple]]:
         """Probe a whole column of foreign keys at selected positions.
 
-        Returns (surviving positions, their aux tuples) in one pass with
-        the dict's ``.get`` hoisted to a local — the vectorized
-        counterpart of calling :meth:`probe` per row. On a typed key
+        Returns (surviving positions, their aux tuples) — the block
+        counterpart of calling :meth:`probe` per row. On an integer key
         buffer with a dense view the whole probe runs in numpy: one
-        bounds-checked gather instead of a per-row dict lookup.
+        bounds-checked gather. Otherwise (the dict leg) the selected
+        keys are gathered once and looked up one by one.
         """
-        dense = self._dense
-        if dense is not None and isinstance(keys, NumericVector):
+        dense = self._dense_for(keys)
+        if dense is not None:
             lookup, lo, hi, aux_rows = dense
             sel = as_index_array(selection)
             data = keys.data[sel]
@@ -197,8 +210,8 @@ class DimensionHashTable:
         aux_out: list[tuple] = []
         add_pos = positions.append
         add_aux = aux_out.append
-        for i in selection:
-            aux = get(keys[i])
+        for i, key in zip(selection, gather_values(keys, selection)):
+            aux = get(key)
             if aux is not None:
                 add_pos(i)
                 add_aux(aux)
@@ -207,13 +220,13 @@ class DimensionHashTable:
     def gather_aux(self, keys: Sequence[Any],
                    selection: Sequence[int]) -> list[tuple]:
         """Aux tuples for positions already known to hit (no filtering)."""
-        dense = self._dense
-        if dense is not None and isinstance(keys, NumericVector):
+        dense = self._dense_for(keys)
+        if dense is not None:
             lookup, lo, _hi, aux_rows = dense
             entry = lookup[keys.data[as_index_array(selection)] - lo]
             return [aux_rows[j] for j in entry.tolist()]
         get = self._table.get
-        return [get(keys[i]) for i in selection]
+        return [get(key) for key in gather_values(keys, selection)]
 
     def __contains__(self, key: Any) -> bool:
         return key in self._table

@@ -9,15 +9,15 @@ One MapReduce job executes the whole star join:
 * **combine/reduce** — merge aggregate states per group;
 * **driver** — final single-process ORDER BY.
 
-B-CIF blocks run through a **vectorized kernel pipeline** by default:
-the fact predicate filters a selection vector over whole column lists
-(:meth:`Predicate.evaluate_block`), each hash table shrinks the
-selection with one :meth:`DimensionHashTable.probe_block` pass (most
-selective table first, so doomed rows die as early as possible), and
-group keys/measures are materialized for survivors only. The row-wise
-block loop is kept behind ``clydesdale.vectorized=false`` for the
-vectorization ablation; single :class:`Record` inputs always take the
-per-row path.
+A B-CIF block runs through **one block kernel**
+(:meth:`StarJoinMapper._map_block`): the fact predicate and each hash
+table (most selective first, so doomed rows die as early as possible)
+answer with a whole-block boolean mask where they can and shrink the
+surviving selection where they cannot, and group keys/measures are
+materialized for survivors only. A single :class:`Record` takes the
+per-row :meth:`StarJoinMapper.process_record` — the section 6.5
+block-iteration ablation arm and the tests' row-wise oracle, selected
+by ``cif.block.iteration`` alone.
 
 The :class:`MTMapRunner` replaces Hadoop's default runner: it unpacks the
 MultiCIF multi-split and feeds each thread its own reader while all
@@ -64,7 +64,6 @@ from repro.common.keys import (  # noqa: E402
     KEY_PROBE_RATE,
     KEY_QUERY,
     KEY_SANITIZER,
-    KEY_VECTORIZED,
 )
 
 
@@ -73,14 +72,16 @@ class _Tally:
 
     Join threads bump their own tally lock-free; the mapper's lock is
     taken only once per thread (at registration), never per row or per
-    block.
+    block. ``scalar`` counts rows handed to a per-row dict probe — the
+    part of the probe work that left the mask path.
     """
 
-    __slots__ = ("probed", "matched")
+    __slots__ = ("probed", "matched", "scalar")
 
     def __init__(self) -> None:
         self.probed = 0
         self.matched = 0
+        self.scalar = 0
 
 
 def configure_query(conf: JobConf, query: StarQuery, fact_schema: Schema,
@@ -135,7 +136,7 @@ class StarJoinMapper(Mapper):
         self._probe_order: list[int] = []
         self._rows_probed = 0
         self._rows_matched = 0
-        self._vectorized = True
+        self._rows_scalar_probed = 0
         self._lock = threading.Lock()
         self._tallies: list[_Tally] = []
         self._local = threading.local()
@@ -162,7 +163,6 @@ class StarJoinMapper(Mapper):
         self._agg_fns = [self._make_agg_fn(agg) for agg in query.aggregates]
         self._agg_vec_fns = [self._make_agg_vec(agg)
                              for agg in query.aggregates]
-        self._vectorized = context.conf.get_bool(KEY_VECTORIZED, True)
         self._sanitize = context.conf.get_bool(KEY_SANITIZER, False)
         if self._sanitize:
             # Turn the "read-only after build" comment into an enforced
@@ -395,101 +395,81 @@ class StarJoinMapper(Mapper):
 
     def _map_block(self, block: RowBlock, collector: OutputCollector,
                    ) -> None:
+        """The block kernel: select survivors, then materialize group
+        keys and measures for them only (paper 5.3's survivors-only
+        tuple reconstruction)."""
         # One span per block batch (never per row): with tracing off
         # this is two no-op calls on the shared null span.
         with self._tracer.span("probe", CAT_PHASE) as probe_span:
-            if self._vectorized:
-                matched = self._map_block_kernels(block, collector)
-            else:
-                matched = self._map_block_eager(block, collector)
+            selection, scalar_probed = self._select(block)
+            matched = len(selection)
+            if matched:
+                columns = block.columns
+                # Aux tuples are gathered once, for final survivors.
+                aux_by_join = [
+                    table.gather_aux(columns[name], selection)
+                    for name, table in zip(self._fk_names,
+                                           self.hash_tables)]
+                self._emit_block(block, selection, aux_by_join, collector)
             probe_span.set("rows", block.num_rows)
             probe_span.set("matched", matched)
+            probe_span.set("rows_scalar_probed", scalar_probed)
         tally = self._tally()
         tally.probed += block.num_rows
         tally.matched += matched
+        tally.scalar += scalar_probed
 
-    def _map_block_kernels(self, block: RowBlock,
-                           collector: OutputCollector) -> int:
-        """Vectorized pipeline: selection vector in, survivors out.
+    def _select(self, block: RowBlock) -> tuple[Sequence[int], int]:
+        """Positions of the block's rows that pass the fact predicate
+        and hit every hash table — Figure 4's probe loop with early-out,
+        one stage at a time over the whole block — and how many rows
+        were handed to a per-row dict probe on the way.
 
-        On typed buffers the fact predicate and every probe fuse into
-        one selection-shrinking pass (:meth:`_map_block_fused`); blocks
-        the fused kernel cannot run on fall through to the staged
-        pipeline below: predicate and probes each make one pass over
-        the columns, shrinking the shared selection, most selective
-        table first, bailing as soon as the selection empties. Either
-        way, group keys and measures are only materialized for final
-        survivors (:meth:`_emit_block`) — paper 5.3's survivors-only
-        tuple reconstruction.
-        """
-        fused = self._map_block_fused(block, collector)
-        if fused is not None:
-            return fused
-        columns = block.columns
-        selection: Sequence[int] = range(block.num_rows)
-        if not self._pred_is_true:
-            selection = self._fact_pred.evaluate_block(columns, selection)
-            # len(), not truthiness: selections may be index arrays.
-            if len(selection) == 0:
-                return 0
-        tables = self.hash_tables
-        fk_names = self._fk_names
-        aux_by_join: list[Sequence[tuple]] = [()] * len(tables)
-        order = self._probe_order
-        for join_index in order:
-            selection, aux = tables[join_index].probe_block(
-                columns[fk_names[join_index]], selection)
-            if len(selection) == 0:
-                return 0
-            aux_by_join[join_index] = aux
-        # Each probe's aux list is aligned with the selection *it*
-        # produced; later shrinks invalidate earlier lists, so re-gather
-        # them (cheap: final survivors only) for every probe but the last.
-        for join_index in order[:-1]:
-            aux_by_join[join_index] = tables[join_index].gather_aux(
-                columns[fk_names[join_index]], selection)
-        self._emit_block(block, selection, aux_by_join, collector)
-        return len(selection)
-
-    def _map_block_fused(self, block: RowBlock,
-                         collector: OutputCollector) -> int | None:
-        """Fused filter+probe over typed buffers, or ``None`` when any
-        stage cannot run on this block (plain-list columns, non-dense
-        tables) — the staged kernels then take over.
-
-        One boolean verdict mask per stage — the fact predicate's
+        Mask stages first: the predicate's
         :meth:`~repro.core.expressions.Predicate.evaluate_mask` and each
         table's :meth:`~repro.core.hashtable.DimensionHashTable.hit_mask`
-        — ANDed over the whole block with an any() early-out, so doomed
-        rows die without a selection vector ever being built; survivors
-        materialize in a single flatnonzero at the end.
+        (most selective first) are ANDed over the whole block, so doomed
+        rows die without a selection vector being built; one
+        ``flatnonzero`` materializes the survivors. A stage that cannot
+        answer with a mask (a plain-list column, a table without a
+        dense view) then runs on those survivors only —
+        ``evaluate_block`` / ``probe_block``, same order.
         """
         columns = block.columns
-        mask = None
-        if not self._pred_is_true:
-            mask = self._fact_pred.evaluate_mask(columns, block.num_rows)
-            if mask is None:
-                return None
-            if not mask.any():
-                return 0
         tables = self.hash_tables
         fk_names = self._fk_names
+        mask = None
+        pred_declined = False
+        if not self._pred_is_true:
+            mask = self._fact_pred.evaluate_mask(columns, block.num_rows)
+            pred_declined = mask is None
+            if not pred_declined and not mask.any():
+                return (), 0
+        declined = 0  # bit per join whose hit_mask said None
         for join_index in self._probe_order:
             hits = tables[join_index].hit_mask(
                 columns[fk_names[join_index]])
             if hits is None:
-                return None
+                declined |= 1 << join_index
+                continue
             mask = hits if mask is None else mask & hits
             if not mask.any():
-                return 0
-        selection = (np.flatnonzero(mask) if mask is not None
-                     else np.arange(block.num_rows))
-        aux_by_join: list[Sequence[tuple]] = [
-            tables[join_index].gather_aux(
-                columns[fk_names[join_index]], selection)
-            for join_index in range(len(tables))]
-        self._emit_block(block, selection, aux_by_join, collector)
-        return len(selection)
+                return (), 0
+        selection: Sequence[int] = (
+            range(block.num_rows) if mask is None
+            else np.flatnonzero(mask))
+        if pred_declined:
+            selection = self._fact_pred.evaluate_block(columns, selection)
+        scalar_probed = 0
+        for join_index in self._probe_order:
+            # len(), not truthiness: selections may be index arrays.
+            if len(selection) == 0:
+                break
+            if declined >> join_index & 1:
+                scalar_probed += len(selection)
+                selection, _ = tables[join_index].probe_block(
+                    columns[fk_names[join_index]], selection)
+        return selection, scalar_probed
 
     def _emit_block(self, block: RowBlock, selection: Sequence[int],
                     aux_by_join: Sequence[Sequence[tuple]],
@@ -544,18 +524,6 @@ class StarJoinMapper(Mapper):
             return out.tolist()
         return [out] * len(selection)
 
-    def _map_block_eager(self, block: RowBlock,
-                         collector: OutputCollector) -> int:
-        """Row-wise fallback (``clydesdale.vectorized=false`` ablation)."""
-        columns = block.columns
-        getter = _ColumnsRowGetter(columns)
-        process = self.process_record
-        matched = 0
-        for i in range(block.num_rows):
-            getter.row = i
-            matched += 1 if process(getter, collector) else 0
-        return matched
-
     def close(self, collector: OutputCollector,
               context: TaskContext) -> None:
         if self._sanitize and self._closed:
@@ -566,12 +534,16 @@ class StarJoinMapper(Mapper):
         with self._lock:
             self._rows_probed += sum(t.probed for t in self._tallies)
             self._rows_matched += sum(t.matched for t in self._tallies)
+            self._rows_scalar_probed += sum(
+                t.scalar for t in self._tallies)
             self._tallies.clear()
         probe_rate = context.conf.get_float(KEY_PROBE_RATE, 762_000.0)
         context.charge(self._rows_probed
                        / (probe_rate * max(1, context.threads)))
         context.count(COUNTER_GROUP, "rows_probed", self._rows_probed)
         context.count(COUNTER_GROUP, "rows_matched", self._rows_matched)
+        context.count(COUNTER_GROUP, "rows_scalar_probed",
+                      self._rows_scalar_probed)
 
 
 class StarJoinReducer(Reducer):

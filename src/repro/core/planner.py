@@ -24,7 +24,6 @@ from repro.core.joinjob import (
     KEY_BUILD_RATE,
     KEY_HT_BYTES_PER_ENTRY,
     KEY_PROBE_RATE,
-    KEY_VECTORIZED,
     MTMapRunner,
     StarJoinCombiner,
     StarJoinMapper,
@@ -40,11 +39,7 @@ from repro.mapreduce.scheduler import CapacityScheduler, FifoScheduler
 from repro.sim.costs import CostModel
 from repro.sim.hardware import ClusterSpec
 from repro.ssb.loader import Catalog
-from repro.storage.cif import (
-    KEY_BLOCK_ITERATION,
-    KEY_ENCODED_EXEC,
-    ColumnInputFormat,
-)
+from repro.storage.cif import KEY_BLOCK_ITERATION, ColumnInputFormat
 from repro.storage.multicif import MultiColumnInputFormat
 from repro.storage.rowformat import RowInputFormat, read_row_table
 from repro.storage.tablemeta import FORMAT_CIF
@@ -63,15 +58,8 @@ class ClydesdaleFeatures:
     multithreaded: bool = True
     block_iteration: bool = True
     jvm_reuse: bool = True
-    #: Selection-vector kernels over B-CIF blocks (off = row-at-a-time
-    #: block loop; single-record inputs are always row-at-a-time).
-    vectorized: bool = True
     #: Row-group skipping from per-group min/max statistics.
     zone_maps: bool = True
-    #: Columnar memory model v2: typed zero-copy buffers out of the CIF
-    #: readers, code-space dictionary predicates, fused filter+probe
-    #: kernels (off = decode every column to a plain list).
-    encoded_exec: bool = True
 
     def describe(self) -> str:
         off = [name for name, on in (
@@ -79,9 +67,7 @@ class ClydesdaleFeatures:
             ("multithreaded", self.multithreaded),
             ("block-iteration", self.block_iteration),
             ("jvm-reuse", self.jvm_reuse),
-            ("vectorized", self.vectorized),
-            ("zone-maps", self.zone_maps),
-            ("encoded-exec", self.encoded_exec)) if not on]
+            ("zone-maps", self.zone_maps)) if not on]
         return "all features on" if not off else f"disabled: {', '.join(off)}"
 
 
@@ -245,8 +231,6 @@ def plan_join_passes(query: StarQuery, passes: list[list[str]] | None,
         conf = JobConf(f"clydesdale:{sub_query.name}")
         conf.set_input_paths(input_dir)
         conf.set(KEY_BLOCK_ITERATION, features.block_iteration)
-        conf.set(KEY_VECTORIZED, features.vectorized)
-        conf.set(KEY_ENCODED_EXEC, features.encoded_exec)
 
         if confs:
             conf.input_format = RowInputFormat()

@@ -52,7 +52,6 @@ from repro.common.keys import (  # noqa: E402  (kept with the format docs)
     KEY_BLOCK_ITERATION,
     KEY_BLOCK_ROWS,
     KEY_CIF_COLUMNS,
-    KEY_ENCODED_EXEC,
     KEY_ZONEMAP_FILTER,
 )
 
@@ -140,10 +139,11 @@ def group_descriptors(meta: TableMeta) -> list[dict]:
 class RowBlock:
     """A batch of rows in columnar form — what B-CIF readers return.
 
-    Column values are plain lists or typed
-    :class:`~repro.storage.columnvector.ColumnVector` buffers (under
-    ``cif.encoded.exec``); both are sequence-compatible, and vector
-    blocks are zero-copy slices of the row group's buffers.
+    Column values are typed
+    :class:`~repro.storage.columnvector.ColumnVector` buffers wherever
+    the format has one (zero-copy slices of the row group's buffers)
+    and plain lists otherwise (plain-stored strings, hand-built
+    blocks); both are sequence-compatible.
     """
 
     __slots__ = ("schema", "base_row", "columns", "num_rows")
@@ -205,17 +205,17 @@ class CIFSplit(InputSplit):
 
 
 class _CIFReaderBase(RecordReader):
-    """Shared column-loading machinery for row and block readers."""
+    """Shared column-loading machinery for row and block readers.
+
+    Each reader names, as ``_decode``, the (dtype, bytes) -> sequence
+    decoder whose output its iteration reads best."""
 
     def __init__(self, fs: MiniDFS, split: CIFSplit, schema: Schema,
-                 reader_node: str | None, encoded: bool = True):
+                 reader_node: str | None):
         self._split = split
         self._schema = schema.project(list(split.columns))
         self._bytes = 0
-        # Encoded execution keeps each column as a typed zero-copy view
-        # of the file bytes (ColumnVector); the ablation arm decodes to
-        # plain lists, the pre-v2 representation.
-        decode = decode_cif_column_vector if encoded else decode_cif_column
+        decode = self._decode
         self._columns: dict[str, Sequence] = {}
         for name in split.columns:
             path = column_path(split.directory, split.group, name)
@@ -238,11 +238,16 @@ class _CIFReaderBase(RecordReader):
 
 
 class CIFRecordReader(_CIFReaderBase):
-    """Row-at-a-time iteration: yields (global row id, Record)."""
+    """Row-at-a-time iteration: yields (global row id, Record).
+
+    Every value is boxed into a :class:`Record` anyway, so columns are
+    decoded to plain lists once per row group."""
+
+    _decode = staticmethod(decode_cif_column)
 
     def __init__(self, fs: MiniDFS, split: CIFSplit, schema: Schema,
-                 reader_node: str | None, encoded: bool = True):
-        super().__init__(fs, split, schema, reader_node, encoded)
+                 reader_node: str | None):
+        super().__init__(fs, split, schema, reader_node)
         self._cursor = 0
         self._col_lists = [self._columns[n] for n in self._schema.names]
 
@@ -257,12 +262,17 @@ class CIFRecordReader(_CIFReaderBase):
 
 
 class BCIFRecordReader(_CIFReaderBase):
-    """Block iteration: yields (base row id, RowBlock) batches."""
+    """Block iteration: yields (base row id, RowBlock) batches.
+
+    Each column stays a typed zero-copy view of the file bytes
+    (:class:`~repro.storage.columnvector.ColumnVector`) wherever the
+    format has one; plain-stored strings decode to lists."""
+
+    _decode = staticmethod(decode_cif_column_vector)
 
     def __init__(self, fs: MiniDFS, split: CIFSplit, schema: Schema,
-                 reader_node: str | None, block_rows: int,
-                 encoded: bool = True):
-        super().__init__(fs, split, schema, reader_node, encoded)
+                 reader_node: str | None, block_rows: int):
+        super().__init__(fs, split, schema, reader_node)
         if block_rows <= 0:
             raise StorageError("block_rows must be positive")
         self._block_rows = block_rows
@@ -291,8 +301,6 @@ class ColumnInputFormat(InputFormat):
     * ``cif.columns`` — JSON list of column names to read (default: all);
     * ``cif.block.iteration`` — return :class:`RowBlock` batches (B-CIF);
     * ``cif.block.rows`` — batch size for block iteration;
-    * ``cif.encoded.exec`` — hand kernels typed zero-copy buffers
-      instead of decoded lists (columnar memory model v2);
     * ``cif.zonemap.filter`` — serialized predicate for row-group
       pruning (see :meth:`set_zonemap_filter`).
 
@@ -332,14 +340,8 @@ class ColumnInputFormat(InputFormat):
                         hosts=()))
                     base += num_rows
                     continue
-                length = 0
-                hosts: tuple[str, ...] = ()
-                for name in columns:
-                    path = column_path(directory, group, name)
-                    length += fs.file_length(path)
-                    if not hosts:
-                        locations = fs.block_locations(path)
-                        hosts = locations[0].hosts if locations else ()
+                length, hosts = self._extent(fs, directory, group,
+                                             columns)
                 kept.append(CIFSplit(
                     directory=directory, group=group, base_row=base,
                     num_rows=num_rows, columns=columns, length=length,
@@ -352,14 +354,8 @@ class ColumnInputFormat(InputFormat):
                 # is still correct (and empty).
                 keep = min(pruned, key=lambda s: s.num_rows)
                 pruned.remove(keep)
-                length = 0
-                hosts = ()
-                for name in columns:
-                    path = column_path(directory, keep.group, name)
-                    length += fs.file_length(path)
-                    if not hosts:
-                        locations = fs.block_locations(path)
-                        hosts = locations[0].hosts if locations else ()
+                length, hosts = self._extent(fs, directory, keep.group,
+                                             columns)
                 kept.append(CIFSplit(
                     directory=directory, group=keep.group,
                     base_row=keep.base_row, num_rows=keep.num_rows,
@@ -370,6 +366,21 @@ class ColumnInputFormat(InputFormat):
         self.last_prune_report = {"rowgroups_pruned": pruned_groups,
                                   "rows_skipped": pruned_rows}
         return splits
+
+    @staticmethod
+    def _extent(fs: MiniDFS, directory: str, group: int,
+                columns: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
+        """A row group's projected byte length and the hosts of its
+        first located column file (co-located with the rest)."""
+        length = 0
+        hosts: tuple[str, ...] = ()
+        for name in columns:
+            path = column_path(directory, group, name)
+            length += fs.file_length(path)
+            if not hosts:
+                locations = fs.block_locations(path)
+                hosts = locations[0].hosts if locations else ()
+        return length, hosts
 
     @staticmethod
     def _zonemap_filter(conf: JobConf):
@@ -404,15 +415,13 @@ class ColumnInputFormat(InputFormat):
         # construction is the split's scan time.
         with tracer_for(conf).span("scan", CAT_PHASE) as span:
             meta = TableMeta.load(fs, split.directory)
-            encoded = conf.get_bool(KEY_ENCODED_EXEC, True)
             if conf.get_bool(KEY_BLOCK_ITERATION, False):
                 reader: RecordReader = BCIFRecordReader(
                     fs, split, meta.schema, reader_node,
-                    conf.get_int(KEY_BLOCK_ROWS, DEFAULT_BLOCK_ROWS),
-                    encoded)
+                    conf.get_int(KEY_BLOCK_ROWS, DEFAULT_BLOCK_ROWS))
             else:
                 reader = CIFRecordReader(fs, split, meta.schema,
-                                         reader_node, encoded)
+                                         reader_node)
             span.set("split", split.group)
             span.set("bytes", reader.bytes_read)
             return reader

@@ -63,7 +63,7 @@ class ColumnVector:
         raise NotImplementedError
 
     def to_list(self) -> list:
-        """The whole column as plain Python values (ablation/debugging)."""
+        """The whole column as plain Python values (tests/debugging)."""
         raise NotImplementedError
 
     def __eq__(self, other):

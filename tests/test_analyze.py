@@ -762,7 +762,7 @@ class TestFeatureFlagLint:
             "fixture_flags.py",
             'def setup(conf):\n'
             '    conf.get_bool("my.undocumented.flag", False)\n'
-            '    conf.get_bool("clydesdale.vectorized", True)\n'
+            '    conf.get_bool("clydesdale.sanitizer", False)\n'
             '    conf.get_bool("verbose")\n',     # non-dotted: ignored
             design_text=self.all_flags_documented())
         findings = FeatureFlagPass().run(context)

@@ -66,6 +66,17 @@ class TestStats:
         # One build per node thanks to JVM reuse + capacity scheduling.
         assert stats.ht_builds <= 4
 
+    def test_scalar_probed_says_when_a_query_left_the_mask_path(
+            self, clydesdale, queries):
+        # Q1.1 joins one dense slice of ``date``: every stage is a mask.
+        clydesdale.execute(queries["Q1.1"])
+        assert clydesdale.stats().execution.rows_scalar_probed == 0
+        # Q2.1's unfiltered ``date`` table has no dense view; its dict
+        # probe sees only what the mask stages before it let through.
+        clydesdale.execute(queries["Q2.1"])
+        stats = clydesdale.stats().execution
+        assert 0 < stats.rows_scalar_probed < stats.rows_probed
+
     def test_selectivities_sane(self, clydesdale, queries):
         clydesdale.execute(queries["Q2.1"])
         stats = clydesdale.stats().execution

@@ -1,5 +1,5 @@
 """Columnar memory model v2: typed buffers, code-space predicates,
-dense probes, and the ``cif.encoded.exec`` flag.
+dense probes, and the B-CIF reader's column hand-off.
 
 Three layers, mirroring the zero-copy handoff contract in DESIGN.md:
 
@@ -9,8 +9,9 @@ Three layers, mirroring the zero-copy handoff contract in DESIGN.md:
 * kernel properties (hypothesis) — predicates and probes over typed
   buffers select exactly what the list/row-wise paths select;
 * engine properties — random star queries return byte-identical rows
-  with encoded execution on and off, and agree with the Hive and
-  reference backends.
+  from the block kernel over typed buffers and from record-at-a-time
+  execution over decoded values, and agree with the Hive and reference
+  backends.
 """
 
 from __future__ import annotations
@@ -32,7 +33,11 @@ from repro.hdfs.placement import CoLocatingPlacementPolicy
 from repro.mapreduce.job import JobConf
 from repro.serve.session import Session
 from repro.storage import serde
-from repro.storage.cif import ColumnInputFormat, write_cif_table
+from repro.storage.cif import (
+    ColumnInputFormat,
+    column_path,
+    write_cif_table,
+)
 from repro.storage.columnvector import (
     ColumnVector,
     DictionaryVector,
@@ -49,7 +54,11 @@ from repro.storage.dictionary import (
     encode_dictionary,
 )
 from tests.test_property_random_queries import star_queries
-from tests.test_property_vectorized import column_blocks, predicates
+from tests.test_property_vectorized import (
+    column_blocks,
+    predicates,
+    python_types,
+)
 
 INT64 = DataType.INT64
 STRING = DataType.STRING
@@ -220,12 +229,12 @@ class TestVectorKernelEquivalence:
     @given(data=column_blocks(), predicate=predicates)
     def test_evaluate_mask_agrees_with_block(self, data, predicate):
         columns, num_rows = data
-        vectors = _as_vectors(columns)
-        mask = predicate.evaluate_mask(vectors, num_rows)
+        mask = predicate.evaluate_mask(_as_vectors(columns), num_rows)
         if mask is None:
-            return  # predicate opted out; the staged path covers it
+            return  # predicate opted out; the row-wise leg covers it
+        # Against the plain-list block, which takes the row-wise leg.
         selected = list(predicate.evaluate_block(
-            vectors, list(range(num_rows))))
+            columns, list(range(num_rows))))
         assert np.flatnonzero(mask).tolist() == selected
 
     @settings(max_examples=150, deadline=None,
@@ -276,47 +285,50 @@ class TestDenseProbeEquivalence:
 
 
 # --------------------------------------------------------------------- #
-# Reader flag plumbing
+# The B-CIF reader's column hand-off
 # --------------------------------------------------------------------- #
 
 class TestEncodedReaderFlag:
+    """B-CIF hands typed buffers; the vector decode equals
+    ``decode_cif_column`` (the record reader's list decode)."""
+
     SCHEMA = Schema([("k", DataType.INT64), ("grp", DataType.STRING),
                      ("v", DataType.FLOAT64)])
     ROWS = [(i, f"g{i % 5}", i * 0.5) for i in range(300)]
 
-    def _first_block(self, encoded: bool):
+    def _scan(self):
         fs = MiniDFS(num_nodes=3, placement=CoLocatingPlacementPolicy(),
                      block_size=2048)
         write_cif_table(fs, "t", "/t", self.SCHEMA, self.ROWS,
                         row_group_size=200)
         conf = JobConf("scan").set_input_paths("/t")
         conf.set("cif.block.iteration", True)
-        conf.set("cif.encoded.exec", encoded)
         fmt = ColumnInputFormat()
         split = fmt.get_splits(fs, conf)[0]
         _, block = fmt.get_record_reader(fs, split, conf).next()
-        return block
+        return fs, block
 
     def test_flag_on_hands_typed_buffers(self):
-        block = self._first_block(encoded=True)
+        _, block = self._scan()
         assert isinstance(block.column("k"), NumericVector)
         assert isinstance(block.column("v"), NumericVector)
         assert isinstance(block.column("grp"), DictionaryVector)
 
-    def test_flag_off_hands_plain_lists(self):
-        block = self._first_block(encoded=False)
-        for name in ("k", "grp", "v"):
-            assert isinstance(block.column(name), list)
-
     def test_both_paths_decode_identically(self):
-        on = self._first_block(encoded=True)
-        off = self._first_block(encoded=False)
-        for name in ("k", "grp", "v"):
-            assert on.column(name) == off.column(name)
+        fs, block = self._scan()
+        for column in self.SCHEMA.columns:
+            decoded = decode_cif_column(
+                column.dtype,
+                fs.read_file(column_path("/t", 0, column.name)))
+            vector = block.column(column.name)
+            assert vector == decoded[:len(vector)]
+            assert ([type(v) for v in vector]
+                    == [type(v) for v in decoded[:len(vector)]])
 
 
 # --------------------------------------------------------------------- #
-# Engine properties: encoded on == off == Hive == reference
+# Engine properties: block (typed buffers) == record (decoded values)
+# == Hive == reference
 # --------------------------------------------------------------------- #
 
 def _without_limit(query: StarQuery) -> StarQuery:
@@ -336,13 +348,14 @@ class TestEncodedExecutionEquivalence:
                                               hive, reference):
         query = _without_limit(query)
         expected = sorted(reference.execute(query).rows)
-        encoded = Session(clydesdale.engine, features=ClydesdaleFeatures(
-            encoded_exec=True)).execute(query)
+        encoded = Session(clydesdale.engine,
+                          features=ClydesdaleFeatures()).execute(query)
         decoded = Session(clydesdale.engine, features=ClydesdaleFeatures(
-            encoded_exec=False)).execute(query)
+            block_iteration=False)).execute(query)
         # Byte-identical, not just set-equal: same rows, same order,
         # same (Python) value types.
         assert encoded.rows == decoded.rows
+        assert python_types(encoded.rows) == python_types(decoded.rows)
         assert encoded.columns == decoded.columns
         assert sorted(encoded.rows) == expected
         assert sorted(hive.execute(query).rows) == expected
@@ -350,14 +363,17 @@ class TestEncodedExecutionEquivalence:
     def test_all_13_ssb_queries_flag_on_and_off(self, clydesdale,
                                                 reference, queries):
         """The acceptance gate: every SSB query returns byte-identical
-        rows with encoded execution on, off, and from the reference."""
-        encoded = Session(clydesdale.engine, features=ClydesdaleFeatures(
-            encoded_exec=True))
+        rows from the block kernel over typed buffers, from
+        record-at-a-time execution over decoded values, and from the
+        reference."""
+        encoded = Session(clydesdale.engine, features=ClydesdaleFeatures())
         decoded = Session(clydesdale.engine, features=ClydesdaleFeatures(
-            encoded_exec=False))
+            block_iteration=False))
         for name, query in queries.items():
             expected = reference.execute(query).rows
             on = encoded.execute(query)
             off = decoded.execute(query)
             assert on.rows == off.rows == expected, name
+            assert (python_types(on.rows) == python_types(off.rows)
+                    == python_types(expected)), name
             assert on.columns == off.columns, name

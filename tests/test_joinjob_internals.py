@@ -225,6 +225,128 @@ class TestStarJoinMapperInternals:
         assert sorted(out_rows.pairs) == sorted(out_blocks.pairs)
 
 
+def _record_pairs(mapper, block, context):
+    """The row-wise oracle: every row of ``block`` as a ``Record``
+    through the public ``map``."""
+    from repro.common.record import Record
+    out = OutputCollector()
+    for i, row in enumerate(block.iter_rows()):
+        mapper.map(i, Record(block.schema, row), out, context)
+    return out.pairs
+
+
+class TestOneBlockKernel:
+    """The block kernel's mask stages and its generic leg in one block:
+    every stage that can answer with a mask does, the rest run on the
+    survivors, and the output is what ``process_record`` emits."""
+
+    def test_mixed_mask_and_dict_stages_match_record_path(self):
+        import numpy as np
+
+        from repro.common.schema import Schema
+        from repro.common.types import DataType
+        from repro.mapreduce.counters import Counters
+        from repro.ssb.loader import dim_cache_name
+        from repro.storage import serde
+        from repro.storage.cif import RowBlock
+        from repro.storage.columnvector import NumericVector
+
+        fact = Schema([("fk_a", DataType.INT64), ("fk_b", DataType.INT64),
+                       ("tag", DataType.STRING), ("m", DataType.INT64)])
+        dims = {
+            "a": Schema([("a_pk", DataType.INT64),
+                         ("a_grp", DataType.STRING)]),
+            "b": Schema([("b_pk", DataType.INT64),
+                         ("b_grp", DataType.STRING)])}
+        rows = {
+            # keys 0..49: a dense view; 0, 7000, 14000, ...: too sparse.
+            "a": [(i, f"a{i % 3}") for i in range(50)],
+            "b": [(i * 7000, f"b{i % 4}") for i in range(20)]}
+        query = StarQuery(
+            name="mixed", fact_table="f",
+            joins=[DimensionJoin("a", "fk_a", "a_pk",
+                                 Comparison("a_grp", "!=", "a0")),
+                   DimensionJoin("b", "fk_b", "b_pk")],
+            fact_predicate=Comparison("tag", "=", "keep"),
+            aggregates=[Aggregate("sum", Col("m"), alias="s")],
+            group_by=["a_grp", "b_grp"])
+        conf = JobConf("t")
+        configure_query(conf, query, fact, dims)
+        blobs = {dim_cache_name(name): serde.encode_rows(dims[name],
+                                                         rows[name])
+                 for name in dims}
+        counters = Counters()
+        context = TaskContext(
+            conf=conf, node_id="node000", task_id="m-0", jvm_state={},
+            node_local_read=lambda node, name: blobs[name], threads=1,
+            counters=counters)
+        mapper = StarJoinMapper()
+        mapper.initialize(context)
+
+        n = 400
+        block = RowBlock(fact, 0, {
+            "fk_a": NumericVector(np.arange(n, dtype=np.int64) % 60),
+            "fk_b": NumericVector(
+                (np.arange(n, dtype=np.int64) % 25) * 7000),
+            # Arrives as a plain list, as plain-stored strings do.
+            "tag": ["keep" if i % 3 else "drop" for i in range(n)],
+            "m": NumericVector(np.arange(n, dtype=np.int64))})
+        declined = [table.dimension for table in mapper.hash_tables
+                    if table.hit_mask(
+                        block.columns[table.fact_fk]) is None]
+        assert declined == ["b"]
+        assert query.fact_predicate.evaluate_mask(block.columns, n) is None
+
+        out = OutputCollector()
+        mapper.map(0, block, out, context)
+        assert out.pairs
+        assert out.pairs == _record_pairs(mapper, block, context)
+        mapper.close(out, context)
+        scalar = counters.get("clydesdale", "rows_scalar_probed")
+        # Only table b's probe ran per row, and only on what the
+        # predicate and table a's mask let through.
+        assert 0 < scalar < n
+
+    def test_float_fk_block_record_and_probe_agree(self):
+        """A FLOAT64 foreign key against a dense int-keyed table: the
+        dense legs need integer offsets, so they decline and the dict
+        leg finds key 1 for 1.0 — as ``probe`` does."""
+        import numpy as np
+
+        from repro.storage.cif import RowBlock
+        from repro.storage.columnvector import NumericVector
+
+        context = _configured_context(_date_rows())
+        mapper = StarJoinMapper()
+        mapper.initialize(context)
+        table = mapper.hash_tables[0]
+        ints = [19940101 + i % 3 for i in range(30)] + [19950101, 5]
+        int_keys = NumericVector(np.asarray(ints, dtype=np.int64))
+        float_keys = NumericVector(np.asarray(ints, dtype=np.float64))
+        assert table.hit_mask(int_keys) is not None  # dense for ints
+        assert table.hit_mask(float_keys) is None
+
+        selection = range(len(ints))
+        positions, aux = table.probe_block(float_keys, selection)
+        assert list(positions) == [
+            i for i in selection if table.probe(float(ints[i])) is not None]
+        assert aux == [table.probe(float(ints[i])) for i in positions]
+        assert table.gather_aux(float_keys, positions) == aux
+        assert (list(positions), aux) == tuple(
+            map(list, table.probe_block(int_keys, selection)))
+
+        schema = SCHEMAS["lineorder"].project(
+            ["lo_orderdate", "lo_revenue"])
+        block = RowBlock(schema, 0, {
+            "lo_orderdate": float_keys,
+            "lo_revenue": NumericVector(
+                np.arange(len(ints), dtype=np.int64))})
+        out = OutputCollector()
+        mapper.map(0, block, out, context)
+        assert len(out.pairs) == 30
+        assert out.pairs == _record_pairs(mapper, block, context)
+
+
 class TestQueryConfigParsedOnce:
     def test_job_conf_carries_the_parsed_query(self):
         """Tasks and reducers of one job read the parsed tuple the

@@ -4,11 +4,13 @@
 engine is the only line of descent, and ``Configuration`` the only
 carrier of a serving knob. These checks fail if a shim, a second tracer
 owner or a keyword/conf twin comes back — or if a route grows its own
-copy of the reuse protocol, the planner or the run loop again.
+copy of the reuse protocol, the planner or the run loop again — or if
+the mapper grows a second block arm or the readers a second column form.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import re
 from pathlib import Path
@@ -20,6 +22,8 @@ from repro.api import connect
 from repro.common.config import Configuration
 from repro.common.keys import CONFIG_KEYS, LOCK_HIERARCHY
 from repro.core.engine import ClydesdaleEngine
+from repro.core.joinjob import StarJoinMapper
+from repro.core.planner import ClydesdaleFeatures
 from repro.hive.engine import HiveEngine
 from repro.serve.frontend import Frontend
 from repro.serve.session import Session
@@ -78,6 +82,22 @@ def test_one_planner_and_one_runner_for_every_pass():
     assert _occurrences("_pass_conf", *core) == 0
     assert _occurrences("map_runner_class = MTMapRunner", *core) == 1
     assert _occurrences("CapacityScheduler()", *core) == 1
+
+
+def test_one_block_kernel_over_one_column_handoff():
+    # A Record takes process_record, a RowBlock takes _map_block: the
+    # only switch is cif.block.iteration (the paper's Fig. 9 arm).
+    assert [name for name in vars(StarJoinMapper)
+            if name.startswith("_map_block")] == ["_map_block"]
+    assert _occurrences("def evaluate_block",
+                        SRC / "core" / "expressions.py") == 1
+    assert [field.name for field in dataclasses.fields(
+        ClydesdaleFeatures)] == ["columnar", "multithreaded",
+                                 "block_iteration", "jvm_reuse",
+                                 "zone_maps"]
+    sources = list(SRC.rglob("*.py"))
+    for retired in ("clydesdale.vectorized", "cif.encoded.exec"):
+        assert _occurrences(retired, *sources) == 0, retired
 
 
 def test_registry_defaults_need_no_call_site_default():

@@ -1,14 +1,15 @@
-"""Property-based equivalence of the vectorized execution path.
+"""Property-based equivalence of the block kernel.
 
-Three layers, matching the PR's kernel pipeline:
+Three layers, matching the kernel pipeline:
 
 * ``Predicate.evaluate_block`` must select exactly the positions the
   row-wise ``evaluate`` keeps, for arbitrary predicates over arbitrary
   column data;
 * ``DimensionHashTable.probe_block``/``gather_aux`` must agree with
   per-row ``probe`` calls;
-* end-to-end, the engine must return identical rows with vectorization
-  on, with it off, and from the reference engine — for random SSB
+* end-to-end, the engine must return identical rows from the block
+  kernel, from record-at-a-time execution (``block_iteration=False``,
+  the row-wise oracle) and from the reference engine — for random SSB
   queries, including plans where zone maps prune row groups
   (date-clustered data).
 """
@@ -127,8 +128,12 @@ def _without_limit(query: StarQuery) -> StarQuery:
         order_by=query.order_by)
 
 
+def python_types(rows):
+    return [tuple(type(value) for value in row) for row in rows]
+
+
 class TestEngineEquivalence:
-    """Vectorized == row-wise fallback == reference, end to end."""
+    """Block kernel == record-at-a-time == reference, end to end."""
 
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
@@ -140,13 +145,15 @@ class TestEngineEquivalence:
         # strip it so row sets are fully determined.
         query = _without_limit(query)
         expected = sorted(reference.execute(query).rows)
-        vectorized = Session(clydesdale.engine, features=ClydesdaleFeatures(
-            vectorized=True)).execute(query)
-        rowwise = Session(clydesdale.engine, features=ClydesdaleFeatures(
-            vectorized=False)).execute(query)
-        assert sorted(vectorized.rows) == expected
-        assert sorted(rowwise.rows) == expected
-        assert vectorized.columns == rowwise.columns == \
+        block = Session(clydesdale.engine,
+                        features=ClydesdaleFeatures()).execute(query)
+        record = Session(clydesdale.engine, features=ClydesdaleFeatures(
+            block_iteration=False)).execute(query)
+        assert sorted(block.rows) == expected
+        assert sorted(record.rows) == expected
+        assert python_types(sorted(block.rows)) == \
+            python_types(sorted(record.rows)) == python_types(expected)
+        assert block.columns == record.columns == \
             reference.execute(query).columns
 
 
@@ -170,12 +177,14 @@ class TestZoneMapPrunedPlans:
         engine, reference = clustered
         query = _without_limit(query)
         expected = sorted(reference.execute(query).rows)
-        vectorized = Session(engine, features=ClydesdaleFeatures(
-            vectorized=True)).execute(query)
-        assert sorted(vectorized.rows) == expected
-        rowwise = Session(engine, features=ClydesdaleFeatures(
-            vectorized=False)).execute(query)
-        assert sorted(rowwise.rows) == expected
+        block = Session(engine,
+                        features=ClydesdaleFeatures()).execute(query)
+        assert sorted(block.rows) == expected
+        record = Session(engine, features=ClydesdaleFeatures(
+            block_iteration=False)).execute(query)
+        assert sorted(record.rows) == expected
+        assert python_types(sorted(block.rows)) == \
+            python_types(sorted(record.rows)) == python_types(expected)
 
     def test_q11_actually_prunes_here(self, clustered):
         """Guard that this fixture exercises the pruned path at all —
