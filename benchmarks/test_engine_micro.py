@@ -153,7 +153,7 @@ def _q11_mapper(date_rows):
     from repro.core.joinjob import StarJoinMapper, configure_query
     from repro.core.query import Aggregate, DimensionJoin, StarQuery
     from repro.mapreduce.api import TaskContext
-    from repro.storage import serde
+    from repro.storage.dimcopy import encode_dimension_copy
 
     query = StarQuery(
         name="q11-micro", fact_table="lineorder",
@@ -168,7 +168,7 @@ def _q11_mapper(date_rows):
     conf = JobConf("micro")
     configure_query(conf, query, SCHEMAS["lineorder"],
                     {"date": SCHEMAS["date"]})
-    blob = serde.encode_rows(SCHEMAS["date"], date_rows)
+    blob = encode_dimension_copy(SCHEMAS["date"], date_rows)
     context = TaskContext(
         conf=conf, node_id="node000", task_id="m-0", jvm_state={},
         node_local_read=lambda n, f: blob, threads=1)

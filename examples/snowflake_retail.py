@@ -18,8 +18,7 @@ from repro.core.query import Aggregate, DimensionJoin, OrderKey, StarQuery
 from repro.hdfs.filesystem import MiniDFS
 from repro.hdfs.placement import CoLocatingPlacementPolicy
 from repro.serve.session import Session
-from repro.ssb.loader import Catalog, dim_cache_name
-from repro.storage import serde
+from repro.ssb.loader import Catalog, write_dim_cache
 from repro.storage.cif import write_cif_table
 from repro.storage.rowformat import write_row_table
 
@@ -64,9 +63,7 @@ def main() -> None:
                                ("region", REGION, REGIONS)):
         catalog.tables[name] = write_row_table(
             fs, name, f"/retail/{name}", schema, rows)
-        blob = serde.encode_rows(schema, rows)
-        for node_id in fs.live_nodes():
-            fs.datanode(node_id).scratch_write(dim_cache_name(name), blob)
+        write_dim_cache(fs, name, schema, rows)
     engine = ClydesdaleEngine(fs, catalog)
 
     # sales -> store -> city -> region, filtering two levels deep.

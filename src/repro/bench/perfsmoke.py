@@ -7,8 +7,9 @@ public ``mapper.map``), runs a zone-map-pruned query on date-clustered
 data, times a warm-vs-cold Q2.1 repeat through a cache-carrying
 session, and writes the numbers to ``BENCH_perfsmoke.json``.
 ``--check`` compares
-each headline number against :data:`FLOORS` and fails the run (and the
-CI bench job) on any regression instead of just uploading the report.
+each headline number against :data:`FLOORS` / :data:`CEILINGS` and
+fails the run (and the CI bench job) on any regression instead of just
+uploading the report.
 """
 
 from __future__ import annotations
@@ -32,14 +33,18 @@ ORDERDATE_INDEX = 5  # lineorder schema position of lo_orderdate
 FLOORS = {
     # the block kernel vs record-at-a-time through mapper.map
     "kernels.speedup": 10.0,
-    # warm hash-table cache vs cold builds
-    "session_cache.speedup": 1.5,
     # subsumption rollup vs re-executing the coarser query
     "aggstore.rollup_speedup": 5.0,
 }
 
 #: Ceilings for ``--check``: a value *above* the ceiling fails.
 CEILINGS = {
+    # A cold query is a warm one plus plan, column reads and masked
+    # builds (measured 1.3-1.7x; 9x when the node-local dimension copy
+    # was decoded row by row): the cold path must not become a row
+    # decoder again, and a warm repeat must build nothing.
+    "session_cache.cold_over_warm": 3.0,
+    "session_cache.warm_ht_builds": 0.0,
     # a subsumed repeat must never touch the fact table
     "aggstore.subsumed_fact_scans": 0.0,
 }
@@ -63,11 +68,11 @@ def _q11_query():
 def _mapper(date_rows):
     from repro.core.joinjob import StarJoinMapper, configure_query
     from repro.mapreduce.api import TaskContext
-    from repro.storage import serde
+    from repro.storage.dimcopy import encode_dimension_copy
     conf = JobConf("perfsmoke")
     configure_query(conf, _q11_query(), SCHEMAS["lineorder"],
                     {"date": SCHEMAS["date"]})
-    blob = serde.encode_rows(SCHEMAS["date"], date_rows)
+    blob = encode_dimension_copy(SCHEMAS["date"], date_rows)
     context = TaskContext(
         conf=conf, node_id="node000", task_id="m-0", jvm_state={},
         node_local_read=lambda n, f: blob, threads=1)
@@ -181,7 +186,9 @@ def zonemap_smoke(scale_factor: float = 0.002) -> dict:
 
 def session_cache_smoke(scale_factor: float = 0.002) -> dict:
     """Warm-vs-cold Q2.1 through one session: the warm repeat must skip
-    every hash-table build and return byte-identical rows."""
+    every hash-table build and return byte-identical rows, and the cold
+    run — column reads and masked builds — must stay near the warm one
+    (``cold_over_warm``)."""
     from repro.api import connect
     from repro.reference.engine import ReferenceEngine
     from repro.ssb.datagen import SSBGenerator
@@ -208,7 +215,7 @@ def session_cache_smoke(scale_factor: float = 0.002) -> dict:
         "query": query.name,
         "cold_s": round(cold_s, 4),
         "warm_s": round(warm_s, 4),
-        "speedup": round(cold_s / warm_s, 2),
+        "cold_over_warm": round(cold_s / warm_s, 2),
         "warm_ht_builds": warm_stats.ht_builds,
         "ht_cache_hits": cache.hits,
         "ht_cache_misses": cache.misses,
@@ -345,7 +352,8 @@ def render_perfsmoke(report: dict) -> str:
         lines.append(
             f"session cache ({cache['query']}): cold "
             f"{cache['cold_s'] * 1000:.1f} ms vs warm "
-            f"{cache['warm_s'] * 1000:.1f} ms -> {cache['speedup']:.2f}x, "
+            f"{cache['warm_s'] * 1000:.1f} ms -> cold/warm "
+            f"{cache['cold_over_warm']:.2f}, "
             f"warm builds {cache['warm_ht_builds']}, "
             f"{cache['ht_cache_hits']} hits / "
             f"{cache['ht_cache_misses']} misses, "

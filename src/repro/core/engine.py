@@ -64,6 +64,10 @@ class ExecutionStats:
     #: table had no mask to answer with (0 = the query never left the
     #: mask path).
     rows_scalar_probed: int = 0
+    #: Dimension rows a hash-table build filtered one by one in Python
+    #: because the predicate had no mask over the copy's columns (or a
+    #: snowflake branch was flattened); 0 on a warm query.
+    dim_rows_rowwise: int = 0
     hdfs_bytes_read: int = 0
     ht_builds: int = 0
     ht_cache_hits: int = 0
@@ -87,6 +91,8 @@ class ExecutionStats:
         stats.rows_matched = counters.get("clydesdale", "rows_matched")
         stats.rows_scalar_probed = counters.get("clydesdale",
                                                 "rows_scalar_probed")
+        stats.dim_rows_rowwise = counters.get("clydesdale",
+                                              "dim_rows_rowwise")
         stats.hdfs_bytes_read = counters.get(Counters.GROUP_HDFS,
                                              "bytes_read")
         stats.ht_builds = counters.get("clydesdale", "ht_builds")

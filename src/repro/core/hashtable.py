@@ -10,13 +10,14 @@ shared by every join thread without synchronization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Sequence
 
 import numpy as np
 
 from repro.common.errors import QueryError
 from repro.common.schema import Schema
-from repro.core.expressions import Predicate
+from repro.core.expressions import Columns, Predicate
 from repro.storage.columnvector import (
     NumericVector,
     as_index_array,
@@ -30,23 +31,6 @@ _DENSE_MIN_SLOTS = 1024
 _DENSE_SPREAD_FACTOR = 8
 
 
-class _RowGetter:
-    """Reusable ``get(name)`` over one schema-ordered row.
-
-    Hoisted out of the scan loops so predicate evaluation does not
-    allocate a closure per row: callers assign ``row`` and call.
-    """
-
-    __slots__ = ("indexes", "row")
-
-    def __init__(self, indexes: dict[str, int]):
-        self.indexes = indexes
-        self.row: Sequence[Any] = ()
-
-    def __call__(self, name: str) -> Any:
-        return self.row[self.indexes[name]]
-
-
 @dataclass
 class HashTableStats:
     """Build statistics, consumed by the cost and memory models."""
@@ -55,6 +39,8 @@ class HashTableStats:
     rows_scanned: int
     entries: int
     aux_arity: int
+    #: Rows filtered one by one in Python (no mask; snowflake branch).
+    rows_rowwise: int = 0
 
     def estimated_bytes(self, bytes_per_entry: float) -> float:
         """In-memory footprint under a given per-entry overhead model."""
@@ -85,23 +71,19 @@ class DimensionHashTable:
         Returns ``(lookup, lo, hi, aux_rows)``, or ``None`` when keys
         are not ints or too sparse (the dict path still works).
         """
-        if not table:
+        if type(next(iter(table), None)) is not int:
             return None
-        for key in table:
-            if not isinstance(key, int) or isinstance(key, bool):
-                return None
-        lo = min(table)
-        hi = max(table)
+        keys = np.asarray(list(table))
+        if keys.dtype.kind != "i":
+            return None  # a float, str or over-wide key among the ints
+        lo, hi = int(keys.min()), int(keys.max())
         spread = hi - lo + 1
         if spread > max(_DENSE_MIN_SLOTS,
                         _DENSE_SPREAD_FACTOR * len(table)):
             return None
         lookup = np.full(spread, -1, dtype=np.int64)
-        aux_rows = []
-        for position, (key, aux) in enumerate(table.items()):
-            lookup[key - lo] = position
-            aux_rows.append(aux)
-        return lookup, lo, hi, tuple(aux_rows)
+        lookup[keys - lo] = np.arange(len(keys))
+        return lookup, lo, hi, tuple(table.values())
 
     def _dense_for(self, keys: Sequence[Any]):
         """The dense view when ``keys`` can index it — a typed buffer of
@@ -130,32 +112,46 @@ class DimensionHashTable:
         return in_range & (lookup[offsets] >= 0)
 
     @classmethod
+    def from_columns(cls, dimension: str, fact_fk: str,
+                     columns: Columns, num_rows: int, dim_pk: str,
+                     predicate: Predicate, aux_columns: Sequence[str],
+                     ) -> "DimensionHashTable":
+        """Filter ``num_rows`` rows held by column (typed buffers or
+        plain lists) by ``predicate`` — one mask over the dimension
+        where it has one, row by row where not, as on the fact side —
+        and key the survivors by ``dim_pk``. Keys and aux values are
+        plain Python scalars: key types feed :meth:`probe`, value types
+        the answer."""
+        mask = predicate.evaluate_mask(columns, num_rows)
+        survivors = (np.flatnonzero(mask) if mask is not None else
+                     predicate.evaluate_block(columns, range(num_rows)))
+        keys = gather_values(columns[dim_pk], survivors)
+        aux = [gather_values(columns[name], survivors)
+               for name in aux_columns]
+        entries = dict(zip(keys, zip(*aux))) if aux \
+            else dict.fromkeys(keys, ())
+        if len(entries) != len(keys):
+            seen: set = set()
+            key = next(k for k in keys if k in seen or seen.add(k))
+            raise QueryError(f"duplicate primary key {key!r} in "
+                             f"dimension {dimension!r}")
+        stats = HashTableStats(
+            dimension=dimension, rows_scanned=num_rows,
+            entries=len(entries), aux_arity=len(aux_columns),
+            rows_rowwise=0 if mask is not None else num_rows)
+        return cls(dimension, fact_fk, entries, tuple(aux_columns), stats)
+
+    @classmethod
     def build(cls, dimension: str, fact_fk: str, schema: Schema,
               rows: Sequence[Sequence[Any]], dim_pk: str,
               predicate: Predicate,
               aux_columns: Sequence[str]) -> "DimensionHashTable":
-        """Scan ``rows``, filter by ``predicate``, key by ``dim_pk``."""
-        pk_index = schema.index_of(dim_pk)
-        aux_indexes = [schema.index_of(c) for c in aux_columns]
-        pred_indexes = {name: schema.index_of(name)
-                        for name in predicate.columns()}
-        getter = _RowGetter(pred_indexes)
-        table: dict[Any, tuple] = {}
-        for row in rows:
-            if pred_indexes:
-                getter.row = row
-                if not predicate.evaluate(getter):
-                    continue
-            key = row[pk_index]
-            if key in table:
-                raise QueryError(
-                    f"duplicate primary key {key!r} in dimension "
-                    f"{dimension!r}")
-            table[key] = tuple(row[i] for i in aux_indexes)
-        stats = HashTableStats(dimension=dimension, rows_scanned=len(rows),
-                               entries=len(table),
-                               aux_arity=len(aux_columns))
-        return cls(dimension, fact_fk, table, tuple(aux_columns), stats)
+        """:meth:`from_columns` over row tuples in ``schema`` order."""
+        columns = {
+            name: list(map(itemgetter(schema.index_of(name)), rows))
+            for name in {dim_pk, *predicate.columns(), *aux_columns}}
+        return cls.from_columns(dimension, fact_fk, columns, len(rows),
+                                dim_pk, predicate, aux_columns)
 
     @classmethod
     def build_snowflake(cls, join, schemas: dict, tables: dict,
@@ -177,7 +173,8 @@ class DimensionHashTable:
         stats = HashTableStats(
             dimension=join.dimension,
             rows_scanned=len(tables[join.dimension]),
-            entries=len(table), aux_arity=len(aux_columns))
+            entries=len(table), aux_arity=len(aux_columns),
+            rows_rowwise=sum(len(tables[t]) for t in join.all_tables()))
         return cls(join.dimension, join.fact_fk, table,
                    tuple(aux_columns), stats)
 
@@ -261,17 +258,12 @@ def flatten_dimension(join, schemas: dict, tables: dict,
              flatten_dimension(sub, schemas, tables)))
 
     pk_index = schema.index_of(join.dim_pk)
-    pred_cols = {name: schema.index_of(name)
-                 for name in join.predicate.columns()}
-    getter = _RowGetter(pred_cols)
     names = schema.names
     out: dict[Any, dict[str, Any]] = {}
     for row in rows:
-        if pred_cols:
-            getter.row = row
-            if not join.predicate.evaluate(getter):
-                continue
         flat = dict(zip(names, row))
+        if not join.predicate.evaluate(flat.__getitem__):
+            continue
         miss = False
         for fk_index, lookup in sub_lookups:
             sub_row = lookup.get(row[fk_index])

@@ -44,8 +44,8 @@ from repro.mapreduce.api import MapRunner, Mapper, Reducer, TaskContext
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.types import OutputCollector, RecordReader
 from repro.ssb.loader import dim_cache_name
-from repro.storage import serde
 from repro.storage.cif import RowBlock
+from repro.storage.dimcopy import decode_dimension_copy
 from repro.trace.tracer import (
     CAT_PHASE,
     CAT_THREAD,
@@ -143,6 +143,7 @@ class StarJoinMapper(Mapper):
         self._sanitize = False
         self._closed = False
         self._tracer = NULL_TRACER
+        self._build_span = NULL_TRACER.span("build", CAT_PHASE)
 
     # -- lifecycle --------------------------------------------------------- #
 
@@ -153,10 +154,11 @@ class StarJoinMapper(Mapper):
         self._fact_pred = query.fact_predicate
         self._pred_is_true = isinstance(self._fact_pred, TruePredicate)
         self._fk_names = [j.fact_fk for j in query.joins]
-        with self._tracer.span("build", CAT_PHASE) as build_span:
+        # Each fresh build says on this span what it read and how.
+        with self._tracer.span("build", CAT_PHASE) as self._build_span:
             self.hash_tables = self._build_or_reuse_hash_tables(
                 context, query, dim_schemas)
-            build_span.set("tables", len(self.hash_tables))
+            self._build_span.set("tables", len(self.hash_tables))
         self._probe_order = self._plan_probe_order()
         self._group_plan = self._plan_group_keys(query, fact_schema,
                                                  dim_schemas)
@@ -255,33 +257,39 @@ class StarJoinMapper(Mapper):
             context.count(COUNTER_GROUP, "ht_builds_reused")
         return tables
 
-    @staticmethod
-    def _build_one_table(context: TaskContext, query: StarQuery, join,
-                         dim_schemas: dict[str, Schema],
+    def _build_one_table(self, context: TaskContext, query: StarQuery,
+                         join, dim_schemas: dict[str, Schema],
                          ) -> tuple[DimensionHashTable, int]:
         """Build one dimension (or snowflake branch) hash table from the
-        node-local dimension cache. Returns (table, rows scanned)."""
-        if join.snowflake:
-            branch_tables = {}
-            branch_rows = 0
-            for name in join.all_tables():
-                blob = context.read_node_local(dim_cache_name(name))
-                branch_tables[name] = serde.decode_rows(
-                    dim_schemas[name], blob)
-                branch_rows += len(branch_tables[name])
-            aux = resolve_aux_columns(query, join, dim_schemas)
-            table = DimensionHashTable.build_snowflake(
-                join, dim_schemas, branch_tables, aux)
-            return table, branch_rows
-        schema = dim_schemas[join.dimension]
-        blob = context.read_node_local(dim_cache_name(join.dimension))
-        rows = serde.decode_rows(schema, blob)
+        node-local dimension copy, decoding only the columns the build
+        reads. Returns (table, rows scanned)."""
         aux = resolve_aux_columns(query, join, dim_schemas)
-        table = DimensionHashTable.build(
-            dimension=join.dimension, fact_fk=join.fact_fk,
-            schema=schema, rows=rows, dim_pk=join.dim_pk,
-            predicate=join.predicate, aux_columns=aux)
-        return table, len(rows)
+        copies = {}
+        for name in join.all_tables():
+            schema = dim_schemas[name]
+            # A snowflake branch is flattened row by row, whole tables.
+            copies[name] = decode_dimension_copy(
+                schema, context.read_node_local(dim_cache_name(name)),
+                schema.names if join.snowflake else
+                {join.dim_pk, *join.predicate.columns(), *aux})
+        rows_scanned = sum(rows for rows, _ in copies.values())
+        if join.snowflake:
+            table = DimensionHashTable.build_snowflake(
+                join, dim_schemas,
+                {name: list(zip(*columns.values()))
+                 for name, (_, columns) in copies.items()}, aux)
+        else:
+            table = DimensionHashTable.from_columns(
+                join.dimension, join.fact_fk, copies[join.dimension][1],
+                rows_scanned, join.dim_pk, join.predicate, aux)
+        rowwise = table.stats.rows_rowwise
+        context.count(COUNTER_GROUP, "dim_rows_rowwise", rowwise)
+        self._build_span.set(f"read:{join.dimension}", {
+            "rows_scanned": rows_scanned,
+            "columns_read": sum(len(c) for _, c in copies.values()),
+            "columns_total": sum(len(dim_schemas[n]) for n in copies),
+            "predicate_masked": not rowwise})
+        return table, rows_scanned
 
     @staticmethod
     def _plan_group_keys(query: StarQuery, fact_schema: Schema,

@@ -18,6 +18,7 @@ from repro.ssb.loader import (
     load_for_clydesdale,
     load_for_hive,
     refresh_dim_cache,
+    write_dim_cache,
 )
 from repro.ssb.queries import FLIGHTS, QUERY_NAMES, flight_of, ssb_queries
 from repro.ssb.schema import (
@@ -51,4 +52,5 @@ __all__ = [
     "refresh_dim_cache",
     "ssb_queries",
     "supplier_count",
+    "write_dim_cache",
 ]

@@ -2,7 +2,7 @@
 
 Clydesdale layout (paper section 4): the fact table in (Multi)CIF under a
 co-locating placement policy; dimension tables as binary rows in HDFS
-*and* cached on every node's local storage.
+*and* cached, by column, on every node's local storage.
 
 Hive layout (paper section 6.2): every table in RCFile format.
 """
@@ -10,15 +10,17 @@ Hive layout (paper section 6.2): every table in RCFile format.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Sequence
 
+from repro.common.schema import Schema
 from repro.hdfs.filesystem import MiniDFS
 from repro.ssb.datagen import SSBData
 from repro.ssb.schema import DIMENSIONS, FACT_TABLE, SCHEMAS
-from repro.storage import serde
 from repro.storage.cif import DEFAULT_ROW_GROUP_SIZE, write_cif_table
+from repro.storage.dimcopy import encode_dimension_copy
 from repro.storage.rcfile import write_rcfile_table
-from repro.storage.rowformat import write_row_table
-from repro.storage.tablemeta import TableMeta
+from repro.storage.rowformat import read_row_table, write_row_table
+from repro.storage.tablemeta import FORMAT_ROWS, TableMeta
 from repro.storage.textformat import write_text_table
 
 #: Scratch-name prefix for node-local dimension caches.
@@ -52,6 +54,19 @@ def dim_cache_name(table: str) -> str:
     return f"{DIM_CACHE_PREFIX}{table}"
 
 
+def write_dim_cache(fs: MiniDFS, table: str, schema: Schema,
+                    rows: Sequence[Sequence[Any]],
+                    node_id: str | None = None) -> None:
+    """Write one dimension's node-local copy — by column, see
+    :mod:`repro.storage.dimcopy` — to ``node_id``'s local storage, or
+    to every live node's. The only writer of a ``dim_cache_name`` blob.
+    """
+    blob = encode_dimension_copy(schema, rows)
+    name = dim_cache_name(table)
+    for node in (fs.live_nodes() if node_id is None else (node_id,)):
+        fs.datanode(node).scratch_write(name, blob)
+
+
 def cache_dimensions_locally(fs: MiniDFS, data: SSBData) -> None:
     """Copy each dimension table onto every node's local storage.
 
@@ -60,28 +75,23 @@ def cache_dimensions_locally(fs: MiniDFS, data: SSBData) -> None:
     from the HDFS master copy (see ``refresh_dim_cache``).
     """
     for table in DIMENSIONS:
-        blob = serde.encode_rows(SCHEMAS[table], data.tables()[table])
-        name = dim_cache_name(table)
-        for node_id in fs.live_nodes():
-            fs.datanode(node_id).scratch_write(name, blob)
+        write_dim_cache(fs, table, SCHEMAS[table], data.tables()[table])
 
 
 def refresh_dim_cache(fs: MiniDFS, catalog: Catalog, node_id: str) -> int:
-    """Restore one node's dimension caches from the HDFS master copies.
+    """Restore one node's dimension caches from the HDFS master copies
+    — every row-format table of the catalog, SSB's or a hand-loaded
+    star's.
 
     Returns the number of tables restored. Used after a node recovers
     from a disk failure (paper section 4).
     """
-    from repro.storage.rowformat import read_row_table
-
     restored = 0
-    node = fs.datanode(node_id)
-    for table in DIMENSIONS:
-        if table not in catalog:
+    for table, meta in catalog.tables.items():
+        if meta.format != FORMAT_ROWS:
             continue
-        rows = read_row_table(fs, catalog.meta(table).directory)
-        blob = serde.encode_rows(SCHEMAS[table], rows)
-        node.scratch_write(dim_cache_name(table), blob)
+        write_dim_cache(fs, table, meta.schema,
+                        read_row_table(fs, meta.directory), node_id)
         restored += 1
     return restored
 

@@ -1,5 +1,6 @@
 """Storage formats: CIF / MultiCIF / B-CIF (Clydesdale), RCFile (Hive),
-binary rows (dimensions), and pipe-delimited text (dbgen interchange)."""
+binary rows (dimensions, HDFS master copy), the columnar node-local
+dimension copy, and pipe-delimited text (dbgen interchange)."""
 
 from repro.storage.cif import (
     BCIFRecordReader,
@@ -13,6 +14,10 @@ from repro.storage.cif import (
     group_descriptors,
     write_cif_table,
     write_row_group,
+)
+from repro.storage.dimcopy import (
+    decode_dimension_copy,
+    encode_dimension_copy,
 )
 from repro.storage.multicif import (
     KEY_SPLITS_PER_MULTI,
@@ -70,6 +75,8 @@ __all__ = [
     "TableMeta",
     "TextTableInputFormat",
     "data_files",
+    "decode_dimension_copy",
+    "encode_dimension_copy",
     "group_descriptors",
     "read_row_table",
     "read_text_table",

@@ -93,7 +93,8 @@ def _parse_dictionary(data: bytes, base: int = 0,
         offset += 4
         if offset + length > len(data):
             raise StorageError("dictionary column truncated (entry)")
-        entries.append(data[offset:offset + length].decode("utf-8"))
+        # str(), not .decode(): ``data`` may be a memoryview slice.
+        entries.append(str(data[offset:offset + length], "utf-8"))
         offset += length
     if len(data) < offset + count * width:
         raise StorageError("dictionary column truncated (codes)")

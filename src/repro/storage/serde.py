@@ -112,7 +112,8 @@ def decode_column(dtype: DataType, data: bytes) -> list:
         offset += 4
         if offset + length > len(data):
             raise StorageError("string column truncated (missing payload)")
-        values.append(data[offset:offset + length].decode("utf-8"))
+        # str(), not .decode(): ``data`` may be a memoryview slice.
+        values.append(str(data[offset:offset + length], "utf-8"))
         offset += length
     return values
 

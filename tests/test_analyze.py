@@ -937,13 +937,13 @@ def _query():
 
 def _sanitized_context(sanitize=True):
     from repro.ssb.datagen import SSBGenerator
-    from repro.storage import serde
+    from repro.storage.dimcopy import encode_dimension_copy
     conf = JobConf("t")
     configure_query(conf, _query(), SCHEMAS["lineorder"],
                     {"date": SCHEMAS["date"]})
     conf.set(keys.KEY_SANITIZER, sanitize)
     rows = SSBGenerator(scale_factor=0.001).gen_date()
-    blob = serde.encode_rows(SCHEMAS["date"], rows)
+    blob = encode_dimension_copy(SCHEMAS["date"], rows)
     return TaskContext(
         conf=conf, node_id="node000", task_id="m-0", jvm_state={},
         node_local_read=lambda n, f: blob, threads=2)

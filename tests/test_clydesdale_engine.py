@@ -77,6 +77,18 @@ class TestStats:
         stats = clydesdale.stats().execution
         assert 0 < stats.rows_scalar_probed < stats.rows_probed
 
+    def test_dim_rows_rowwise_says_when_a_build_left_the_mask_path(
+            self, clydesdale, ssb_data, queries):
+        # Q1.1 filters ``date`` on d_year, a typed buffer: one mask.
+        clydesdale.execute(queries["Q1.1"])
+        assert clydesdale.stats().execution.dim_rows_rowwise == 0
+        # Q3.3 filters ``supplier`` on s_city, stored plain at this
+        # size (its dictionary is not smaller): row by row, exactly.
+        clydesdale.execute(queries["Q3.3"])
+        stats = clydesdale.stats().execution
+        assert stats.dim_rows_rowwise > 0
+        assert stats.dim_rows_rowwise % len(ssb_data.supplier) == 0
+
     def test_selectivities_sane(self, clydesdale, queries):
         clydesdale.execute(queries["Q2.1"])
         stats = clydesdale.stats().execution

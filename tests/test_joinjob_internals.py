@@ -117,11 +117,11 @@ def _query():
 
 
 def _configured_context(dim_rows):
-    from repro.storage import serde
+    from repro.storage.dimcopy import encode_dimension_copy
     conf = JobConf("t")
     configure_query(conf, _query(), SCHEMAS["lineorder"],
                     {"date": SCHEMAS["date"]})
-    blob = serde.encode_rows(SCHEMAS["date"], dim_rows)
+    blob = encode_dimension_copy(SCHEMAS["date"], dim_rows)
     return TaskContext(
         conf=conf, node_id="node000", task_id="m-0", jvm_state={},
         node_local_read=lambda n, f: blob, threads=2)
@@ -247,9 +247,9 @@ class TestOneBlockKernel:
         from repro.common.types import DataType
         from repro.mapreduce.counters import Counters
         from repro.ssb.loader import dim_cache_name
-        from repro.storage import serde
         from repro.storage.cif import RowBlock
         from repro.storage.columnvector import NumericVector
+        from repro.storage.dimcopy import encode_dimension_copy
 
         fact = Schema([("fk_a", DataType.INT64), ("fk_b", DataType.INT64),
                        ("tag", DataType.STRING), ("m", DataType.INT64)])
@@ -272,8 +272,8 @@ class TestOneBlockKernel:
             group_by=["a_grp", "b_grp"])
         conf = JobConf("t")
         configure_query(conf, query, fact, dims)
-        blobs = {dim_cache_name(name): serde.encode_rows(dims[name],
-                                                         rows[name])
+        blobs = {dim_cache_name(name): encode_dimension_copy(dims[name],
+                                                             rows[name])
                  for name in dims}
         counters = Counters()
         context = TaskContext(

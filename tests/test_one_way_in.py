@@ -100,6 +100,26 @@ def test_one_block_kernel_over_one_column_handoff():
         assert _occurrences(retired, *sources) == 0, retired
 
 
+def test_one_writer_for_the_node_local_dimension_copy():
+    # A ``dim_cache_name(...)`` blob is written to node scratch by one
+    # function under src/ and by nothing under examples/.
+    from repro.ssb import loader
+    namers = {path.relative_to(SRC).as_posix(): path.read_text()
+              for path in SRC.rglob("*.py")
+              if "dim_cache_name(" in path.read_text()}
+    assert sorted(namers) == ["core/joinjob.py", "ssb/loader.py"]
+    assert "scratch_write(" not in namers["core/joinjob.py"]
+    writers = [name for name, fn in inspect.getmembers(
+                   loader, inspect.isfunction)
+               if fn.__module__ == loader.__name__
+               and "scratch_write(" in inspect.getsource(fn)]
+    assert writers == ["write_dim_cache"]
+    examples = list((SRC.parents[1] / "examples").glob("*.py"))
+    assert examples
+    assert _occurrences("scratch_write(", *examples) == 0
+    assert _occurrences("dim_cache_name", *examples) == 0
+
+
 def test_registry_defaults_need_no_call_site_default():
     conf = Configuration()
     getters = {"int": conf.get_int, "float": conf.get_float,

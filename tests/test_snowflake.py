@@ -18,8 +18,7 @@ from repro.hdfs.filesystem import MiniDFS
 from repro.hdfs.placement import CoLocatingPlacementPolicy
 from repro.reference.engine import ReferenceEngine
 from repro.serve.session import Session
-from repro.ssb.loader import Catalog, dim_cache_name
-from repro.storage import serde
+from repro.ssb.loader import Catalog, write_dim_cache
 from repro.storage.cif import write_cif_table
 from repro.storage.rowformat import write_row_table
 
@@ -104,9 +103,7 @@ def engine(tables):
     for name in ("store", "city", "region"):
         catalog.tables[name] = write_row_table(
             fs, name, f"/snow/{name}", SCHEMAS[name], tables[name])
-        blob = serde.encode_rows(SCHEMAS[name], tables[name])
-        for node_id in fs.live_nodes():
-            fs.datanode(node_id).scratch_write(dim_cache_name(name), blob)
+        write_dim_cache(fs, name, SCHEMAS[name], tables[name])
     return ClydesdaleEngine(fs, catalog)
 
 
