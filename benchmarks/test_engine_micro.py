@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro.core.engine import ClydesdaleEngine
+from repro.core.engine import ROW_GROUP_SIZE, ClydesdaleEngine
 from repro.core.expressions import TruePredicate
 from repro.core.hashtable import DimensionHashTable
 from repro.hive.engine import HiveEngine
@@ -100,7 +100,6 @@ def test_dimension_hash_build(benchmark, small_data):
 # --------------------------------------------------------------------- #
 
 SF = 0.1           # >= 0.1 per the acceptance criterion: 600k fact rows
-BLOCK_ROWS = 4096
 
 
 @pytest.fixture(scope="module")
@@ -110,9 +109,9 @@ def sf01_scan():
 
     Only the four columns the query touches are materialized, streamed
     straight out of the generator so the full 17-column table never
-    exists in memory. Blocks are typed buffers (slice views, what the
-    B-CIF reader hands the kernel); records are what the row reader
-    hands ``process_record``.
+    exists in memory. Blocks are typed buffers, one per row group at the
+    size the engine loads with (what the B-CIF reader hands the
+    kernel); records are what the row reader hands ``process_record``.
     """
     from repro.common.record import Record
     from repro.ssb.datagen import (
@@ -140,9 +139,9 @@ def sf01_scan():
                for name, values in columns.items()}
     blocks = [
         RowBlock(schema, start,
-                 {name: vec[start:start + BLOCK_ROWS]
+                 {name: vec[start:start + ROW_GROUP_SIZE]
                   for name, vec in vectors.items()})
-        for start in range(0, num_rows, BLOCK_ROWS)]
+        for start in range(0, num_rows, ROW_GROUP_SIZE)]
     records = [Record(schema, row) for row in zip(
         *(columns[name] for name in names))]
     return date_rows, blocks, records, num_rows

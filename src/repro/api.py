@@ -14,14 +14,15 @@ Backend-specific execution options are fixed at connect time
 (``features=`` for Clydesdale, ``plan=`` for Hive); every serving knob —
 ``clydesdale.cache.*``, ``clydesdale.serve.*``, ``clydesdale.trace`` —
 travels in one :class:`~repro.common.config.Configuration`, whose
-defaults live in :data:`repro.common.keys.CONFIG_KEYS`.
+defaults live in :data:`repro.common.keys.CONFIG_KEYS`; any other key
+raises :class:`~repro.common.errors.ConfigError`.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.common.config import Configuration
+from repro.common.config import Configuration, check_session_conf
 from repro.common.errors import ValidationError
 from repro.common.keys import (
     KEY_CACHE_ENABLED,
@@ -72,6 +73,7 @@ def connect(backend: str = "clydesdale", *,
         raise ValidationError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}")
     conf = conf.copy() if conf is not None else Configuration()
+    check_session_conf(conf)
     if aggstore is not None:
         conf.set(KEY_SERVE_AGGSTORE, aggstore)
     if workers is not None:

@@ -24,7 +24,6 @@ from repro.ssb.schema import SCHEMAS
 from repro.storage.cif import RowBlock
 from repro.storage.columnvector import ensure_vector
 
-BLOCK_ROWS = 4096
 ORDERDATE_INDEX = 5  # lineorder schema position of lo_orderdate
 
 #: Regression floors for ``--check``: measured values sit well above
@@ -93,10 +92,11 @@ def _best_of(fn, repeats: int = 3) -> float:
 def _q11_scan(scale_factor: float):
     """Q1.1-shaped fact scan as (date_rows, records, blocks, num_rows).
 
-    The blocks are slice *views* of four whole-scan typed buffers,
-    exactly how the B-CIF reader cuts blocks from a row group; the
-    records are the same rows as the row reader hands them.
+    The blocks are views of four whole-scan typed buffers cut at the
+    engine's row-group size, as the B-CIF reader hands them to the
+    kernel; the records are the same rows as the row reader hands them.
     """
+    from repro.core.engine import ROW_GROUP_SIZE
     from repro.ssb.datagen import (
         SSBGenerator,
         customer_count,
@@ -123,9 +123,9 @@ def _q11_scan(scale_factor: float):
                for name, values in columns.items()}
     blocks = [
         RowBlock(schema, start,
-                 {name: vec[start:start + BLOCK_ROWS]
+                 {name: vec[start:start + ROW_GROUP_SIZE]
                   for name, vec in vectors.items()})
-        for start in range(0, num_rows, BLOCK_ROWS)]
+        for start in range(0, num_rows, ROW_GROUP_SIZE)]
     return date_rows, records, blocks, num_rows
 
 

@@ -13,7 +13,7 @@ import json
 from typing import Any, Iterator, Mapping
 
 from repro.common.errors import ConfigError
-from repro.common.keys import CONFIG_KEYS
+from repro.common.keys import CONFIG_KEYS, KEY_TRACE
 
 
 class Configuration:
@@ -130,3 +130,16 @@ class Configuration:
 
     def __repr__(self) -> str:
         return f"Configuration({len(self._data)} keys)"
+
+
+def check_session_conf(conf: Configuration) -> None:
+    """Raise :class:`ConfigError` naming every key of ``conf`` no session
+    or frontend reads (jobs are planned with a fresh conf, so a job key,
+    an engine flag or a typo set here would be dropped silently)."""
+    unread = [key for key, _ in conf.items() if key not in CONFIG_KEYS
+              or not (key == KEY_TRACE or key.startswith(
+                  ("clydesdale.cache.", "clydesdale.serve.")))]
+    if unread:
+        raise ConfigError(
+            f"no session or frontend reads {unread}; a session conf takes "
+            f"{KEY_TRACE}, clydesdale.cache.* and clydesdale.serve.* keys")

@@ -122,11 +122,8 @@ KEY_CIF_COLUMNS = _config(
     doc="Column projection pushed into the CIF reader.")
 KEY_BLOCK_ITERATION = _flag(
     "cif.block.iteration", default=False,
-    doc="B-CIF: readers return RowBlock column batches instead of "
-        "one Record per row.")
-KEY_BLOCK_ROWS = _config(
-    "cif.block.rows", kind="int", default=1024,
-    doc="Rows per RowBlock batch under cif.block.iteration.")
+    doc="B-CIF: readers return each row group as one RowBlock of "
+        "column buffers instead of one Record per row.")
 KEY_ZONEMAP_FILTER = _config(
     "cif.zonemap.filter", kind="json",
     doc="Serialized predicate used to prune row groups via zone maps.")

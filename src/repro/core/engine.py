@@ -51,6 +51,9 @@ from repro.trace.tracer import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serve.cache import HashTableCache
 
+#: Fact rows per CIF row group as loaded here: the B-CIF block size.
+ROW_GROUP_SIZE = 25_000
+
 
 @dataclass
 class ExecutionStats:
@@ -150,7 +153,7 @@ class ClydesdaleEngine:
                       cluster: ClusterSpec | None = None,
                       cost_model: CostModel | None = None,
                       features: ClydesdaleFeatures | None = None,
-                      row_group_size: int = 25_000,
+                      row_group_size: int = ROW_GROUP_SIZE,
                       data: SSBData | None = None) -> "ClydesdaleEngine":
         """Generate (or reuse) SSB data and build a ready engine."""
         fs = MiniDFS(num_nodes=num_nodes,

@@ -45,7 +45,7 @@ from functools import partial
 from typing import Any
 
 from repro.api import connect
-from repro.common.config import Configuration
+from repro.common.config import Configuration, check_session_conf
 from repro.common.errors import (
     AdmissionError,
     ValidationError,
@@ -225,6 +225,7 @@ class Frontend:
                  plan: str | None = None,
                  sanitize: bool = False):
         conf = conf or Configuration()
+        check_session_conf(conf)
         self.backend = backend
         self.workers = conf.get_int(KEY_SERVE_WORKERS)
         if self.workers < 1:

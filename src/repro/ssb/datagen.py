@@ -235,12 +235,19 @@ class SSBGenerator:
         """Stream fact rows without materializing the whole table."""
         rng = random.Random(f"{self.seed}:lineorder")
         total = lineorder_count(self.scale_factor)
+        # One shared object per repeated key or measure: a compact table.
+        cust_keys = list(range(1, num_customers + 1))
+        part_keys = list(range(1, num_parts + 1))
+        shared: dict[int, int] = {}
+
+        def share(value: int) -> int:
+            return shared.setdefault(value, value)
         produced = 0
         orderkey = 0
         while produced < total:
             orderkey += 1
             num_lines = min(1 + rng.randrange(7), total - produced)
-            custkey = 1 + rng.randrange(num_customers)
+            custkey = cust_keys[rng.randrange(num_customers)]
             orderdate = date_keys[rng.randrange(len(date_keys))]
             priority = ORDER_PRIORITIES[rng.randrange(
                 len(ORDER_PRIORITIES))]
@@ -249,10 +256,10 @@ class SSBGenerator:
             for linenumber in range(1, num_lines + 1):
                 quantity = 1 + rng.randrange(50)
                 unit_price = 900 + rng.randrange(1_000)
-                extended = quantity * unit_price
+                extended = share(quantity * unit_price)
                 discount = rng.randrange(11)       # 0..10 percent
                 tax = rng.randrange(9)             # 0..8 percent
-                revenue = extended * (100 - discount) // 100
+                revenue = share(extended * (100 - discount) // 100)
                 supplycost = unit_price * 6 // 10
                 order_total += extended
                 lines.append((quantity, extended, discount, tax, revenue,
@@ -265,7 +272,7 @@ class SSBGenerator:
                     orderkey,
                     linenumber,
                     custkey,
-                    1 + rng.randrange(num_parts),
+                    part_keys[rng.randrange(num_parts)],
                     1 + rng.randrange(num_suppliers),
                     orderdate,
                     priority,
@@ -275,7 +282,7 @@ class SSBGenerator:
                     order_total,
                     discount,
                     revenue,
-                    supplycost * quantity,
+                    share(supplycost * quantity),
                     tax,
                     commitdate,
                     SHIP_MODES[rng.randrange(len(SHIP_MODES))],

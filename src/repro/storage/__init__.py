@@ -8,7 +8,6 @@ from repro.storage.cif import (
     CIFSplit,
     ColumnInputFormat,
     KEY_BLOCK_ITERATION,
-    KEY_BLOCK_ROWS,
     KEY_CIF_COLUMNS,
     RowBlock,
     group_descriptors,
@@ -61,7 +60,6 @@ __all__ = [
     "FORMAT_ROWS",
     "FORMAT_TEXT",
     "KEY_BLOCK_ITERATION",
-    "KEY_BLOCK_ROWS",
     "KEY_CIF_COLUMNS",
     "KEY_RCFILE_COLUMNS",
     "KEY_SPLITS_PER_MULTI",

@@ -15,8 +15,9 @@ their column list into the format (``cif.columns``) and only those files
 are read — unused columns cost zero I/O.
 
 B-CIF layers *block iteration* on the same data: the record reader
-returns a :class:`RowBlock` (a batch of column vectors) per call instead
-of one row, amortizing per-record framework overhead.
+returns its split's whole row group as one :class:`RowBlock` (a batch
+of column vectors) instead of one row per call, amortizing per-record
+framework overhead over the largest batch the reader already holds.
 
 Writers also record a **zone map** per row group — each column's
 min/max — in the group descriptor. When a job pushes a pruning
@@ -50,13 +51,11 @@ from repro.trace.tracer import CAT_PHASE, tracer_for
 # Configuration keys, re-exported from the central registry.
 from repro.common.keys import (  # noqa: E402  (kept with the format docs)
     KEY_BLOCK_ITERATION,
-    KEY_BLOCK_ROWS,
     KEY_CIF_COLUMNS,
     KEY_ZONEMAP_FILTER,
 )
 
 DEFAULT_ROW_GROUP_SIZE = 50_000
-DEFAULT_BLOCK_ROWS = 1024
 
 
 def row_group_dir(directory: str, group: int) -> str:
@@ -141,8 +140,8 @@ class RowBlock:
 
     Column values are typed
     :class:`~repro.storage.columnvector.ColumnVector` buffers wherever
-    the format has one (zero-copy slices of the row group's buffers)
-    and plain lists otherwise (plain-stored strings, hand-built
+    the format has one (the row group's own zero-copy buffers) and
+    plain lists otherwise (plain-stored strings, hand-built
     blocks); both are sequence-compatible.
     """
 
@@ -179,16 +178,18 @@ class RowBlock:
 
 
 class CIFSplit(InputSplit):
-    """One fact-table row group (the CIF unit of scheduling)."""
+    """One fact-table row group (the CIF unit of scheduling), with the
+    projected schema it was planned with: readers never reload .meta."""
 
     def __init__(self, directory: str, group: int, base_row: int,
-                 num_rows: int, columns: tuple[str, ...], length: int,
+                 num_rows: int, schema: Schema, length: int,
                  hosts: tuple[str, ...]):
         self.directory = directory
         self.group = group
         self.base_row = base_row
         self.num_rows = num_rows
-        self.columns = columns
+        self.schema = schema
+        self.columns = schema.names
         self._length = length
         self._hosts = hosts
 
@@ -210,18 +211,18 @@ class _CIFReaderBase(RecordReader):
     Each reader names, as ``_decode``, the (dtype, bytes) -> sequence
     decoder whose output its iteration reads best."""
 
-    def __init__(self, fs: MiniDFS, split: CIFSplit, schema: Schema,
+    def __init__(self, fs: MiniDFS, split: CIFSplit,
                  reader_node: str | None):
         self._split = split
-        self._schema = schema.project(list(split.columns))
+        self._schema = schema = split.schema
         self._bytes = 0
         decode = self._decode
         self._columns: dict[str, Sequence] = {}
-        for name in split.columns:
-            path = column_path(split.directory, split.group, name)
+        for column in schema.columns:
+            path = column_path(split.directory, split.group, column.name)
             data = fs.read_file(path, reader_node=reader_node)
             self._bytes += len(data)
-            self._columns[name] = decode(schema.column(name).dtype, data)
+            self._columns[column.name] = decode(column.dtype, data)
         lengths = {len(v) for v in self._columns.values()}
         if len(lengths) > 1:
             raise StorageError(
@@ -232,10 +233,6 @@ class _CIFReaderBase(RecordReader):
     def bytes_read(self) -> int:
         return self._bytes
 
-    @property
-    def projected_schema(self) -> Schema:
-        return self._schema
-
 
 class CIFRecordReader(_CIFReaderBase):
     """Row-at-a-time iteration: yields (global row id, Record).
@@ -245,9 +242,9 @@ class CIFRecordReader(_CIFReaderBase):
 
     _decode = staticmethod(decode_cif_column)
 
-    def __init__(self, fs: MiniDFS, split: CIFSplit, schema: Schema,
+    def __init__(self, fs: MiniDFS, split: CIFSplit,
                  reader_node: str | None):
-        super().__init__(fs, split, schema, reader_node)
+        super().__init__(fs, split, reader_node)
         self._cursor = 0
         self._col_lists = [self._columns[n] for n in self._schema.names]
 
@@ -262,35 +259,27 @@ class CIFRecordReader(_CIFReaderBase):
 
 
 class BCIFRecordReader(_CIFReaderBase):
-    """Block iteration: yields (base row id, RowBlock) batches.
+    """Block iteration: yields the split's row group as one
+    (base row id, RowBlock), then ``None``.
 
-    Each column stays a typed zero-copy view of the file bytes
-    (:class:`~repro.storage.columnvector.ColumnVector`) wherever the
-    format has one; plain-stored strings decode to lists."""
+    The block's columns are the reader's own decoded buffers (typed
+    zero-copy :class:`~repro.storage.columnvector.ColumnVector` views of
+    the file bytes; lists for plain-stored strings): the writer bounds a
+    row group and the reader holds it whole, so nothing is sliced."""
 
     _decode = staticmethod(decode_cif_column_vector)
 
-    def __init__(self, fs: MiniDFS, split: CIFSplit, schema: Schema,
-                 reader_node: str | None, block_rows: int):
-        super().__init__(fs, split, schema, reader_node)
-        if block_rows <= 0:
-            raise StorageError("block_rows must be positive")
-        self._block_rows = block_rows
-        self._cursor = 0
+    def __init__(self, fs: MiniDFS, split: CIFSplit,
+                 reader_node: str | None):
+        super().__init__(fs, split, reader_node)
+        self._pending = self._num_rows > 0
 
     def next(self):
-        if self._cursor >= self._num_rows:
+        if not self._pending:
             return None
-        start = self._cursor
-        end = min(start + self._block_rows, self._num_rows)
-        # Slicing a ColumnVector is a view — blocks share the row
-        # group's buffers, the zero-copy handoff contract.
-        block = RowBlock(
-            self._schema, self._split.base_row + start,
-            {name: values[start:end]
-             for name, values in self._columns.items()})
-        self._cursor = end
-        return self._split.base_row + start, block
+        self._pending = False
+        base = self._split.base_row
+        return base, RowBlock(self._schema, base, self._columns)
 
 
 class ColumnInputFormat(InputFormat):
@@ -299,8 +288,8 @@ class ColumnInputFormat(InputFormat):
     Configuration keys:
 
     * ``cif.columns`` — JSON list of column names to read (default: all);
-    * ``cif.block.iteration`` — return :class:`RowBlock` batches (B-CIF);
-    * ``cif.block.rows`` — batch size for block iteration;
+    * ``cif.block.iteration`` — return each row group as one
+      :class:`RowBlock` (B-CIF);
     * ``cif.zonemap.filter`` — serialized predicate for row-group
       pruning (see :meth:`set_zonemap_filter`).
 
@@ -322,7 +311,8 @@ class ColumnInputFormat(InputFormat):
             if meta.format != FORMAT_CIF:
                 raise StorageError(
                     f"{directory} is {meta.format}, not CIF")
-            columns = self._projected_columns(conf, meta.schema)
+            schema = self._projection(conf, meta.schema)
+            columns = schema.names
             kept: list[CIFSplit] = []
             pruned: list[CIFSplit] = []
             base = 0
@@ -336,7 +326,7 @@ class ColumnInputFormat(InputFormat):
                     # advances past the skipped group.
                     pruned.append(CIFSplit(
                         directory=directory, group=group, base_row=base,
-                        num_rows=num_rows, columns=columns, length=0,
+                        num_rows=num_rows, schema=schema, length=0,
                         hosts=()))
                     base += num_rows
                     continue
@@ -344,7 +334,7 @@ class ColumnInputFormat(InputFormat):
                                              columns)
                 kept.append(CIFSplit(
                     directory=directory, group=group, base_row=base,
-                    num_rows=num_rows, columns=columns, length=length,
+                    num_rows=num_rows, schema=schema, length=length,
                     hosts=hosts))
                 base += num_rows
             if not kept and pruned:
@@ -354,12 +344,9 @@ class ColumnInputFormat(InputFormat):
                 # is still correct (and empty).
                 keep = min(pruned, key=lambda s: s.num_rows)
                 pruned.remove(keep)
-                length, hosts = self._extent(fs, directory, keep.group,
-                                             columns)
-                kept.append(CIFSplit(
-                    directory=directory, group=keep.group,
-                    base_row=keep.base_row, num_rows=keep.num_rows,
-                    columns=columns, length=length, hosts=hosts))
+                keep._length, keep._hosts = self._extent(
+                    fs, directory, keep.group, columns)
+                kept.append(keep)
             pruned_groups += len(pruned)
             pruned_rows += sum(s.num_rows for s in pruned)
             splits.extend(kept)
@@ -414,28 +401,19 @@ class ColumnInputFormat(InputFormat):
         # The reader pulls its column bytes eagerly, so the span around
         # construction is the split's scan time.
         with tracer_for(conf).span("scan", CAT_PHASE) as span:
-            meta = TableMeta.load(fs, split.directory)
-            if conf.get_bool(KEY_BLOCK_ITERATION, False):
-                reader: RecordReader = BCIFRecordReader(
-                    fs, split, meta.schema, reader_node,
-                    conf.get_int(KEY_BLOCK_ROWS, DEFAULT_BLOCK_ROWS))
-            else:
-                reader = CIFRecordReader(fs, split, meta.schema,
-                                         reader_node)
+            reader_class = (BCIFRecordReader
+                            if conf.get_bool(KEY_BLOCK_ITERATION, False)
+                            else CIFRecordReader)
+            reader: RecordReader = reader_class(fs, split, reader_node)
             span.set("split", split.group)
             span.set("bytes", reader.bytes_read)
             return reader
 
     @staticmethod
-    def _projected_columns(conf: JobConf,
-                           schema: Schema) -> tuple[str, ...]:
+    def _projection(conf: JobConf, schema: Schema) -> Schema:
+        """The pushed-down column list as a schema (validated early)."""
         raw = conf.get(KEY_CIF_COLUMNS)
-        if raw is None:
-            return schema.names
-        names = json.loads(raw)
-        for name in names:
-            schema.column(name)  # validate early
-        return tuple(names)
+        return schema if raw is None else schema.project(json.loads(raw))
 
     @staticmethod
     def set_projection(conf: JobConf, columns: Sequence[str]) -> None:

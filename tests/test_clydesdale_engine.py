@@ -10,6 +10,7 @@ from repro.core.planner import ClydesdaleFeatures
 from repro.core.query import Aggregate, DimensionJoin, OrderKey, StarQuery
 from repro.serve.session import Session
 from repro.sim.costs import DEFAULT_COST_MODEL
+from repro.storage.tablemeta import TableMeta
 from repro.sim.hardware import tiny_cluster
 
 
@@ -101,6 +102,48 @@ class TestStats:
         result = clydesdale.execute(queries["Q1.2"])
         assert result.simulated_seconds > 0
         assert "map_phase" in result.breakdown
+
+
+class TestRowGroupGrain:
+    """B-CIF hands the kernel each row group as one block, so the
+    group size the table was written with is the block size: odd
+    layouts must answer exactly as the reference does."""
+
+    @pytest.mark.parametrize("layout", ["one_row_last_group",
+                                        "group_larger_than_table"])
+    def test_all_ssb_answers_match_reference(self, ssb_data, queries,
+                                             layout):
+        from repro.api import connect
+        rows = len(ssb_data.lineorder)
+        size = rows - 1 if layout == "one_row_last_group" else rows + 1000
+        engine = ClydesdaleEngine.with_ssb_data(data=ssb_data,
+                                                row_group_size=size)
+        groups = engine.catalog.meta("lineorder").extras["groups"]
+        assert [g["rows"] for g in groups] == (
+            [rows - 1, 1] if layout == "one_row_last_group" else [rows])
+        session = Session(engine)
+        reference = connect("reference", data=ssb_data)
+        for name, query in queries.items():
+            assert session.execute(query).rows == \
+                reference.execute(query).rows, name
+
+    def test_one_table_meta_load_per_job(self, clydesdale, reference,
+                                         queries, monkeypatch):
+        """The splits carry the schema they were planned with; readers
+        do not re-parse the table's metadata per row group."""
+        loads = []
+        load = TableMeta.load.__func__
+
+        def counting_load(cls, fs, directory):
+            loads.append(directory)
+            return load(cls, fs, directory)
+
+        monkeypatch.setattr(TableMeta, "load", classmethod(counting_load))
+        query = queries["Q2.1"]
+        got = clydesdale.execute(query)
+        assert loads == [clydesdale.engine.catalog.meta(
+            "lineorder").directory]
+        assert got.rows == reference.execute(query).rows
 
 
 class TestFeatureToggles:

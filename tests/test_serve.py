@@ -18,6 +18,7 @@ from repro.api import connect
 from repro.common.config import Configuration
 from repro.common.errors import (
     AdmissionError,
+    ConfigError,
     ReproError,
     SchedulerError,
     ValidationError,
@@ -119,6 +120,20 @@ class TestConnect:
         session = connect(backend="clydesdale", data=ssb_data,
                           conf=Configuration({KEY_CACHE_ENABLED: False}))
         assert session.cache is None
+
+    @pytest.mark.parametrize("key", [
+        "mapred.map.max.attempts",      # a job key: jobs are planned fresh
+        "clydesdale.sanitizer",         # registered, but read per job
+        "cif.block.rows",               # deleted: the block is the group
+        "clydesdale.cache.enabeld",     # a typo of a session key
+    ])
+    def test_conf_key_no_session_reads_is_refused(self, ssb_data, key):
+        conf = Configuration({key: 1})
+        with pytest.raises(ConfigError, match=key):
+            connect(backend="reference", data=ssb_data, conf=conf)
+        # The frontend runs the same check, before any worker is spawned.
+        with pytest.raises(ConfigError, match=key):
+            Frontend(data=ssb_data, conf=conf)
 
     def test_explain_uniform(self, clyde_session, hive_session,
                              ref_session, queries):

@@ -63,6 +63,18 @@ class TestDeterminism:
         other = SSBGenerator(scale_factor=0.005, seed=12).generate()
         assert other.lineorder != data.lineorder
 
+    def test_repeated_keys_and_measures_share_one_object(self, data):
+        """The held fact table stays compact: every repeat of a key or
+        measure value is the same object, not an equal copy."""
+        lineorder = SCHEMAS["lineorder"]
+        for column in ("lo_custkey", "lo_partkey", "lo_extendedprice",
+                       "lo_revenue", "lo_supplycost"):
+            index = lineorder.index_of(column)
+            first: dict[int, int] = {}
+            for row in data.lineorder:
+                assert first.setdefault(row[index], row[index]) \
+                    is row[index], column
+
 
 class TestDomains:
     def test_city_name_format(self):

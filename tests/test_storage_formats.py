@@ -3,6 +3,7 @@ B-CIF, RCFile, and their metadata."""
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.common.errors import StorageError
@@ -186,30 +187,42 @@ class TestCIF:
 
 class TestBCIF:
     def test_block_iteration_same_data(self, fs):
+        # 500 rows at 200 per group: the last group is short (100 rows).
         write_cif_table(fs, "t", "/t", SCHEMA, ROWS, row_group_size=200)
         conf = JobConf("scan").set_input_paths("/t")
         conf.set("cif.block.iteration", True)
-        conf.set("cif.block.rows", 64)
+        row_conf = JobConf("scan").set_input_paths("/t")
         fmt = ColumnInputFormat()
+        splits = fmt.get_splits(fs, conf)
+        assert [s.num_rows for s in splits] == [200, 200, 100]
         rows = []
-        for split in fmt.get_splits(fs, conf):
-            for base, block in fmt.get_record_reader(fs, split, conf):
-                assert isinstance(block, RowBlock)
-                assert len(block) <= 64
-                assert block.base_row == base
-                rows.extend(block.iter_rows())
-        assert sorted(rows) == ROWS
+        for split in splits:
+            reader = fmt.get_record_reader(fs, split, conf)
+            base, block = reader.next()
+            assert isinstance(block, RowBlock)
+            assert len(block) == split.num_rows
+            assert block.base_row == split.base_row == base
+            assert reader.next() is None
+            by_row = fmt.get_record_reader(fs, split, row_conf)
+            assert list(block.iter_rows()) == \
+                [tuple(record.values) for _, record in by_row]
+            rows.extend(block.iter_rows())
+        assert rows == ROWS
 
     def test_block_column_access(self, fs):
         write_cif_table(fs, "t", "/t", SCHEMA, ROWS, row_group_size=500)
         conf = JobConf("scan").set_input_paths("/t")
         conf.set("cif.block.iteration", True)
-        conf.set("cif.block.rows", 100)
         fmt = ColumnInputFormat()
         split = fmt.get_splits(fs, conf)[0]
-        _, block = fmt.get_record_reader(fs, split, conf).next()
-        assert block.column("k") == list(range(100))
+        reader = fmt.get_record_reader(fs, split, conf)
+        _, block = reader.next()
+        assert block.column("k") == list(range(500))
         assert block.row(3) == ROWS[3]
+        # The block hands over the reader's own buffers, not copies.
+        for name in ("k", "v"):
+            assert np.shares_memory(block.column(name).data,
+                                    reader._columns[name].data)
         with pytest.raises(StorageError):
             block.column("nope")
 

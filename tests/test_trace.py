@@ -333,3 +333,25 @@ def test_flame_summary_shows_hierarchy_and_counts():
 def test_phase_totals_helper_tolerates_missing_tree():
     assert phase_totals(None) == {}
     assert phase_totals(_sample_tree())["scan"] == pytest.approx(0.25)
+
+
+# --------------------------------------------------------------------- #
+# Engine spans: the probe follows the row group
+# --------------------------------------------------------------------- #
+
+def test_one_probe_span_per_cif_split_read():
+    """B-CIF hands the kernel one block per row group, so a traced query
+    has one ``probe`` span per split scanned: 5 at SF 0.02 (120,000 fact
+    rows in 25,000-row groups), not one per fixed-size slice."""
+    from repro.api import connect
+    from repro.ssb.datagen import SSBGenerator
+    from repro.ssb.queries import ssb_queries
+
+    data = SSBGenerator(scale_factor=0.02, seed=42).generate()
+    session = connect("clydesdale", data=data)
+    session.execute(ssb_queries()["Q2.1"], trace=True)
+    tree = session.last_trace
+    probes, scans = tree.find("probe"), tree.find("scan")
+    assert len(probes) == len(scans) == 5
+    assert sum(span.attrs["rows"] for span in probes) == \
+        len(data.lineorder)
