@@ -64,13 +64,14 @@ def _q11_query():
         group_by=[])
 
 
-def _mapper(date_rows):
+def _mapper(date_rows, combiner=None):
     from repro.core.joinjob import StarJoinMapper, configure_query
     from repro.mapreduce.api import TaskContext
     from repro.storage.dimcopy import encode_dimension_copy
     conf = JobConf("perfsmoke")
     configure_query(conf, _q11_query(), SCHEMAS["lineorder"],
                     {"date": SCHEMAS["date"]})
+    conf.combiner_class = combiner
     blob = encode_dimension_copy(SCHEMAS["date"], date_rows)
     context = TaskContext(
         conf=conf, node_id="node000", task_id="m-0", jvm_state={},
@@ -129,31 +130,60 @@ def _q11_scan(scale_factor: float):
     return date_rows, records, blocks, num_rows
 
 
+def _merged_per_key(pairs, context) -> list:
+    """``pairs`` after the star-join combiner, as the runtime runs it."""
+    from repro.core.joinjob import StarJoinCombiner
+    from repro.mapreduce.shuffle import run_combiner
+    combiner = StarJoinCombiner()
+    combiner.initialize(context)
+
+    def combine(key, values):
+        out = OutputCollector()
+        combiner.reduce(key, values, out, context)
+        return out.pairs
+
+    return run_combiner(pairs, combine)
+
+
 def kernel_smoke(scale_factor: float = 0.05) -> dict:
     """Time the Q1.1 scan as blocks and as records, both through the
-    public ``mapper.map`` — block iteration's wall-clock win."""
+    public ``mapper.map`` — block iteration's wall-clock win — and the
+    blocks again under a combiner-configured job, whose kernel emits
+    one pair per group per block (``grouped_speedup`` is its gain over
+    the per-survivor emission)."""
+    from repro.core.joinjob import StarJoinCombiner
     date_rows, records, blocks, num_rows = _q11_scan(scale_factor)
     mapper, context = _mapper(date_rows)
+    grouped, grouped_context = _mapper(date_rows, StarJoinCombiner)
 
     results: dict[str, list] = {}
 
-    def run(label, values):
+    def run(label, values, kernel=mapper, kernel_context=context):
         out = OutputCollector()
         for key, value in enumerate(values):
-            mapper.map(key, value, out, context)
+            kernel.map(key, value, out, kernel_context)
         results[label] = sorted(out.pairs)
 
     block_s = _best_of(lambda: run("block", blocks))
+    grouped_s = _best_of(lambda: run("grouped", blocks, grouped,
+                                     grouped_context))
     record_s = _best_of(lambda: run("record", records))
     if results["block"] != results["record"]:
         raise AssertionError(
             "block and record-at-a-time paths disagree on the smoke "
             "query")
+    if (_merged_per_key(results["grouped"], grouped_context)
+            != _merged_per_key(results["record"], grouped_context)):
+        raise AssertionError(
+            "the grouped emission disagrees with record-at-a-time "
+            "execution after the per-key merge")
     return {
         "fact_rows": num_rows,
         "block_s": round(block_s, 4),
+        "grouped_s": round(grouped_s, 4),
         "record_s": round(record_s, 4),
         "speedup": round(record_s / block_s, 2),
+        "grouped_speedup": round(block_s / grouped_s, 2),
     }
 
 
@@ -340,7 +370,9 @@ def render_perfsmoke(report: dict) -> str:
         f"fact scan: {kernels['fact_rows']:,} rows, "
         f"block kernel {kernels['block_s'] * 1000:.1f} ms vs "
         f"record-at-a-time {kernels['record_s'] * 1000:.1f} ms "
-        f"-> {kernels['speedup']:.2f}x",
+        f"-> {kernels['speedup']:.2f}x; under a combiner "
+        f"{kernels['grouped_s'] * 1000:.1f} ms "
+        f"-> {kernels['grouped_speedup']:.2f}x over per-survivor emits",
         f"zone maps ({zone['query']}, date-clustered): "
         f"{zone['rowgroups_pruned']} row groups / "
         f"{zone['rows_skipped']:,} rows skipped, "

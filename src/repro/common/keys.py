@@ -307,6 +307,8 @@ CTR_ROWS_SCALAR_PROBED = _counter(COUNTER_GROUP_CLYDESDALE,
                                   "rows_scalar_probed")
 CTR_DIM_ROWS_ROWWISE = _counter(COUNTER_GROUP_CLYDESDALE,
                                 "dim_rows_rowwise")
+CTR_ROWS_EMITTED_ROWWISE = _counter(COUNTER_GROUP_CLYDESDALE,
+                                    "rows_emitted_rowwise")
 CTR_HT_BUILDS = _counter(COUNTER_GROUP_CLYDESDALE, "ht_builds")
 CTR_HT_BUILDS_REUSED = _counter(COUNTER_GROUP_CLYDESDALE,
                                 "ht_builds_reused")

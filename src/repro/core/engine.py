@@ -71,6 +71,11 @@ class ExecutionStats:
     #: because the predicate had no mask over the copy's columns (or a
     #: snowflake branch was flattened); 0 on a warm query.
     dim_rows_rowwise: int = 0
+    #: Surviving fact rows the block kernel emitted one pair each
+    #: because it could not merge them per group (no combiner, a
+    #: non-integer measure, the int64 bound; the probe span's
+    #: ``emit_declined`` says which); 0 = every block emitted per group.
+    rows_emitted_rowwise: int = 0
     hdfs_bytes_read: int = 0
     ht_builds: int = 0
     ht_cache_hits: int = 0
@@ -96,6 +101,8 @@ class ExecutionStats:
                                                 "rows_scalar_probed")
         stats.dim_rows_rowwise = counters.get("clydesdale",
                                               "dim_rows_rowwise")
+        stats.rows_emitted_rowwise = counters.get("clydesdale",
+                                                  "rows_emitted_rowwise")
         stats.hdfs_bytes_read = counters.get(Counters.GROUP_HDFS,
                                              "bytes_read")
         stats.ht_builds = counters.get("clydesdale", "ht_builds")

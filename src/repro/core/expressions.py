@@ -496,6 +496,35 @@ _ARITH: dict[str, Callable[[Any, Any], Any]] = {
     "/": operator.truediv,
 }
 
+#: Integer results whose magnitude stays below this are exact in int64,
+#: with room for one more addition; past it a numpy kernel declines to
+#: exact Python ints. The one int64-safety bound of the code base.
+_INT64_SAFE = 2 ** 62
+
+
+def int64_safe(magnitude: int) -> bool:
+    """True when an integer result no larger than ``magnitude`` in
+    absolute value is exact in int64 (see :data:`_INT64_SAFE`)."""
+    return magnitude < _INT64_SAFE
+
+
+def magnitude(values: Any) -> int:
+    """The largest absolute value of an integer array or scalar, as a
+    Python int (0 for an empty array) — the input of
+    :func:`int64_safe`."""
+    if isinstance(values, np.ndarray):
+        if values.size == 0:
+            return 0
+        return max(int(values.max()), -int(values.min()))
+    return abs(int(values))
+
+
+def is_integral(value: Any) -> bool:
+    """An integer numpy array or a plain Python int (bools excluded)."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iu"
+    return type(value) is int
+
 
 class ValueExpr(ABC):
     """Scalar expression over one (fact) row."""
@@ -609,6 +638,13 @@ class BinaryOp(ValueExpr):
         right = self.right.evaluate_vector(columns, selection)
         if right is None:
             return None
+        if is_integral(left) and is_integral(right):
+            # Python ints never wrap; int64 does, silently. Decline to
+            # the exact row path when the result could leave int64.
+            bound = (magnitude(left) * magnitude(right) if self.op == "*"
+                     else magnitude(left) + magnitude(right))
+            if not int64_safe(bound):
+                return None
         return _ARITH[self.op](left, right)
 
     def columns(self) -> set[str]:

@@ -30,6 +30,8 @@ from repro.storage.columnvector import (
 _DENSE_MIN_SLOTS = 1024
 _DENSE_SPREAD_FACTOR = 8
 
+_INT64_MIN = int(np.iinfo(np.int64).min)
+
 
 @dataclass
 class HashTableStats:
@@ -59,33 +61,9 @@ class DimensionHashTable:
         self.stats = stats
         # Built eagerly: published tables are frozen by the sanitizer,
         # so a lazily-attached cache would raise on first probe.
-        self._dense = self._build_dense(table)
+        self._dense = _DenseView.build(table, len(aux_columns))
 
-    @staticmethod
-    def _build_dense(table: dict):
-        """A code-space view of the table for vectorized probes.
-
-        Dimension primary keys are dense small ints (datekey, custkey
-        …), so the dict maps onto an offset array: ``lookup[key - lo]``
-        is the entry's position in ``aux_rows`` or -1 for a join miss.
-        Returns ``(lookup, lo, hi, aux_rows)``, or ``None`` when keys
-        are not ints or too sparse (the dict path still works).
-        """
-        if type(next(iter(table), None)) is not int:
-            return None
-        keys = np.asarray(list(table))
-        if keys.dtype.kind != "i":
-            return None  # a float, str or over-wide key among the ints
-        lo, hi = int(keys.min()), int(keys.max())
-        spread = hi - lo + 1
-        if spread > max(_DENSE_MIN_SLOTS,
-                        _DENSE_SPREAD_FACTOR * len(table)):
-            return None
-        lookup = np.full(spread, -1, dtype=np.int64)
-        lookup[keys - lo] = np.arange(len(keys))
-        return lookup, lo, hi, tuple(table.values())
-
-    def _dense_for(self, keys: Sequence[Any]):
+    def _dense_for(self, keys: Sequence[Any]) -> "_DenseView | None":
         """The dense view when ``keys`` can index it — a typed buffer of
         integers — else ``None``: the dict leg then gives any other key
         (a float FK, a hand-built list) exact ``probe`` semantics."""
@@ -95,21 +73,51 @@ class DimensionHashTable:
         return None
 
     def hit_mask(self, keys: Sequence[Any]) -> np.ndarray | None:
-        """Join-hit verdicts for a whole FK column in one pass.
+        """Join-hit verdicts for a whole FK column in one gather.
 
-        The mask stage of the block kernel: the caller ANDs this with
-        the fact-predicate mask before materializing anything. ``None``
-        when the column is not an integer typed buffer or the table has
-        no dense view — ``probe_block``'s dict leg still applies.
+        The block kernel's first mask stage when the query has no fact
+        predicate. ``None`` when the column is not an integer typed
+        buffer or the table has no dense view — ``probe_block``'s dict
+        leg still applies.
         """
         dense = self._dense_for(keys)
         if dense is None:
             return None
-        lookup, lo, hi, _ = dense
-        data = keys.data
-        in_range = (data >= lo) & (data <= hi)
-        offsets = np.where(in_range, data - lo, 0)
-        return in_range & (lookup[offsets] >= 0)
+        return dense.hits(keys.data)
+
+    def select_hits(self, keys: Sequence[Any], selection: Sequence[int],
+                    ) -> np.ndarray | None:
+        """The positions of ``selection`` whose keys hit, testing only
+        those keys (the early-out at survivor grain: a later table never
+        looks at rows an earlier stage already dropped). ``None`` when
+        :meth:`hit_mask` would be."""
+        dense = self._dense_for(keys)
+        if dense is None:
+            return None
+        sel = as_index_array(selection)
+        return sel[dense.hits(keys.data[sel])]
+
+    def entries_at(self, keys: Sequence[Any], selection: Sequence[int],
+                   ) -> np.ndarray | None:
+        """Dense entry positions of selected keys already known to hit —
+        indexes into :meth:`aux_codes`' arrays — or ``None`` without a
+        dense view for ``keys``."""
+        dense = self._dense_for(keys)
+        if dense is None:
+            return None
+        return dense.entries(keys.data[as_index_array(selection)])
+
+    def aux_codes(self, aux_index: int) -> tuple[np.ndarray, int]:
+        """(code per dense entry, number of codes) of one aux column:
+        equal values share a code. Only valid while a dense view exists
+        (:meth:`entries_at` returned positions)."""
+        dense = self._dense
+        return dense.aux_codes[aux_index], dense.aux_cards[aux_index]
+
+    def aux_values(self, entries: np.ndarray, aux_index: int) -> list:
+        """Aux column ``aux_index`` of the given dense entries."""
+        aux_rows = self._dense.aux_rows
+        return [aux_rows[j][aux_index] for j in entries.tolist()]
 
     @classmethod
     def from_columns(cls, dimension: str, fact_fk: str,
@@ -194,14 +202,12 @@ class DimensionHashTable:
         """
         dense = self._dense_for(keys)
         if dense is not None:
-            lookup, lo, hi, aux_rows = dense
             sel = as_index_array(selection)
             data = keys.data[sel]
-            in_range = (data >= lo) & (data <= hi)
-            entry = lookup[np.where(in_range, data - lo, 0)]
-            hit = in_range & (entry >= 0)
-            return (sel[hit],
-                    [aux_rows[j] for j in entry[hit].tolist()])
+            hit = dense.hits(data)
+            aux_rows = dense.aux_rows
+            entries = dense.entries(data[hit]).tolist()
+            return sel[hit], [aux_rows[j] for j in entries]
         get = self._table.get
         positions: list[int] = []
         aux_out: list[tuple] = []
@@ -217,11 +223,10 @@ class DimensionHashTable:
     def gather_aux(self, keys: Sequence[Any],
                    selection: Sequence[int]) -> list[tuple]:
         """Aux tuples for positions already known to hit (no filtering)."""
-        dense = self._dense_for(keys)
-        if dense is not None:
-            lookup, lo, _hi, aux_rows = dense
-            entry = lookup[keys.data[as_index_array(selection)] - lo]
-            return [aux_rows[j] for j in entry.tolist()]
+        entries = self.entries_at(keys, selection)
+        if entries is not None:
+            aux_rows = self._dense.aux_rows
+            return [aux_rows[j] for j in entries.tolist()]
         get = self._table.get
         return [get(key) for key in gather_values(keys, selection)]
 
@@ -234,6 +239,99 @@ class DimensionHashTable:
     def __repr__(self) -> str:
         return (f"DimensionHashTable({self.dimension}, "
                 f"{len(self._table)} entries, aux={self.aux_columns})")
+
+
+class _DenseView:
+    """A code-space view of a table for vectorized probes.
+
+    Dimension primary keys are dense small ints (datekey, custkey …),
+    so the dict maps onto offset arrays over ``[lo, hi]``:
+
+    * ``lookup[key - lo]`` — the entry's position in ``aux_rows``, or -1
+      for a join miss;
+    * ``bitmap[key - lo + 1]`` — the hit verdict, padded with a ``False``
+      slot at each end, so a clipped gather answers for keys below and
+      above the range without a bounds test;
+    * ``aux_codes[i]`` — per entry, a code for aux column ``i`` (equal
+      values share one; ``aux_cards[i]`` codes in all): the group codes
+      of the block kernel's grouped emission.
+
+    Every array is read-only: tables are cached across queries and
+    shared by join threads.
+    """
+
+    __slots__ = ("lookup", "lo", "bitmap", "aux_rows", "aux_codes",
+                 "aux_cards")
+
+    def __init__(self, lookup: np.ndarray, lo: int, aux_rows: tuple,
+                 arity: int):
+        self.lookup = _read_only(lookup)
+        self.lo = lo
+        bitmap = np.zeros(len(lookup) + 2, dtype=bool)
+        bitmap[1:-1] = lookup >= 0
+        self.bitmap = _read_only(bitmap)
+        self.aux_rows = aux_rows
+        columns = [value_codes([row[index] for row in aux_rows])
+                   for index in range(arity)]
+        self.aux_codes = tuple(_read_only(codes) for codes, _ in columns)
+        self.aux_cards = tuple(count for _, count in columns)
+
+    @classmethod
+    def build(cls, table: dict, arity: int) -> "_DenseView | None":
+        """The view of ``table``, or ``None`` when its keys are not ints
+        or too sparse (the dict path still works)."""
+        if type(next(iter(table), None)) is not int:
+            return None
+        keys = np.asarray(list(table))
+        if keys.dtype.kind != "i":
+            return None  # a float, str or over-wide key among the ints
+        lo, hi = int(keys.min()), int(keys.max())
+        if lo == _INT64_MIN:
+            return None  # the low padding slot's key must be an int64
+        spread = hi - lo + 1
+        if spread > max(_DENSE_MIN_SLOTS,
+                        _DENSE_SPREAD_FACTOR * len(table)):
+            return None
+        lookup = np.full(spread, -1, dtype=np.int64)
+        lookup[keys - lo] = np.arange(len(keys))
+        return cls(lookup, lo, tuple(table.values()), arity)
+
+    def hits(self, data: np.ndarray) -> np.ndarray:
+        """Hit verdicts for an integer key buffer: one gather.
+
+        Offsets ``key - (lo - 1)`` are taken in int64, so narrow and
+        unsigned buffers never overflow. An int64 key whose offset wraps
+        lands below slot 0 (it was far above ``hi``) or at or above the
+        last slot (far below ``lo``), and the clip maps both onto a
+        padding ``False``.
+        """
+        if data.dtype == np.uint64:
+            # Above hi + 1 (or 0, when every key is negative) no key can
+            # hit; clamp there so the int64 cast below stays exact.
+            data = np.minimum(data, np.uint64(
+                max(self.lo + len(self.lookup), 0)))
+        offsets = np.subtract(data, self.lo - 1, dtype=np.int64)
+        return np.take(self.bitmap, offsets, mode="clip")
+
+    def entries(self, data: np.ndarray) -> np.ndarray:
+        """Entry positions of keys known to hit."""
+        return self.lookup[np.subtract(data, self.lo, dtype=np.int64)]
+
+
+def value_codes(values: Sequence[Any]) -> tuple[np.ndarray, int]:
+    """(int64 code per value, number of codes) for plain Python values:
+    equal values (by ``==``, as a combiner groups keys) share a code,
+    numbered in first-seen order."""
+    code_of = {value: code
+               for code, value in enumerate(dict.fromkeys(values))}
+    codes = np.fromiter(map(code_of.__getitem__, values), dtype=np.int64,
+                        count=len(values))
+    return codes, len(code_of)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def flatten_dimension(join, schemas: dict, tables: dict,

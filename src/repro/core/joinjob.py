@@ -10,11 +10,13 @@ One MapReduce job executes the whole star join:
 * **driver** — final single-process ORDER BY.
 
 A B-CIF block runs through **one block kernel**
-(:meth:`StarJoinMapper._map_block`): the fact predicate and each hash
-table (most selective first, so doomed rows die as early as possible)
-answer with a whole-block boolean mask where they can and shrink the
-surviving selection where they cannot, and group keys/measures are
-materialized for survivors only. A single :class:`Record` takes the
+(:meth:`StarJoinMapper._map_block`): the first mask stage (the fact
+predicate, else the most selective hash table) reads the whole block,
+every later table tests only the rows still selected, and a table
+without a mask shrinks the selection by dict probes. Survivors then
+leave as one pair per group when the job declares a combiner — measures
+reduced exactly in int64 — and one pair per survivor otherwise (or when
+the block declines, saying why). A single :class:`Record` takes the
 per-row :meth:`StarJoinMapper.process_record` — the section 6.5
 block-iteration ablation arm and the tests' row-wise oracle, selected
 by ``cif.block.iteration`` alone.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import json
 import threading
+from itertools import repeat
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -36,9 +39,20 @@ import numpy as np
 from repro.common.errors import MapReduceError, QueryError, SanitizerError
 from repro.common.schema import Schema
 from repro.core.canonical import CanonicalQuery
-from repro.core.expressions import TruePredicate, _ColumnsRowGetter
-from repro.core.hashtable import DimensionHashTable
-from repro.storage.columnvector import gather_values
+from repro.core.expressions import (
+    TruePredicate,
+    _ColumnsRowGetter,
+    int64_safe,
+    is_integral,
+    magnitude,
+)
+from repro.core.hashtable import DimensionHashTable, value_codes
+from repro.storage.columnvector import (
+    DictionaryVector,
+    NumericVector,
+    as_index_array,
+    gather_values,
+)
 from repro.core.query import StarQuery
 from repro.mapreduce.api import MapRunner, Mapper, Reducer, TaskContext
 from repro.mapreduce.job import JobConf
@@ -73,15 +87,17 @@ class _Tally:
     Join threads bump their own tally lock-free; the mapper's lock is
     taken only once per thread (at registration), never per row or per
     block. ``scalar`` counts rows handed to a per-row dict probe — the
-    part of the probe work that left the mask path.
+    part of the probe work that left the mask path; ``rowwise`` counts
+    survivors emitted one pair each instead of one pair per group.
     """
 
-    __slots__ = ("probed", "matched", "scalar")
+    __slots__ = ("probed", "matched", "scalar", "rowwise")
 
     def __init__(self) -> None:
         self.probed = 0
         self.matched = 0
         self.scalar = 0
+        self.rowwise = 0
 
 
 def configure_query(conf: JobConf, query: StarQuery, fact_schema: Schema,
@@ -131,12 +147,15 @@ class StarJoinMapper(Mapper):
         self._group_plan: list[tuple[str, int, int]] = []
         self._agg_fns: list[Callable[[Callable[[str], Any]], Any]] = []
         self._agg_vec_fns: list[Callable] = []
+        self._agg_functions: list[str] = []
+        self._emit_declined: str | None = None
         self._fact_pred = None
         self._pred_is_true = False
         self._probe_order: list[int] = []
         self._rows_probed = 0
         self._rows_matched = 0
         self._rows_scalar_probed = 0
+        self._rows_emitted_rowwise = 0
         self._lock = threading.Lock()
         self._tallies: list[_Tally] = []
         self._local = threading.local()
@@ -165,6 +184,14 @@ class StarJoinMapper(Mapper):
         self._agg_fns = [self._make_agg_fn(agg) for agg in query.aggregates]
         self._agg_vec_fns = [self._make_agg_vec(agg)
                              for agg in query.aggregates]
+        self._agg_functions = [agg.function for agg in query.aggregates]
+        # Merging a block's survivors into one pair per group is the
+        # combiner's job done early; only a job that declares one (with
+        # this job's merge rules) may have its map output pre-merged.
+        combiner = context.conf.combiner_class
+        self._emit_declined = (
+            None if isinstance(combiner, type)
+            and issubclass(combiner, StarJoinReducer) else "no combiner")
         self._sanitize = context.conf.get_bool(KEY_SANITIZER, False)
         if self._sanitize:
             # Turn the "read-only after build" comment into an enforced
@@ -403,69 +430,90 @@ class StarJoinMapper(Mapper):
 
     def _map_block(self, block: RowBlock, collector: OutputCollector,
                    ) -> None:
-        """The block kernel: select survivors, then materialize group
-        keys and measures for them only (paper 5.3's survivors-only
-        tuple reconstruction)."""
+        """The block kernel: select survivors, then emit for them only
+        (paper 5.3's survivors-only tuple reconstruction) — one pair per
+        group when the job has a combiner (:meth:`_emit_grouped`), else
+        one per survivor through the :meth:`_emit_block` hook."""
         # One span per block batch (never per row): with tracing off
         # this is two no-op calls on the shared null span.
         with self._tracer.span("probe", CAT_PHASE) as probe_span:
             selection, scalar_probed = self._select(block)
             matched = len(selection)
+            groups, declined = 0, None
             if matched:
                 columns = block.columns
-                # Aux tuples are gathered once, for final survivors.
-                aux_by_join = [
-                    table.gather_aux(columns[name], selection)
-                    for name, table in zip(self._fk_names,
-                                           self.hash_tables)]
-                self._emit_block(block, selection, aux_by_join, collector)
+                declined = self._emit_declined
+                if declined is None:
+                    groups, declined = self._emit_grouped(
+                        columns, selection, collector)
+                if declined is not None:
+                    # Aux tuples are gathered once, for final survivors.
+                    aux_by_join = [
+                        table.gather_aux(columns[name], selection)
+                        for name, table in zip(self._fk_names,
+                                               self.hash_tables)]
+                    self._emit_block(block, selection, aux_by_join,
+                                     collector)
+                    groups = matched
             probe_span.set("rows", block.num_rows)
             probe_span.set("matched", matched)
             probe_span.set("rows_scalar_probed", scalar_probed)
+            probe_span.set("groups", groups)
+            probe_span.set("emit_declined", declined)
         tally = self._tally()
         tally.probed += block.num_rows
         tally.matched += matched
         tally.scalar += scalar_probed
+        if declined is not None:
+            tally.rowwise += matched
 
     def _select(self, block: RowBlock) -> tuple[Sequence[int], int]:
         """Positions of the block's rows that pass the fact predicate
         and hit every hash table — Figure 4's probe loop with early-out,
-        one stage at a time over the whole block — and how many rows
-        were handed to a per-row dict probe on the way.
+        one stage at a time — and how many rows were handed to a per-row
+        dict probe on the way.
 
-        Mask stages first: the predicate's
-        :meth:`~repro.core.expressions.Predicate.evaluate_mask` and each
-        table's :meth:`~repro.core.hashtable.DimensionHashTable.hit_mask`
-        (most selective first) are ANDed over the whole block, so doomed
-        rows die without a selection vector being built; one
-        ``flatnonzero`` materializes the survivors. A stage that cannot
-        answer with a mask (a plain-list column, a table without a
-        dense view) then runs on those survivors only —
-        ``evaluate_block`` / ``probe_block``, same order.
+        Only the first mask stage reads the whole block: the predicate's
+        :meth:`~repro.core.expressions.Predicate.evaluate_mask`, or, with
+        no fact predicate, the most selective table's
+        :meth:`~repro.core.hashtable.DimensionHashTable.hit_mask`; its
+        ``flatnonzero`` becomes the selection. Every later table in
+        ``_probe_order`` tests only the selected keys
+        (:meth:`~repro.core.hashtable.DimensionHashTable.select_hits`)
+        and shrinks the selection, so a row one table dropped is never
+        looked up in the next. A stage that cannot answer with a mask (a
+        plain-list column, a table without a dense view) then runs on
+        those survivors only — ``evaluate_block`` / ``probe_block``,
+        same order.
         """
         columns = block.columns
         tables = self.hash_tables
         fk_names = self._fk_names
-        mask = None
+        selection = None  # every row, until a mask stage narrows it
         pred_declined = False
         if not self._pred_is_true:
             mask = self._fact_pred.evaluate_mask(columns, block.num_rows)
             pred_declined = mask is None
-            if not pred_declined and not mask.any():
-                return (), 0
-        declined = 0  # bit per join whose hit_mask said None
+            if not pred_declined:
+                selection = np.flatnonzero(mask)
+                if len(selection) == 0:
+                    return (), 0
+        declined = 0  # bit per join that has no mask for its keys
         for join_index in self._probe_order:
-            hits = tables[join_index].hit_mask(
-                columns[fk_names[join_index]])
-            if hits is None:
+            keys = columns[fk_names[join_index]]
+            if selection is None:
+                hits = tables[join_index].hit_mask(keys)
+                kept = None if hits is None else np.flatnonzero(hits)
+            else:
+                kept = tables[join_index].select_hits(keys, selection)
+            if kept is None:
                 declined |= 1 << join_index
                 continue
-            mask = hits if mask is None else mask & hits
-            if not mask.any():
+            selection = kept
+            if len(selection) == 0:
                 return (), 0
-        selection: Sequence[int] = (
-            range(block.num_rows) if mask is None
-            else np.flatnonzero(mask))
+        if selection is None:
+            selection = range(block.num_rows)
         if pred_declined:
             selection = self._fact_pred.evaluate_block(columns, selection)
         scalar_probed = 0
@@ -478,6 +526,114 @@ class StarJoinMapper(Mapper):
                 selection, _ = tables[join_index].probe_block(
                     columns[fk_names[join_index]], selection)
         return selection, scalar_probed
+
+    def _emit_grouped(self, columns: dict, selection: Sequence[int],
+                      collector: OutputCollector,
+                      ) -> tuple[int, str | None]:
+        """Emit one (group-key, partial aggregates) pair per distinct
+        group among the survivors — Hadoop's combine, applied to each
+        block — and return (pairs emitted, None); or emit nothing and
+        return (0, the reason) when the block must take the
+        per-survivor :meth:`_emit_block` instead.
+
+        Group codes come from the data, never from Python values where
+        the data has them: dictionary codes of a fact column, the dense
+        table's per-entry aux codes, ``np.unique`` over an integer fact
+        column; only a plain-list column or a dict-leg table's aux values
+        go through a value-to-code map. Each group's key is read at its
+        first survivor, so it is the very value the per-survivor loop
+        would emit first. Integer measures are reduced exactly in int64
+        (declined past :func:`~repro.core.expressions.int64_safe`); sums
+        and counts then merge like any combiner's partials.
+        """
+        sel = as_index_array(selection)
+        n = len(sel)
+        measures: list[np.ndarray | None] = []
+        keep = measures.append
+        for function, vec_fn in zip(self._agg_functions,
+                                    self._agg_vec_fns):
+            if function == "count":
+                keep(None)  # counted from group sizes
+                continue
+            out = vec_fn(columns, sel)
+            if out is None:
+                return 0, "non-vector measure"
+            if not is_integral(out):
+                return 0, "non-integer measure"
+            bound = magnitude(out)
+            if not int64_safe(bound * n if function == "sum" else bound):
+                return 0, "int64 bound"
+            keep(np.broadcast_to(np.asarray(out, dtype=np.int64), (n,)))
+
+        tables = self.hash_tables
+        fk_names = self._fk_names
+        key_joins = {join for source, join, _ in self._group_plan
+                     if source == "dim"}
+        entries = {join: tables[join].entries_at(columns[fk_names[join]],
+                                                 sel)
+                   for join in key_joins}
+        aux_rows = {join: tables[join].gather_aux(columns[fk_names[join]],
+                                                  sel)
+                    for join in key_joins if entries[join] is None}
+        key_codes = [
+            self._key_codes(plan, name, columns, sel, entries, aux_rows)
+            for plan, name in zip(self._group_plan, self.query.group_by)]
+        composite = np.zeros(n, dtype=np.int64)
+        span = 1
+        for codes, cardinality, _ in key_codes:
+            span *= cardinality
+            if not int64_safe(span):
+                return 0, "group-code overflow"
+            composite *= cardinality
+            composite += codes
+
+        order = np.argsort(composite, kind="stable")
+        starts = np.flatnonzero(np.diff(composite[order], prepend=-1))
+        # Stable sort: a run's first element is the group's first
+        # survivor, whose key the per-survivor loop would emit first.
+        firsts = order[starts]
+        sizes = np.diff(starts, append=n)
+        reduced = [
+            sizes if values is None
+            else _REDUCE[function].reduceat(values[order], starts)
+            for function, values in zip(self._agg_functions, measures)]
+        groups = len(starts)
+        group_values = (map(tuple, np.stack(reduced, axis=1).tolist())
+                        if reduced else repeat((), groups))
+        key_values = [values_at(firsts) for _, _, values_at in key_codes]
+        group_keys = zip(*key_values) if key_values else repeat((), groups)
+        collect = collector.collect
+        for key, values in zip(group_keys, group_values):
+            collect(key, values)
+        return groups, None
+
+    def _key_codes(self, plan: tuple[str, int, int], name: str,
+                   columns: dict, sel: np.ndarray, entries: dict,
+                   aux_rows: dict,
+                   ) -> tuple[np.ndarray, int, Callable[[np.ndarray], list]]:
+        """One group-by column over the survivors as (code per survivor,
+        number of codes, survivor indexes -> their values)."""
+        source, join_index, aux_index = plan
+        if source == "fact":
+            column = columns[name]
+            if isinstance(column, DictionaryVector):
+                return (column.codes[sel], len(column.dictionary),
+                        lambda firsts: column.take(sel[firsts]))
+            if (isinstance(column, NumericVector)
+                    and column.data.dtype.kind in "iu"):
+                distinct, codes = np.unique(column.data[sel],
+                                            return_inverse=True)
+                return (codes, len(distinct),
+                        lambda firsts: column.take(sel[firsts]))
+            return _value_codes(gather_values(column, sel))
+        found = entries[join_index]
+        if found is None:
+            return _value_codes(
+                [aux[aux_index] for aux in aux_rows[join_index]])
+        table = self.hash_tables[join_index]
+        codes, cardinality = table.aux_codes(aux_index)
+        return (codes[found], cardinality,
+                lambda firsts: table.aux_values(found[firsts], aux_index))
 
     def _emit_block(self, block: RowBlock, selection: Sequence[int],
                     aux_by_join: Sequence[Sequence[tuple]],
@@ -544,6 +700,8 @@ class StarJoinMapper(Mapper):
             self._rows_matched += sum(t.matched for t in self._tallies)
             self._rows_scalar_probed += sum(
                 t.scalar for t in self._tallies)
+            self._rows_emitted_rowwise += sum(
+                t.rowwise for t in self._tallies)
             self._tallies.clear()
         probe_rate = context.conf.get_float(KEY_PROBE_RATE, 762_000.0)
         context.charge(self._rows_probed
@@ -552,6 +710,19 @@ class StarJoinMapper(Mapper):
         context.count(COUNTER_GROUP, "rows_matched", self._rows_matched)
         context.count(COUNTER_GROUP, "rows_scalar_probed",
                       self._rows_scalar_probed)
+        context.count(COUNTER_GROUP, "rows_emitted_rowwise",
+                      self._rows_emitted_rowwise)
+
+
+#: Exact int64 reductions of one aggregate over sorted group runs.
+_REDUCE = {"sum": np.add, "min": np.minimum, "max": np.maximum}
+
+
+def _value_codes(values: list,
+                 ) -> tuple[np.ndarray, int, Callable[[np.ndarray], list]]:
+    """:meth:`StarJoinMapper._key_codes` for plain Python values."""
+    codes, count = value_codes(values)
+    return codes, count, lambda firsts: [values[i] for i in firsts.tolist()]
 
 
 class StarJoinReducer(Reducer):

@@ -8,6 +8,7 @@ network — the paper notes Clydesdale uses them for partial aggregation.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
@@ -42,15 +43,23 @@ def _stable_hash(key: Any) -> int:
             value = (value ^ _stable_hash(item)) * 16777619 % (2**32)
         return value
     if isinstance(key, str):
-        value = 2166136261
-        for byte in key.encode("utf-8"):
-            value = (value ^ byte) * 16777619 % (2**32)
-        return value
+        return _fnv1a(key)
     if isinstance(key, float):
         return hash(key) & 0x7FFFFFFF
     if isinstance(key, int):
         return key & 0x7FFFFFFF
     return hash(key) & 0x7FFFFFFF
+
+
+@lru_cache(maxsize=1 << 16)
+def _fnv1a(text: str) -> int:
+    """32-bit FNV-1a of ``text``'s UTF-8 bytes. Group keys repeat a few
+    hundred strings across every task and query, so the byte loop runs
+    once per distinct string; the bound keeps the memo small."""
+    value = 2166136261
+    for byte in text.encode("utf-8"):
+        value = (value ^ byte) * 16777619 % (2**32)
+    return value
 
 
 def run_combiner(pairs: Sequence[tuple[Any, Any]],

@@ -56,17 +56,13 @@ from typing import Hashable
 import numpy as np
 
 from repro.core.canonical import CanonicalQuery
+from repro.core.expressions import int64_safe
 from repro.core.query import Aggregate, OrderKey, StarQuery
 from repro.core.result import QueryResult, apply_order_by
 from repro.serve.store import GenerationalStore, StoreEntry, StoreStats
 
 #: Eviction scans this many oldest entries and drops the least useful.
 EVICT_SCAN = 8
-
-#: Sums whose absolute magnitude could reach int64 territory decline
-#: rollup instead of risking silent overflow in the numpy kernel.
-_INT64_SAFE = 2 ** 62
-
 
 # --------------------------------------------------------------------- #
 # Canonical keys: families, aggregate identities, order semantics.
@@ -331,7 +327,9 @@ class AggStore(GenerationalStore):
             if agg.function in ("sum", "count"):
                 # COUNT of a coarser group is the SUM of the stored
                 # per-group counts — same kernel as SUM.
-                if sum(abs(v) for v in vals) >= _INT64_SAFE:
+                # Sums that could leave int64 decline rollup instead of
+                # risking silent overflow in the numpy kernel.
+                if not int64_safe(sum(abs(v) for v in vals)):
                     return AggDecision(
                         kind="miss", candidates=candidates,
                         declined="sum magnitude unsafe for int64")

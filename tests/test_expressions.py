@@ -157,3 +157,65 @@ class TestValueExpressions:
     def test_unknown_value_kind(self):
         with pytest.raises(QueryError):
             value_from_dict({"kind": "mystery"})
+
+
+class TestInt64Exactness:
+    """The vector measure path declines where int64 would wrap; Python
+    ints (the row path, the reference engine) never do."""
+
+    def test_vector_product_declines_past_int64(self):
+        import numpy as np
+
+        from repro.storage.columnvector import NumericVector
+        columns = {"a": NumericVector(np.asarray([2**40, 3])),
+                   "b": NumericVector(np.asarray([2**30, 5]))}
+        assert (Col("a") * Col("b")).evaluate_vector(columns,
+                                                     range(2)) is None
+        assert (Col("a") * Lit(2**30)).evaluate_vector(columns,
+                                                       range(2)) is None
+        assert (Col("a") + Lit(2**70)).evaluate_vector(columns,
+                                                       range(2)) is None
+        assert (Col("a") - Col("b")).evaluate_vector(
+            columns, range(2)).tolist() == [2**40 - 2**30, -2]
+        assert (Col("b") * Col("b")).evaluate_vector(
+            columns, range(2)).tolist() == [2**60, 25]
+
+    def test_bigint_star_matches_the_reference(self, ssb_data):
+        from repro.api import connect
+        from repro.core.query import (
+            Aggregate,
+            DimensionJoin,
+            OrderKey,
+            StarQuery,
+        )
+        from repro.ssb.datagen import SSBData
+        from repro.ssb.schema import SCHEMAS
+
+        names = SCHEMAS["lineorder"].names
+        price = names.index("lo_extendedprice")
+        revenue = names.index("lo_revenue")
+        lineorder = []
+        for i, row in enumerate(ssb_data.lineorder):
+            row = list(row)
+            row[price] = 2**40 + i
+            row[revenue] = 2**40 - 7 * i
+            lineorder.append(tuple(row))
+        data = SSBData(scale_factor=ssb_data.scale_factor,
+                       seed=ssb_data.seed, customer=ssb_data.customer,
+                       supplier=ssb_data.supplier, part=ssb_data.part,
+                       date=ssb_data.date, lineorder=lineorder)
+        query = StarQuery(
+            name="bigint", fact_table="lineorder",
+            joins=[DimensionJoin("date", "lo_orderdate", "d_datekey")],
+            aggregates=[
+                Aggregate("sum", Col("lo_extendedprice")
+                          * Col("lo_revenue"), alias="product"),
+                Aggregate("max", Col("lo_extendedprice")
+                          * Col("lo_revenue"), alias="top"),
+                Aggregate("sum", Col("lo_extendedprice"), alias="price")],
+            group_by=["d_year"], order_by=[OrderKey("d_year")])
+        got = connect("clydesdale", data=data, aggstore=False).execute(
+            query).rows
+        expected = connect("reference", data=data).execute(query).rows
+        assert repr(got) == repr(expected)
+        assert max(row[1] for row in got) > 2**80

@@ -15,6 +15,7 @@ from repro.mapreduce.scheduler import (
 )
 from repro.mapreduce.shuffle import (
     HashPartitioner,
+    _stable_hash,
     merge_and_group,
     partition_output,
     run_combiner,
@@ -122,6 +123,19 @@ class TestPartitioner:
     def test_zero_partitions_rejected(self):
         with pytest.raises(ValueError):
             HashPartitioner().partition("k", 0)
+
+    @pytest.mark.parametrize("key,expected", [
+        # Pinned values: partitions, reduce durations and simulated
+        # seconds depend on them, so a memo or rewrite must keep them.
+        ("", 2166136261), ("ASIA", 3424068215),
+        ("UNITED KI1", 3448037029), ("MFGR#2221", 2705490837),
+        ("naïve", 2577008683), (0, 0), (1994, 1994), (-7, 2147483641),
+        (2**40, 0), (1.5, 1), (-0.0, 0), ((1994, "ASIA"), 1053513054),
+        (("UNITED ST0", "UNITED KI1", 1997), 152636420),
+        ((), 2166136261)])
+    def test_stable_hash_golden_values(self, key, expected):
+        assert _stable_hash(key) == expected
+        assert _stable_hash(key) == expected  # again, from the memo
 
 
 class TestShuffleHelpers:
