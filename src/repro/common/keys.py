@@ -312,6 +312,8 @@ CTR_ROWS_EMITTED_ROWWISE = _counter(COUNTER_GROUP_CLYDESDALE,
 CTR_HT_BUILDS = _counter(COUNTER_GROUP_CLYDESDALE, "ht_builds")
 CTR_HT_BUILDS_REUSED = _counter(COUNTER_GROUP_CLYDESDALE,
                                 "ht_builds_reused")
+CTR_HT_TABLES_ADOPTED = _counter(COUNTER_GROUP_CLYDESDALE,
+                                 "ht_tables_adopted")
 CTR_HT_CACHE_HITS = _counter(COUNTER_GROUP_CLYDESDALE, "ht_cache_hits")
 CTR_HT_CACHE_MISSES = _counter(COUNTER_GROUP_CLYDESDALE, "ht_cache_misses")
 CTR_HT_ENTRIES_PREFIX = _counter_prefix(COUNTER_GROUP_CLYDESDALE,
