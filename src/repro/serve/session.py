@@ -483,9 +483,16 @@ class Session:
     def _run_engine(self, query: StarQuery, tracer: Tracer | NullTracer,
                     ) -> tuple[QueryResult, Provenance]:
         if self.backend == "clydesdale":
+            # The generation first, then the engine: reload_catalog
+            # swaps the engine before it bumps the generation, so a
+            # query that still runs the old engine publishes its tables
+            # under the old generation and the cache refuses them.
+            generation = (self.cache.current_generation()
+                          if self.cache is not None else None)
             result = self._engine.run(
                 query, features=self.features, tracer=tracer,
-                ht_cache=self.cache, slot_share=self.slot_share)
+                ht_cache=self.cache, ht_generation=generation,
+                slot_share=self.slot_share)
         elif self.backend == "hive":
             result = self._engine.run(query, plan=self.plan, tracer=tracer,
                                       ht_cache=self.cache)
