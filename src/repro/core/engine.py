@@ -238,13 +238,20 @@ class ClydesdaleEngine:
                     ht_generation: int | None = None,
                     slot_share: float | None = None) -> QueryResult:
         """Plan ``query`` as ``passes`` (None: the one pass over every
-        dimension) and run the jobs in order on the engine's runner."""
+        dimension) and run the jobs in order on the engine's runner.
+
+        The ``plan`` span says what planning paid for: ``fk_ranges_derived``
+        is the zone-map FK ranges this plan computed (0 when every one
+        came from the filesystem's cache), ``dimension_images`` the
+        dimension master copies it had to decode into columnar images.
+        """
         query_span = tracer.start(f"query:{query.name}", CAT_JOB)
         try:
-            with tracer.span("plan", CAT_STEP):
+            with tracer.span("plan", CAT_STEP) as plan_span:
                 confs, output = plan_join_passes(
                     query, passes, self.catalog, self.cluster,
-                    self.cost_model, features or self.features, fs=self.fs)
+                    self.cost_model, features or self.features, fs=self.fs,
+                    span=plan_span)
             if len(confs) > 1:
                 self.fs.delete(scratch_dir(query), recursive=True)
             jobs: list[JobResult] = []

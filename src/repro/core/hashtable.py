@@ -23,6 +23,7 @@ from repro.storage.columnvector import (
     as_index_array,
     gather_values,
 )
+from repro.storage.dimcopy import decode_dimension_copy
 
 #: Dense-lookup bounds: keys must be ints whose span is at most
 #: max(_DENSE_MIN_SLOTS, _DENSE_SPREAD_FACTOR * entries) slots, so a
@@ -186,6 +187,30 @@ class DimensionHashTable:
         return cls(join.dimension, join.fact_fk, table,
                    tuple(aux_columns), stats)
 
+    @classmethod
+    def from_branch(cls, join, schemas: dict[str, Schema],
+                    decoded: dict[str, tuple[int, Columns]],
+                    aux_columns: Sequence[str]) -> "DimensionHashTable":
+        """The table of ``join``'s branch from its tables as
+        :func:`decode_branch` returned them: one mask over a plain
+        dimension, :meth:`build_snowflake` over a snowflake branch."""
+        if join.snowflake:
+            return cls.build_snowflake(
+                join, schemas,
+                {name: list(zip(*columns.values()))
+                 for name, (_, columns) in decoded.items()}, aux_columns)
+        rows, columns = decoded[join.dimension]
+        return cls.from_columns(join.dimension, join.fact_fk, columns,
+                                rows, join.dim_pk, join.predicate,
+                                aux_columns)
+
+    def key_range(self) -> tuple[Any, Any] | None:
+        """(smallest, largest) key — the range a joining fact row's FK
+        lies in — or ``None`` when no dimension row qualified."""
+        if not self._table:
+            return None
+        return min(self._table), max(self._table)
+
     def probe(self, key: Any) -> tuple | None:
         """Return the aux tuple for ``key`` or ``None`` on join miss."""
         return self._table.get(key)
@@ -332,6 +357,20 @@ def value_codes(values: Sequence[Any]) -> tuple[np.ndarray, int]:
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+def decode_branch(join, schemas: dict[str, Schema],
+                  copies: Sequence[bytes], aux_columns: Sequence[str],
+                  ) -> dict[str, tuple[int, Columns]]:
+    """(row count, columns) of each table of ``join``'s branch, decoded
+    from its columnar copy (one per ``join.all_tables()``, in the
+    node-local copy's format): only the columns a build reads, or whole
+    tables for a snowflake branch, which is flattened row by row."""
+    wanted = {join.dim_pk, *join.predicate.columns(), *aux_columns}
+    return {name: decode_dimension_copy(
+                schemas[name], blob,
+                schemas[name].names if join.snowflake else wanted)
+            for name, blob in zip(join.all_tables(), copies)}
 
 
 def flatten_dimension(join, schemas: dict, tables: dict,

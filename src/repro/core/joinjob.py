@@ -47,7 +47,11 @@ from repro.core.expressions import (
     is_integral,
     magnitude,
 )
-from repro.core.hashtable import DimensionHashTable, value_codes
+from repro.core.hashtable import (
+    DimensionHashTable,
+    decode_branch,
+    value_codes,
+)
 from repro.storage.columnvector import (
     DictionaryVector,
     NumericVector,
@@ -60,7 +64,6 @@ from repro.mapreduce.job import JobConf
 from repro.mapreduce.types import OutputCollector, RecordReader
 from repro.ssb.loader import dim_cache_name
 from repro.storage.cif import RowBlock
-from repro.storage.dimcopy import decode_dimension_copy
 from repro.trace.tracer import (
     CAT_PHASE,
     CAT_THREAD,
@@ -334,23 +337,10 @@ class StarJoinMapper(Mapper):
         node-local dimension ``copies`` (one per ``join.all_tables()``),
         decoding only the columns the build reads. Returns (table, rows
         scanned, the ``read:<dimension>`` fact set on the build span)."""
-        decoded = {}
-        for name, blob in zip(join.all_tables(), copies):
-            schema = dim_schemas[name]
-            # A snowflake branch is flattened row by row, whole tables.
-            decoded[name] = decode_dimension_copy(
-                schema, blob, schema.names if join.snowflake else
-                {join.dim_pk, *join.predicate.columns(), *aux})
+        decoded = decode_branch(join, dim_schemas, copies, aux)
         rows_scanned = sum(rows for rows, _ in decoded.values())
-        if join.snowflake:
-            table = DimensionHashTable.build_snowflake(
-                join, dim_schemas,
-                {name: list(zip(*columns.values()))
-                 for name, (_, columns) in decoded.items()}, aux)
-        else:
-            table = DimensionHashTable.from_columns(
-                join.dimension, join.fact_fk, decoded[join.dimension][1],
-                rows_scanned, join.dim_pk, join.predicate, aux)
+        table = DimensionHashTable.from_branch(join, dim_schemas, decoded,
+                                               aux)
         rowwise = table.stats.rows_rowwise
         context.count(COUNTER_GROUP, "dim_rows_rowwise", rowwise)
         read = {

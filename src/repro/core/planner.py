@@ -12,14 +12,14 @@ ablation. A query is one job unless its hash tables outgrow a node
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from weakref import WeakKeyDictionary
 
 from repro.common.errors import PlanningError
 from repro.common.keys import KEY_PASS_OUTPUT_SCHEMA
 from repro.common.units import MB
 from repro.core.expressions import And, Between, Predicate, TruePredicate
-from repro.core.hashtable import flatten_dimension
+from repro.core.hashtable import DimensionHashTable, decode_branch
 from repro.core.joinjob import (
     KEY_BUILD_RATE,
     KEY_HT_BYTES_PER_ENTRY,
@@ -40,9 +40,11 @@ from repro.sim.costs import CostModel
 from repro.sim.hardware import ClusterSpec
 from repro.ssb.loader import Catalog
 from repro.storage.cif import KEY_BLOCK_ITERATION, ColumnInputFormat
+from repro.storage.dimcopy import encode_dimension_copy
 from repro.storage.multicif import MultiColumnInputFormat
 from repro.storage.rowformat import RowInputFormat, read_row_table
 from repro.storage.tablemeta import FORMAT_CIF
+from repro.trace.tracer import NULL_SPAN, NullSpan, Span
 
 
 @dataclass(frozen=True)
@@ -127,36 +129,63 @@ def fact_scan_columns(query: StarQuery, catalog: Catalog) -> list[str]:
     return columns
 
 
-# Per-filesystem cache of derived pruning predicates: scanning the
-# (small) dimension tables once per distinct join shape is cheap, doing
-# it on every plan of a repeated query is not.
-_ZONEMAP_PRED_CACHE: "WeakKeyDictionary[MiniDFS, dict]" = \
+@dataclass
+class _FkRanges:
+    """One filesystem's plan-time pruning state: each dimension's
+    columnar image — its master copy encoded as the node-local copy is
+    (:mod:`repro.storage.dimcopy`), built on first use, keyed by table
+    directory — and the FK range derived per distinct join. Decoded
+    rows are never kept: the images are the whole footprint."""
+
+    images: dict[str, bytes] = field(default_factory=dict)
+    ranges: dict[tuple[str, str], Predicate | None] = field(
+        default_factory=dict)
+
+
+_ZONEMAP_PRED_CACHE: "WeakKeyDictionary[MiniDFS, _FkRanges]" = \
     WeakKeyDictionary()
 
 
 def derive_zonemap_predicate(query: StarQuery, catalog: Catalog,
-                             fs: MiniDFS) -> Predicate | None:
+                             fs: MiniDFS, span: Span | NullSpan = NULL_SPAN,
+                             ) -> Predicate | None:
     """The strongest predicate zone maps can prune row groups with.
 
     Combines the query's own fact predicate with *implied* FK-range
     predicates (a semi-join reduction): for each dimension join whose
-    branch carries a predicate, scan the dimension at plan time, collect
-    the qualifying primary keys, and emit
-    ``Between(fact_fk, min(keys), max(keys))`` — every matching fact row
-    must carry one of those keys. The result is used only for its
+    branch carries a predicate, filter the dimension's columnar image
+    at plan time exactly as the hash-table build filters its
+    node-local copy, and emit ``Between(fact_fk, min(keys),
+    max(keys))`` over the qualifying primary keys — every matching fact
+    row must carry one of them. The result is used only for its
     :meth:`~repro.core.expressions.Predicate.can_match` interval test
-    (never evaluated per row), so a range that over-approximates the key
-    set is safe. Returns ``None`` when nothing useful can be derived.
+    (never evaluated per row), so a range that over-approximates the
+    key set is safe. Returns ``None`` when nothing useful can be
+    derived.
+
+    Sets ``fk_ranges_derived`` (ranges computed here rather than found
+    in the filesystem's cache) and ``dimension_images`` (master copies
+    decoded into images here) on ``span``.
     """
+    state = _ZONEMAP_PRED_CACHE.setdefault(fs, _FkRanges())
     parts: list[Predicate] = []
     if not isinstance(query.fact_predicate, TruePredicate):
         parts.append(query.fact_predicate)
+    derived = images = 0
     for join in query.joins:
         if _branch_is_trivial(join):
             continue
-        cached = _cached_fk_range(join, catalog, fs)
-        if cached is not None:
-            parts.append(cached)
+        key = (catalog.meta(join.dimension).directory,
+               json.dumps(join.to_dict(), sort_keys=True))
+        if key not in state.ranges:
+            state.ranges[key], built = _fk_range(join, catalog, fs,
+                                                 state.images)
+            derived += 1
+            images += built
+        if state.ranges[key] is not None:
+            parts.append(state.ranges[key])
+    span.set("fk_ranges_derived", derived)
+    span.set("dimension_images", images)
     if not parts:
         return None
     return parts[0] if len(parts) == 1 else And(parts)
@@ -168,23 +197,29 @@ def _branch_is_trivial(join) -> bool:
             and all(_branch_is_trivial(sub) for sub in join.snowflake))
 
 
-def _cached_fk_range(join, catalog: Catalog,
-                     fs: MiniDFS) -> Predicate | None:
-    per_fs = _ZONEMAP_PRED_CACHE.setdefault(fs, {})
-    key = (catalog.meta(join.dimension).directory,
-           json.dumps(join.to_dict(), sort_keys=True))
-    if key in per_fs:
-        return per_fs[key]
+def _fk_range(join, catalog: Catalog, fs: MiniDFS,
+              images: dict[str, bytes]) -> tuple[Predicate | None, int]:
+    """(``join``'s FK range, images built for it): the branch's keys
+    filtered from its tables' images (built from the master copies on
+    first use) with the hash-table build's own filter."""
     schemas = {t: catalog.meta(t).schema for t in join.all_tables()}
-    tables = {t: read_row_table(fs, catalog.meta(t).directory)
-              for t in join.all_tables()}
-    qualifying = flatten_dimension(join, schemas, tables)
+    copies = []
+    built = 0
+    for table in join.all_tables():
+        directory = catalog.meta(table).directory
+        if directory not in images:
+            images[directory] = encode_dimension_copy(
+                schemas[table], read_row_table(fs, directory))
+            built += 1
+        copies.append(images[directory])
+    decoded = decode_branch(join, schemas, copies, ())
+    key_range = DimensionHashTable.from_branch(join, schemas, decoded,
+                                               ()).key_range()
     # An empty qualifying set means the whole query is empty; Between
     # cannot express it, so derive nothing (pruning is best-effort).
-    derived = (Between(join.fact_fk, min(qualifying), max(qualifying))
-               if qualifying else None)
-    per_fs[key] = derived
-    return derived
+    if key_range is None:
+        return None, built
+    return Between(join.fact_fk, *key_range), built
 
 
 def plan_star_join(query: StarQuery, catalog: Catalog,
@@ -207,6 +242,7 @@ def plan_join_passes(query: StarQuery, passes: list[list[str]] | None,
                      catalog: Catalog, cluster: ClusterSpec,
                      cost_model: CostModel, features: ClydesdaleFeatures,
                      fs: MiniDFS | None = None,
+                     span: Span | NullSpan = NULL_SPAN,
                      ) -> tuple[list[JobConf], CollectingOutputFormat]:
     """One ready-to-run JobConf per join pass, in run order.
 
@@ -216,7 +252,11 @@ def plan_join_passes(query: StarQuery, passes: list[list[str]] | None,
     The first job scans the CIF fact table, every later one the row
     table the pass before it wrote; the last aggregates into the
     returned collector.  Every job gets the same execution shape.
+    ``span`` (the engine's ``plan`` span) gets the zone-map facts of
+    :func:`derive_zonemap_predicate`, 0 when none are derived.
     """
+    span.set("fk_ranges_derived", 0)
+    span.set("dimension_images", 0)
     validate_query(query, catalog)
     fact_meta = catalog.meta(query.fact_table)
     if fact_meta.format != FORMAT_CIF:
@@ -247,7 +287,8 @@ def plan_join_passes(query: StarQuery, passes: list[list[str]] | None,
             # else: no projection -> CIF reads every column (section
             # 6.5's "turning off columnar storage").
             if features.zone_maps and fs is not None:
-                pruner = derive_zonemap_predicate(query, catalog, fs)
+                pruner = derive_zonemap_predicate(query, catalog, fs,
+                                                  span)
                 if pruner is not None:
                     ColumnInputFormat.set_zonemap_filter(conf, pruner)
 

@@ -31,6 +31,7 @@ byte is read. Pruning is strictly conservative: groups without stats
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from repro.common.errors import StorageError
@@ -103,11 +104,17 @@ def write_row_group(fs: MiniDFS, directory: str, schema: Schema,
     String columns are dictionary-encoded when that is smaller (paper
     section 8's storage-organization direction); see
     :mod:`repro.storage.dictionary`. Returns the group's zone map so
-    callers can record it in the table metadata.
+    callers can record it in the table metadata. A row whose arity is
+    not the schema's raises :class:`StorageError`, as the row format's
+    writer does.
     """
+    width = len(schema)
+    if set(map(len, chunk)) - {width}:
+        arity = next(len(row) for row in chunk if len(row) != width)
+        raise StorageError(f"row arity {arity} != schema arity {width}")
     zonemap: dict[str, list] = {}
     for col_index, column in enumerate(schema.columns):
-        values = [row[col_index] for row in chunk]
+        values = list(map(itemgetter(col_index), chunk))
         data = encode_cif_column(column.dtype, values,
                                  dictionary=dictionary)
         fs.write_file(column_path(directory, group, column.name), data,

@@ -15,6 +15,7 @@ smaller, so high-cardinality columns automatically stay plain.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from typing import Sequence
 
@@ -35,9 +36,7 @@ MARKER_DICT = 0x01
 
 _U32 = struct.Struct("<I")
 
-_CODE_FORMATS = {1: "B", 2: "<H", 4: "<I"}
-
-#: numpy dtypes matching the fixed code widths (little-endian).
+#: numpy dtypes of the fixed code widths (little-endian).
 _CODE_DTYPES = {1: np.dtype("u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4")}
 
 
@@ -49,28 +48,35 @@ def _code_width(dict_size: int) -> int:
     return 4
 
 
+def _code_index(values: Sequence[str]) -> dict[str, int]:
+    """Each distinct value's code, in first-appearance order."""
+    return dict(zip(dict.fromkeys(values), itertools.count()))
+
+
+def _dictionary_size(values: Sequence[str], index: dict[str, int]) -> int:
+    """Length of the dictionary payload, computed without building it."""
+    return (9 + 4 * len(index) + serde.utf8_length(index)
+            + len(values) * _code_width(len(index)))
+
+
+def _pack_dictionary(values: Sequence[str],
+                     index: dict[str, int]) -> bytes:
+    """The dictionary payload of ``values`` (known to be strings) under
+    their ``_code_index``: the codes pack with one numpy ``tobytes``."""
+    width = _code_width(len(index))
+    parts = [_U32.pack(len(values)), _U32.pack(len(index)), bytes([width])]
+    for raw in map(str.encode, index):
+        parts += (_U32.pack(len(raw)), raw)
+    codes = np.fromiter(map(index.__getitem__, values),
+                        dtype=_CODE_DTYPES[width], count=len(values))
+    parts.append(codes.tobytes())
+    return b"".join(parts)
+
+
 def encode_dictionary(values: Sequence[str]) -> bytes:
     """Dictionary-encode a string column (without the marker byte)."""
-    ordered: list[str] = []
-    codes: dict[str, int] = {}
-    for value in values:
-        if not isinstance(value, str):
-            raise StorageError(
-                f"dictionary encoding requires strings, got {value!r}")
-        if value not in codes:
-            codes[value] = len(ordered)
-            ordered.append(value)
-    width = _code_width(len(ordered))
-    parts = [_U32.pack(len(values)), _U32.pack(len(ordered)),
-             bytes([width])]
-    for entry in ordered:
-        raw = entry.encode("utf-8")
-        parts.append(_U32.pack(len(raw)))
-        parts.append(raw)
-    fmt = _CODE_FORMATS[width]
-    packer = struct.Struct(fmt)
-    parts.extend(packer.pack(codes[v]) for v in values)
-    return b"".join(parts)
+    serde.check_strings(values, "dictionary encoding requires strings")
+    return _pack_dictionary(values, _code_index(values))
 
 
 def _parse_dictionary(data: bytes, base: int = 0,
@@ -82,7 +88,7 @@ def _parse_dictionary(data: bytes, base: int = 0,
     count = _U32.unpack_from(data, base)[0]
     dict_size = _U32.unpack_from(data, base + 4)[0]
     width = data[base + 8]
-    if width not in _CODE_FORMATS:
+    if width not in _CODE_DTYPES:
         raise StorageError(f"bad dictionary code width {width}")
     offset = base + 9
     entries: list[str] = []
@@ -122,14 +128,17 @@ def encode_cif_column(dtype: DataType, values: Sequence,
                       dictionary: bool = True) -> bytes:
     """Encode a CIF column file: marker byte + payload.
 
-    For string columns with ``dictionary=True`` the encoder builds both
-    representations and keeps the smaller one; everything else is plain.
+    For string columns with ``dictionary=True`` the encoder keeps the
+    smaller representation — sizes are computed first, and only the
+    winner (plain on a tie) is built; everything else is plain.
     """
-    plain = bytes([MARKER_PLAIN]) + serde.encode_column(dtype, values)
     if not dictionary or dtype is not DataType.STRING or not values:
-        return plain
-    encoded = bytes([MARKER_DICT]) + encode_dictionary(values)
-    return encoded if len(encoded) < len(plain) else plain
+        return bytes([MARKER_PLAIN]) + serde.encode_column(dtype, values)
+    serde.check_strings(values, f"expected str for {dtype.value} column")
+    index = _code_index(values)
+    if _dictionary_size(values, index) < serde.string_column_size(values):
+        return bytes([MARKER_DICT]) + _pack_dictionary(values, index)
+    return bytes([MARKER_PLAIN]) + serde.encode_string_column(values)
 
 
 def decode_cif_column(dtype: DataType, data: bytes) -> list:

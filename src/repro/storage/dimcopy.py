@@ -12,6 +12,7 @@ the rest by length::
 from __future__ import annotations
 
 import struct
+from operator import itemgetter
 from typing import Any, Collection, Sequence
 
 from repro.common.errors import StorageError
@@ -36,9 +37,9 @@ def encode_dimension_copy(schema: Schema,
         raise StorageError(f"row arity != schema arity {width}")
     parts = [_HEADER.pack(len(rows), width)]
     for index, column in enumerate(schema.columns):
-        values = [row[index] for row in rows]
+        values = list(map(itemgetter(index), rows))
         if column.dtype is DataType.STRING:
-            values = [str(value) for value in values]
+            values = list(map(str, values))
         payload = encode_cif_column(column.dtype, values)
         parts += (_U32.pack(len(payload)), payload)
     return b"".join(parts)

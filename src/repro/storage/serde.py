@@ -7,11 +7,18 @@ Column encoding (used by CIF and RCFile):
 
 Row encoding (used by the binary row format for dimension tables) packs
 each row's values in schema order with the same primitives.
+
+The codecs work a column, or a run of fixed-width fields, at a time: a
+column's types are checked in one scan and its ints round-trip in one
+comparison, and a row's consecutive fixed-width fields pack and unpack
+through one precompiled ``struct.Struct``. Output bytes and errors are
+those of value-by-value coding.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import chain, groupby
 from typing import Any, Sequence
 
 import numpy as np
@@ -36,38 +43,58 @@ _NP_DTYPES = {
 _U32 = struct.Struct("<I")
 
 
-def encode_column(dtype: DataType, values: Sequence[Any]) -> bytes:
-    """Serialize one column of ``values``."""
-    count = len(values)
-    header = _U32.pack(count)
-    if dtype in _PACK_CODES:
-        try:
-            array = np.asarray(values, dtype=_NP_DTYPES[dtype])
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise StorageError(
-                f"cannot encode column as {dtype.value}: {exc}") from exc
-        if array.shape != (count,):
-            raise StorageError(
-                f"cannot encode column as {dtype.value}: ragged input")
-        if dtype is not DataType.FLOAT64:
-            # numpy silently wraps out-of-range ints on some platforms;
-            # verify the round trip to keep struct-like strictness.
-            if count and not all(int(a) == v
-                                 for a, v in zip(array, values)):
-                raise StorageError(
-                    f"cannot encode column as {dtype.value}: value out "
-                    f"of range")
-        return header + array.tobytes()
-    # strings
-    parts = [header]
+def check_strings(values: Sequence[Any], what: str) -> None:
+    """Raise ``StorageError(f"{what}, got {value!r}")`` for the first
+    value of ``values`` that is not a ``str``: one scan of the value
+    types, and a value-by-value search only when that scan finds one."""
+    if set(map(type, values)) <= {str}:
+        return
     for value in values:
         if not isinstance(value, str):
-            raise StorageError(
-                f"expected str for {dtype.value} column, got {value!r}")
-        raw = value.encode("utf-8")
-        parts.append(_U32.pack(len(raw)))
-        parts.append(raw)
-    return b"".join(parts)
+            raise StorageError(f"{what}, got {value!r}")
+
+
+def utf8_length(values: Sequence[str]) -> int:
+    """Total UTF-8 byte length of ``values`` — one encode of their
+    concatenation, none at all when it is ASCII."""
+    joined = "".join(values)
+    return len(joined) if joined.isascii() else len(joined.encode("utf-8"))
+
+
+def string_column_size(values: Sequence[str]) -> int:
+    """Length of :func:`encode_column`'s output for a string column,
+    computed without building it."""
+    return _U32.size * (1 + len(values)) + utf8_length(values)
+
+
+def encode_string_column(values: Sequence[str]) -> bytes:
+    """:func:`encode_column` of a string column whose values are known
+    to be ``str`` (:func:`check_strings`)."""
+    raws = list(map(str.encode, values))
+    return _U32.pack(len(raws)) + b"".join(
+        chain.from_iterable(zip(map(_U32.pack, map(len, raws)), raws)))
+
+
+def encode_column(dtype: DataType, values: Sequence[Any]) -> bytes:
+    """Serialize one column of ``values``."""
+    if dtype not in _PACK_CODES:
+        check_strings(values, f"expected str for {dtype.value} column")
+        return encode_string_column(values)
+    count = len(values)
+    try:
+        array = np.asarray(values, dtype=_NP_DTYPES[dtype])
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise StorageError(
+            f"cannot encode column as {dtype.value}: {exc}") from exc
+    if array.shape != (count,):
+        raise StorageError(
+            f"cannot encode column as {dtype.value}: ragged input")
+    # numpy silently wraps (or truncates) some ints on some platforms;
+    # one round-trip comparison keeps struct-like strictness.
+    if dtype is not DataType.FLOAT64 and array.tolist() != list(values):
+        raise StorageError(
+            f"cannot encode column as {dtype.value}: value out of range")
+    return _U32.pack(count) + array.tobytes()
 
 
 def decode_column_array(dtype: DataType, data: bytes,
@@ -118,25 +145,62 @@ def decode_column(dtype: DataType, data: bytes) -> list:
     return values
 
 
+def _row_layout(schema: Schema,
+                ) -> list[tuple[int, int, struct.Struct | None]]:
+    """The schema as ``(start, stop, packer)`` segments in column order:
+    one precompiled ``struct.Struct`` per run of consecutive fixed-width
+    columns, ``None`` for each string column."""
+    layout: list[tuple[int, int, struct.Struct | None]] = []
+    start = 0
+    for fixed, run in groupby(schema.columns,
+                              key=lambda c: c.dtype in _PACK_CODES):
+        codes = [_PACK_CODES.get(c.dtype) for c in run]
+        stop = start + len(codes)
+        if fixed:
+            layout.append((start, stop,
+                           struct.Struct("<" + "".join(codes))))
+        else:
+            layout += [(i, i + 1, None) for i in range(start, stop)]
+        start = stop
+    return layout
+
+
+def _bad_value(schema: Schema, values: Sequence[Any],
+               start: int) -> StorageError:
+    """The error for the first of ``values`` (columns ``start``...)
+    that its column's fixed-width code cannot pack."""
+    for value, column in zip(values, schema.columns[start:]):
+        try:
+            struct.pack(f"<{_PACK_CODES[column.dtype]}", value)
+        except struct.error:
+            return StorageError(
+                f"bad value {value!r} for {column.dtype.value}")
+    return StorageError(f"bad values {tuple(values)!r}")
+
+
 def encode_rows(schema: Schema, rows: Sequence[Sequence[Any]]) -> bytes:
-    """Serialize rows column-value by column-value in schema order."""
+    """Serialize rows value by value in schema order: each run of
+    fixed-width columns is one ``struct`` pack, each string a u32
+    length plus its UTF-8 bytes (non-``str`` values are stringified)."""
+    width = len(schema)
+    layout = _row_layout(schema)
     parts = [_U32.pack(len(rows))]
-    codes = [(_PACK_CODES.get(c.dtype), c.dtype) for c in schema.columns]
+    append = parts.append
     for row in rows:
-        if len(row) != len(schema):
+        if len(row) != width:
             raise StorageError(
-                f"row arity {len(row)} != schema arity {len(schema)}")
-        for value, (code, dtype) in zip(row, codes):
-            if code is not None:
-                try:
-                    parts.append(struct.pack(f"<{code}", value))
-                except struct.error as exc:
-                    raise StorageError(
-                        f"bad value {value!r} for {dtype.value}") from exc
-            else:
-                raw = str(value).encode("utf-8")
-                parts.append(_U32.pack(len(raw)))
-                parts.append(raw)
+                f"row arity {len(row)} != schema arity {width}")
+        for start, stop, packer in layout:
+            if packer is None:
+                raw = str(row[start]).encode("utf-8")
+                append(_U32.pack(len(raw)))
+                append(raw)
+                continue
+            values = row[start:stop]
+            try:
+                append(packer.pack(*values))
+            except struct.error as exc:
+                raise _bad_value(schema, values, start) from exc
     return b"".join(parts)
 
 
@@ -145,27 +209,26 @@ def decode_rows(schema: Schema, data: bytes) -> list[tuple]:
     if len(data) < 4:
         raise StorageError("row data truncated (missing count header)")
     count = _U32.unpack_from(data, 0)[0]
+    size = len(data)
     offset = 4
+    layout = _row_layout(schema)
     rows: list[tuple] = []
-    specs = [(_PACK_CODES.get(c.dtype), c.dtype) for c in schema.columns]
     for _ in range(count):
-        values = []
-        for code, dtype in specs:
-            if code is not None:
-                width = dtype.fixed_width
-                if offset + width > len(data):
+        values: list = []
+        for _start, _stop, packer in layout:
+            if packer is not None:
+                if offset + packer.size > size:
                     raise StorageError("row data truncated (fixed value)")
-                values.append(
-                    struct.unpack_from(f"<{code}", data, offset)[0])
-                offset += width
-            else:
-                if offset + 4 > len(data):
-                    raise StorageError("row data truncated (string length)")
-                length = _U32.unpack_from(data, offset)[0]
-                offset += 4
-                if offset + length > len(data):
-                    raise StorageError("row data truncated (string bytes)")
-                values.append(data[offset:offset + length].decode("utf-8"))
-                offset += length
+                values += packer.unpack_from(data, offset)
+                offset += packer.size
+                continue
+            if offset + 4 > size:
+                raise StorageError("row data truncated (string length)")
+            length = _U32.unpack_from(data, offset)[0]
+            offset += 4
+            if offset + length > size:
+                raise StorageError("row data truncated (string bytes)")
+            values.append(data[offset:offset + length].decode("utf-8"))
+            offset += length
         rows.append(tuple(values))
     return rows

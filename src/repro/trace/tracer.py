@@ -216,7 +216,7 @@ class NullSpan:
         return False
 
 
-_NULL_SPAN = NullSpan()
+NULL_SPAN = NullSpan()
 
 
 class NullTracer:
@@ -230,11 +230,11 @@ class NullTracer:
 
     def span(self, name: str, category: str = CAT_STEP,
              parent: Any = None) -> NullSpan:
-        return _NULL_SPAN
+        return NULL_SPAN
 
     def start(self, name: str, category: str = CAT_STEP,
               parent: Any = None) -> NullSpan:
-        return _NULL_SPAN
+        return NULL_SPAN
 
     def num_spans(self) -> int:
         return 0

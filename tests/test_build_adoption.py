@@ -18,7 +18,6 @@ import pytest
 from repro.api import connect
 from repro.core.canonical import CanonicalQuery
 from repro.core.engine import ClydesdaleEngine
-from repro.core.hashtable import DimensionHashTable
 from repro.core.joinjob import StarJoinMapper, resolve_aux_columns
 from repro.core.planner import ClydesdaleFeatures
 from repro.mapreduce.counters import Counters
@@ -72,16 +71,17 @@ def _cached(engine) -> Session:
 
 @pytest.fixture
 def build_calls(monkeypatch):
-    """Count real builds of single-table joins."""
+    """Count the job's real table builds, by dimension. (The planner's
+    FK-range derivation filters a dimension with the same
+    ``from_columns``, but builds no table for a task.)"""
     calls: list[str] = []
-    original = DimensionHashTable.from_columns.__func__
+    original = StarJoinMapper._build_one_table
 
-    def spy(cls, dimension, *args, **kwargs):
-        calls.append(dimension)
-        return original(cls, dimension, *args, **kwargs)
+    def spy(self, context, join, *args, **kwargs):
+        calls.append(join.dimension)
+        return original(self, context, join, *args, **kwargs)
 
-    monkeypatch.setattr(DimensionHashTable, "from_columns",
-                        classmethod(spy))
+    monkeypatch.setattr(StarJoinMapper, "_build_one_table", spy)
     return calls
 
 
