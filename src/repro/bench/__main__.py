@@ -10,8 +10,8 @@ Targets:
 * ``calibration`` — how each cost constant derives from the paper
 * ``validate`` — run all 13 queries functionally on all engines
 * ``perfsmoke`` — time the block kernel vs record-at-a-time
-  execution, a zone-map-pruned query, the warm session cache and an
-  aggregate-store rollup; writes
+  execution, the warm session cache and an aggregate-store rollup;
+  writes
   ``BENCH_perfsmoke.json``. With ``--check``, exits non-zero when any
   number falls below its regression floor or above its ceiling.
 * ``export`` — write every series to results/*.csv and *.json

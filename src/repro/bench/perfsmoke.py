@@ -1,11 +1,11 @@
-"""Perf smoke test: block iteration, zone maps, session cache.
+"""Perf smoke test: block iteration, session cache, aggregate store.
 
 Run as ``python -m repro.bench perfsmoke``: times the block kernel
 against record-at-a-time execution on one generated fact scan (the
 paper's block-iteration technique in wall-clock, both through the
-public ``mapper.map``), runs a zone-map-pruned query on date-clustered
-data, times a warm-vs-cold Q2.1 repeat through a cache-carrying
-session, and writes the numbers to ``BENCH_perfsmoke.json``.
+public ``mapper.map``), times a warm-vs-cold Q2.1 repeat through a
+cache-carrying session and an aggregate-store rollup, and writes the
+numbers to ``BENCH_perfsmoke.json``.
 ``--check`` compares
 each headline number against :data:`FLOORS` / :data:`CEILINGS` and
 fails the run (and the CI bench job) on any regression instead of just
@@ -23,8 +23,6 @@ from repro.mapreduce.types import OutputCollector
 from repro.ssb.schema import SCHEMAS
 from repro.storage.cif import RowBlock
 from repro.storage.columnvector import ensure_vector
-
-ORDERDATE_INDEX = 5  # lineorder schema position of lo_orderdate
 
 #: Regression floors for ``--check``: measured values sit well above
 #: these (see EXPERIMENTS.md); a breach means a real regression, not
@@ -49,10 +47,6 @@ CEILINGS = {
     "session_cache.cold_builds_per_table": 1.0,
     # a subsumed repeat must never touch the fact table
     "aggstore.subsumed_fact_scans": 0.0,
-    # Planning a fresh session's 13 queries decodes each dimension's
-    # master copy once, into the planner's columnar image (5.0 when
-    # every new join predicate decoded it again).
-    "zonemaps.master_decodes_per_dimension": 1.0,
 }
 
 
@@ -194,54 +188,6 @@ def kernel_smoke(scale_factor: float = 0.05) -> dict:
     }
 
 
-def zonemap_smoke(scale_factor: float = 0.002) -> dict:
-    """End-to-end pruning on date-clustered data, checked vs reference."""
-    from repro.core.engine import ClydesdaleEngine
-    from repro.reference.engine import ReferenceEngine
-    from repro.serve.session import Session
-    from repro.ssb.datagen import SSBGenerator
-    from repro.ssb.queries import ssb_queries
-
-    data = SSBGenerator(scale_factor=scale_factor, seed=42).generate()
-    data.lineorder.sort(key=lambda row: row[ORDERDATE_INDEX])
-    # A hand-shaped layout (small row groups, so there is something to
-    # prune) is built on the engine and wrapped, not asked of connect().
-    session = Session(ClydesdaleEngine.with_ssb_data(
-        data=data, row_group_size=2000))
-    query = ssb_queries()["Q1.1"]
-    result = session.execute(query)
-    expected = ReferenceEngine.from_ssb(data).execute(query).rows
-    stats = session.stats().execution
-    return {
-        "query": query.name,
-        "rows_match_reference": result.rows == expected,
-        "rowgroups_pruned": stats.rowgroups_pruned,
-        "rows_skipped": stats.rows_skipped,
-        "rows_probed": stats.rows_probed,
-        "master_decodes_per_dimension": _master_decodes_per_dimension(
-            data),
-    }
-
-
-def _master_decodes_per_dimension(data) -> float:
-    """Dimension master-copy reads while a fresh session runs the 13
-    SSB queries once, per distinct dimension read: each FK range the
-    planner derives must come from its cached columnar image."""
-    from unittest import mock
-
-    from repro.api import connect
-    from repro.core import planner
-    from repro.ssb.queries import ssb_queries
-
-    session = connect(backend="clydesdale", data=data)
-    with mock.patch.object(planner, "read_row_table",
-                           wraps=planner.read_row_table) as reads:
-        for query in ssb_queries().values():
-            session.execute(query)
-    directories = {call.args[1] for call in reads.call_args_list}
-    return round(reads.call_count / max(1, len(directories)), 2)
-
-
 def _cold_builds_per_table(data, query) -> float:
     """Real builds per distinct table of one cold ``query`` on a
     cluster where every node runs a map task of it (2,000-row groups):
@@ -359,7 +305,6 @@ def run_perfsmoke(scale_factor: float = 0.05,
     """Run all smokes, write ``out_path``, return the combined report."""
     report = {
         "kernels": kernel_smoke(scale_factor=scale_factor),
-        "zonemaps": zonemap_smoke(),
         "session_cache": session_cache_smoke(),
         "aggstore": aggstore_smoke(),
     }
@@ -410,9 +355,8 @@ def check_floors(report: dict,
 
 def render_perfsmoke(report: dict) -> str:
     kernels = report["kernels"]
-    zone = report["zonemaps"]
     lines = [
-        "Perf smoke: block iteration + zone maps + session cache",
+        "Perf smoke: block iteration + session cache + aggregate store",
         "=" * 60,
         f"fact scan: {kernels['fact_rows']:,} rows, "
         f"block kernel {kernels['block_s'] * 1000:.1f} ms vs "
@@ -420,13 +364,6 @@ def render_perfsmoke(report: dict) -> str:
         f"-> {kernels['speedup']:.2f}x; under a combiner "
         f"{kernels['grouped_s'] * 1000:.1f} ms "
         f"-> {kernels['grouped_speedup']:.2f}x over per-survivor emits",
-        f"zone maps ({zone['query']}, date-clustered): "
-        f"{zone['rowgroups_pruned']} row groups / "
-        f"{zone['rows_skipped']:,} rows skipped, "
-        f"{zone['rows_probed']:,} probed, "
-        f"reference match: {zone['rows_match_reference']}; "
-        f"{zone['master_decodes_per_dimension']} master-copy decodes "
-        f"per dimension in a fresh session's first pass",
     ]
     cache = report.get("session_cache")
     if cache:

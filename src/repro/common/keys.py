@@ -124,9 +124,6 @@ KEY_BLOCK_ITERATION = _flag(
     "cif.block.iteration", default=False,
     doc="B-CIF: readers return each row group as one RowBlock of "
         "column buffers instead of one Record per row.")
-KEY_ZONEMAP_FILTER = _config(
-    "cif.zonemap.filter", kind="json",
-    doc="Serialized predicate used to prune row groups via zone maps.")
 KEY_SPLITS_PER_MULTI = _config(
     "multicif.splits.per.multisplit", kind="int",
     doc="Constituent splits packed into one MultiCIF multi-split.")
@@ -281,7 +278,6 @@ COUNTER_GROUP_REDUCE = _group("reduce", "Reduce-phase framework counters.")
 COUNTER_GROUP_HDFS = _group("hdfs", "Mini-HDFS I/O counters.")
 COUNTER_GROUP_SHUFFLE = _group("shuffle", "Shuffle transfer counters.")
 COUNTER_GROUP_JOB = _group("job", "Whole-job structural counters.")
-COUNTER_GROUP_STORAGE = _group("storage", "Storage-format counters.")
 COUNTER_GROUP_CLYDESDALE = _group(
     "clydesdale", "Star-join engine counters (Figure 4/5 pipeline).")
 COUNTER_GROUP_HIVE = _group("hive", "Hive-baseline stage counters.")
@@ -297,8 +293,6 @@ CTR_SHUFFLE_BYTES = _counter(COUNTER_GROUP_SHUFFLE, "bytes")
 CTR_REDUCE_INPUT_RECORDS = _counter(COUNTER_GROUP_REDUCE, "input_records")
 CTR_REDUCE_OUTPUT_RECORDS = _counter(COUNTER_GROUP_REDUCE,
                                      "output_records")
-CTR_ROWGROUPS_PRUNED = _counter(COUNTER_GROUP_STORAGE, "rowgroups_pruned")
-CTR_ROWS_SKIPPED = _counter(COUNTER_GROUP_STORAGE, "rows_skipped")
 CTR_TRACE_SPANS = _counter(COUNTER_GROUP_JOB, "trace_spans")
 
 CTR_ROWS_PROBED = _counter(COUNTER_GROUP_CLYDESDALE, "rows_probed")

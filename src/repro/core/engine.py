@@ -85,8 +85,10 @@ class ExecutionStats:
     ht_tables_adopted: int = 0
     ht_cache_hits: int = 0
     ht_cache_misses: int = 0
+    #: Always 0: row groups are never skipped. Kept only because the
+    #: end-to-end benchmark reads it; it leaves with the benchmark-only
+    #: change of ROADMAP item 1.
     rowgroups_pruned: int = 0
-    rows_skipped: int = 0
     ht_entries: dict[str, int] = field(default_factory=dict)
     ht_scanned: dict[str, int] = field(default_factory=dict)
     output_groups: int = 0
@@ -116,10 +118,6 @@ class ExecutionStats:
         stats.ht_cache_hits = counters.get("clydesdale", "ht_cache_hits")
         stats.ht_cache_misses = counters.get("clydesdale",
                                              "ht_cache_misses")
-        stats.rowgroups_pruned = counters.get(Counters.GROUP_STORAGE,
-                                              "rowgroups_pruned")
-        stats.rows_skipped = counters.get(Counters.GROUP_STORAGE,
-                                          "rows_skipped")
         for group, name, value in counters.items():
             if group != "clydesdale":
                 continue
@@ -240,18 +238,15 @@ class ClydesdaleEngine:
         """Plan ``query`` as ``passes`` (None: the one pass over every
         dimension) and run the jobs in order on the engine's runner.
 
-        The ``plan`` span says what planning paid for: ``fk_ranges_derived``
-        is the zone-map FK ranges this plan computed (0 when every one
-        came from the filesystem's cache), ``dimension_images`` the
-        dimension master copies it had to decode into columnar images.
+        Planning reads no file: the ``plan`` span times catalog
+        validation and ``JobConf`` assembly alone.
         """
         query_span = tracer.start(f"query:{query.name}", CAT_JOB)
         try:
-            with tracer.span("plan", CAT_STEP) as plan_span:
+            with tracer.span("plan", CAT_STEP):
                 confs, output = plan_join_passes(
                     query, passes, self.catalog, self.cluster,
-                    self.cost_model, features or self.features, fs=self.fs,
-                    span=plan_span)
+                    self.cost_model, features or self.features)
             if len(confs) > 1:
                 self.fs.delete(scratch_dir(query), recursive=True)
             jobs: list[JobResult] = []
@@ -313,5 +308,4 @@ class ClydesdaleEngine:
         from repro.core.explain import explain_clydesdale
         return explain_clydesdale(query, self.catalog, self.cluster,
                                   self.cost_model,
-                                  features or self.features, fs=self.fs,
-                                  trace=trace)
+                                  features or self.features, trace=trace)

@@ -13,7 +13,6 @@ from repro.core.expressions import TruePredicate
 from repro.core.multipass import estimate_ht_bytes, plan_passes
 from repro.core.planner import (
     ClydesdaleFeatures,
-    derive_zonemap_predicate,
     fact_scan_columns,
     validate_query,
 )
@@ -42,13 +41,8 @@ def explain_clydesdale(query: StarQuery, catalog: Catalog,
                        cluster: ClusterSpec | None = None,
                        cost_model: CostModel | None = None,
                        features: ClydesdaleFeatures | None = None,
-                       fs=None, trace: bool = False) -> str:
-    """The Clydesdale physical plan as text.
-
-    ``fs`` (the filesystem holding the tables) lets the plan show the
-    zone-map pruning predicate the planner would derive; without it the
-    zone-map line only reports whether statistics exist.
-    """
+                       trace: bool = False) -> str:
+    """The Clydesdale physical plan as text."""
     validate_query(query, catalog)
     cluster = cluster or tiny_cluster()
     cm = cost_model or DEFAULT_COST_MODEL
@@ -71,21 +65,6 @@ def explain_clydesdale(query: StarQuery, catalog: Catalog,
             f"(columnar projection disabled)")
     if not isinstance(query.fact_predicate, TruePredicate):
         lines.append(f"  filter[{query.fact_predicate.to_sql()}]")
-    if ft.zone_maps:
-        has_stats = any(isinstance(g, dict) and g.get("zonemap")
-                        for g in fact_meta.extras.get("groups", []))
-        if not has_stats:
-            lines.append("  zone maps: no row-group statistics "
-                         "(no pruning)")
-        else:
-            pruner = (derive_zonemap_predicate(query, catalog, fs)
-                      if fs is not None else None)
-            if pruner is not None:
-                lines.append(f"  zone maps: skip row groups where NOT "
-                             f"[{pruner.to_sql()}]")
-            else:
-                lines.append("  zone maps: on (no pruning predicate "
-                             "derived)")
 
     sizes = estimate_ht_bytes(query, catalog,
                               cm.clydesdale_hash_bytes_per_entry)

@@ -24,11 +24,6 @@ whole-block ``evaluate_mask``; ``evaluate_block`` chooses between them.
   of candidate row positions to those whose rows satisfy the predicate:
   through the mask when there is one, else row by row through
   ``evaluate`` (exact Python semantics on any sequence).
-* ``can_match(ranges)`` — the zone-map test. ``ranges`` maps column name
-  to that column's (min, max) over a row group; the method returns False
-  only when *no* row in the group can possibly satisfy the predicate, so
-  a False verdict lets the scan skip the whole group. Columns missing
-  from ``ranges`` (or incomparable bounds) must never cause pruning.
 """
 
 from __future__ import annotations
@@ -50,9 +45,6 @@ Getter = Callable[[str], Any]
 
 #: Column vectors for one block: name -> plain list or ColumnVector.
 Columns = Mapping[str, Sequence[Any]]
-
-#: Per-column (min, max) statistics for one row group.
-Ranges = Mapping[str, Sequence[Any]]
 
 _OPS: dict[str, Callable[[Any, Any], bool]] = {
     "=": operator.eq,
@@ -103,16 +95,6 @@ class Predicate(ABC):
         The block kernel ANDs the masks of the whole pipeline before any
         survivor materializes."""
         return None
-
-    def can_match(self, ranges: Ranges) -> bool:
-        """Could any row in a group with these (min, max) stats match?
-
-        The base implementation refuses to prune (always True); concrete
-        predicates override with interval logic. Overrides must stay
-        conservative: when in doubt — missing column, incomparable
-        types — answer True.
-        """
-        return True
 
     @abstractmethod
     def columns(self) -> set[str]:
@@ -218,27 +200,6 @@ class Comparison(Predicate):
             return verdict[codes]
         return None
 
-    def can_match(self, ranges: Ranges) -> bool:
-        bounds = ranges.get(self.column)
-        if bounds is None:
-            return True
-        lo, hi = bounds
-        lit = self.literal
-        try:
-            if self.op == "=":
-                return lo <= lit <= hi
-            if self.op == "!=":
-                return not (lo == hi == lit)
-            if self.op == "<":
-                return lo < lit
-            if self.op == "<=":
-                return lo <= lit
-            if self.op == ">":
-                return hi > lit
-            return hi >= lit
-        except TypeError:
-            return True  # incomparable stats: never prune
-
     def columns(self) -> set[str]:
         return {self.column}
 
@@ -283,16 +244,6 @@ class Between(Predicate):
                 lambda entry: low <= entry <= high)
             return verdict[vector.codes]
         return None
-
-    def can_match(self, ranges: Ranges) -> bool:
-        bounds = ranges.get(self.column)
-        if bounds is None:
-            return True
-        lo, hi = bounds
-        try:
-            return hi >= self.low and lo <= self.high
-        except TypeError:
-            return True
 
     def columns(self) -> set[str]:
         return {self.column}
@@ -343,16 +294,6 @@ class InList(Predicate):
             return verdict[vector.codes]
         return None
 
-    def can_match(self, ranges: Ranges) -> bool:
-        bounds = ranges.get(self.column)
-        if bounds is None:
-            return True
-        lo, hi = bounds
-        try:
-            return any(lo <= v <= hi for v in self.values)
-        except TypeError:
-            return True
-
     def columns(self) -> set[str]:
         return {self.column}
 
@@ -386,9 +327,6 @@ class And(Predicate):
             mask = part_mask if mask is None else mask & part_mask
         return mask
 
-    def can_match(self, ranges: Ranges) -> bool:
-        return all(p.can_match(ranges) for p in self.parts)
-
     def columns(self) -> set[str]:
         out: set[str] = set()
         for part in self.parts:
@@ -421,9 +359,6 @@ class Or(Predicate):
             mask = part_mask if mask is None else mask | part_mask
         return mask
 
-    def can_match(self, ranges: Ranges) -> bool:
-        return any(p.can_match(ranges) for p in self.parts)
-
     def columns(self) -> set[str]:
         out: set[str] = set()
         for part in self.parts:
@@ -448,12 +383,6 @@ class Not(Predicate):
                       num_rows: int) -> np.ndarray | None:
         inner = self.inner.evaluate_mask(columns, num_rows)
         return None if inner is None else ~inner
-
-    def can_match(self, ranges: Ranges) -> bool:
-        # Inverting interval logic is unsound in general (a group whose
-        # range satisfies ``inner`` may still hold rows that do not), so
-        # NOT never prunes.
-        return True
 
     def columns(self) -> set[str]:
         return self.inner.columns()

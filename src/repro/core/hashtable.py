@@ -204,13 +204,6 @@ class DimensionHashTable:
                                 rows, join.dim_pk, join.predicate,
                                 aux_columns)
 
-    def key_range(self) -> tuple[Any, Any] | None:
-        """(smallest, largest) key — the range a joining fact row's FK
-        lies in — or ``None`` when no dimension row qualified."""
-        if not self._table:
-            return None
-        return min(self._table), max(self._table)
-
     def probe(self, key: Any) -> tuple | None:
         """Return the aux tuple for ``key`` or ``None`` on join miss."""
         return self._table.get(key)

@@ -12,14 +12,11 @@ ablation. A query is one job unless its hash tables outgrow a node
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from weakref import WeakKeyDictionary
+from dataclasses import dataclass
 
 from repro.common.errors import PlanningError
 from repro.common.keys import KEY_PASS_OUTPUT_SCHEMA
 from repro.common.units import MB
-from repro.core.expressions import And, Between, Predicate, TruePredicate
-from repro.core.hashtable import DimensionHashTable, decode_branch
 from repro.core.joinjob import (
     KEY_BUILD_RATE,
     KEY_HT_BYTES_PER_ENTRY,
@@ -40,11 +37,9 @@ from repro.sim.costs import CostModel
 from repro.sim.hardware import ClusterSpec
 from repro.ssb.loader import Catalog
 from repro.storage.cif import KEY_BLOCK_ITERATION, ColumnInputFormat
-from repro.storage.dimcopy import encode_dimension_copy
 from repro.storage.multicif import MultiColumnInputFormat
-from repro.storage.rowformat import RowInputFormat, read_row_table
+from repro.storage.rowformat import RowInputFormat
 from repro.storage.tablemeta import FORMAT_CIF
-from repro.trace.tracer import NULL_SPAN, NullSpan, Span
 
 
 @dataclass(frozen=True)
@@ -60,16 +55,13 @@ class ClydesdaleFeatures:
     multithreaded: bool = True
     block_iteration: bool = True
     jvm_reuse: bool = True
-    #: Row-group skipping from per-group min/max statistics.
-    zone_maps: bool = True
 
     def describe(self) -> str:
         off = [name for name, on in (
             ("columnar", self.columnar),
             ("multithreaded", self.multithreaded),
             ("block-iteration", self.block_iteration),
-            ("jvm-reuse", self.jvm_reuse),
-            ("zone-maps", self.zone_maps)) if not on]
+            ("jvm-reuse", self.jvm_reuse)) if not on]
         return "all features on" if not off else f"disabled: {', '.join(off)}"
 
 
@@ -78,27 +70,8 @@ def validate_query(query: StarQuery, catalog: Catalog) -> None:
     if query.fact_table not in catalog:
         raise PlanningError(f"unknown fact table {query.fact_table!r}")
     fact_schema = catalog.meta(query.fact_table).schema
-
-    def check_branch(join, parent_schema, parent_name):
-        if join.dimension not in catalog:
-            raise PlanningError(f"unknown dimension {join.dimension!r}")
-        if join.fact_fk not in parent_schema:
-            raise PlanningError(
-                f"join key {join.fact_fk!r} not in {parent_name!r}")
-        dim_schema = catalog.meta(join.dimension).schema
-        if join.dim_pk not in dim_schema:
-            raise PlanningError(
-                f"primary key {join.dim_pk!r} not in {join.dimension!r}")
-        for column in join.predicate.columns():
-            if column not in dim_schema:
-                raise PlanningError(
-                    f"predicate column {column!r} not in "
-                    f"{join.dimension!r}")
-        for sub in join.snowflake:
-            check_branch(sub, dim_schema, join.dimension)
-
     for join in query.joins:
-        check_branch(join, fact_schema, query.fact_table)
+        _check_branch(join, fact_schema, query.fact_table, catalog)
     for column in query.fact_predicate.columns():
         if column not in fact_schema:
             raise PlanningError(
@@ -119,6 +92,31 @@ def validate_query(query: StarQuery, catalog: Catalog) -> None:
                     f"table")
 
 
+def _check_branch(join, parent_schema, parent_name: str,
+                  catalog: Catalog) -> None:
+    """Validate one join branch, snowflake sub-branches included.
+
+    Module-level, not a closure in :func:`validate_query`: a recursive
+    closure reaches itself through its own cell, so every plan would
+    leave a reference cycle for the garbage collector."""
+    if join.dimension not in catalog:
+        raise PlanningError(f"unknown dimension {join.dimension!r}")
+    if join.fact_fk not in parent_schema:
+        raise PlanningError(
+            f"join key {join.fact_fk!r} not in {parent_name!r}")
+    dim_schema = catalog.meta(join.dimension).schema
+    if join.dim_pk not in dim_schema:
+        raise PlanningError(
+            f"primary key {join.dim_pk!r} not in {join.dimension!r}")
+    for column in join.predicate.columns():
+        if column not in dim_schema:
+            raise PlanningError(
+                f"predicate column {column!r} not in "
+                f"{join.dimension!r}")
+    for sub in join.snowflake:
+        _check_branch(sub, dim_schema, join.dimension, catalog)
+
+
 def fact_scan_columns(query: StarQuery, catalog: Catalog) -> list[str]:
     """Exact fact-table columns the scan needs (pushed into CIF)."""
     fact_schema = catalog.meta(query.fact_table).schema
@@ -129,99 +127,6 @@ def fact_scan_columns(query: StarQuery, catalog: Catalog) -> list[str]:
     return columns
 
 
-@dataclass
-class _FkRanges:
-    """One filesystem's plan-time pruning state: each dimension's
-    columnar image — its master copy encoded as the node-local copy is
-    (:mod:`repro.storage.dimcopy`), built on first use, keyed by table
-    directory — and the FK range derived per distinct join. Decoded
-    rows are never kept: the images are the whole footprint."""
-
-    images: dict[str, bytes] = field(default_factory=dict)
-    ranges: dict[tuple[str, str], Predicate | None] = field(
-        default_factory=dict)
-
-
-_ZONEMAP_PRED_CACHE: "WeakKeyDictionary[MiniDFS, _FkRanges]" = \
-    WeakKeyDictionary()
-
-
-def derive_zonemap_predicate(query: StarQuery, catalog: Catalog,
-                             fs: MiniDFS, span: Span | NullSpan = NULL_SPAN,
-                             ) -> Predicate | None:
-    """The strongest predicate zone maps can prune row groups with.
-
-    Combines the query's own fact predicate with *implied* FK-range
-    predicates (a semi-join reduction): for each dimension join whose
-    branch carries a predicate, filter the dimension's columnar image
-    at plan time exactly as the hash-table build filters its
-    node-local copy, and emit ``Between(fact_fk, min(keys),
-    max(keys))`` over the qualifying primary keys — every matching fact
-    row must carry one of them. The result is used only for its
-    :meth:`~repro.core.expressions.Predicate.can_match` interval test
-    (never evaluated per row), so a range that over-approximates the
-    key set is safe. Returns ``None`` when nothing useful can be
-    derived.
-
-    Sets ``fk_ranges_derived`` (ranges computed here rather than found
-    in the filesystem's cache) and ``dimension_images`` (master copies
-    decoded into images here) on ``span``.
-    """
-    state = _ZONEMAP_PRED_CACHE.setdefault(fs, _FkRanges())
-    parts: list[Predicate] = []
-    if not isinstance(query.fact_predicate, TruePredicate):
-        parts.append(query.fact_predicate)
-    derived = images = 0
-    for join in query.joins:
-        if _branch_is_trivial(join):
-            continue
-        key = (catalog.meta(join.dimension).directory,
-               json.dumps(join.to_dict(), sort_keys=True))
-        if key not in state.ranges:
-            state.ranges[key], built = _fk_range(join, catalog, fs,
-                                                 state.images)
-            derived += 1
-            images += built
-        if state.ranges[key] is not None:
-            parts.append(state.ranges[key])
-    span.set("fk_ranges_derived", derived)
-    span.set("dimension_images", images)
-    if not parts:
-        return None
-    return parts[0] if len(parts) == 1 else And(parts)
-
-
-def _branch_is_trivial(join) -> bool:
-    """True when no predicate anywhere in the branch filters rows."""
-    return (isinstance(join.predicate, TruePredicate)
-            and all(_branch_is_trivial(sub) for sub in join.snowflake))
-
-
-def _fk_range(join, catalog: Catalog, fs: MiniDFS,
-              images: dict[str, bytes]) -> tuple[Predicate | None, int]:
-    """(``join``'s FK range, images built for it): the branch's keys
-    filtered from its tables' images (built from the master copies on
-    first use) with the hash-table build's own filter."""
-    schemas = {t: catalog.meta(t).schema for t in join.all_tables()}
-    copies = []
-    built = 0
-    for table in join.all_tables():
-        directory = catalog.meta(table).directory
-        if directory not in images:
-            images[directory] = encode_dimension_copy(
-                schemas[table], read_row_table(fs, directory))
-            built += 1
-        copies.append(images[directory])
-    decoded = decode_branch(join, schemas, copies, ())
-    key_range = DimensionHashTable.from_branch(join, schemas, decoded,
-                                               ()).key_range()
-    # An empty qualifying set means the whole query is empty; Between
-    # cannot express it, so derive nothing (pruning is best-effort).
-    if key_range is None:
-        return None, built
-    return Between(join.fact_fk, *key_range), built
-
-
 def plan_star_join(query: StarQuery, catalog: Catalog,
                    cluster: ClusterSpec, cost_model: CostModel,
                    features: ClydesdaleFeatures,
@@ -229,20 +134,18 @@ def plan_star_join(query: StarQuery, catalog: Catalog,
                    ) -> tuple[JobConf, CollectingOutputFormat]:
     """Build the ready-to-run JobConf for a star query.
 
-    ``fs`` (the filesystem holding the tables) enables zone-map planning:
-    without it no pruning predicate can be derived, which only costs
-    performance, never correctness.
+    ``fs`` is accepted and ignored: planning reads no file. The
+    end-to-end benchmark's layer probes still pass it, so it leaves
+    with the benchmark-only change of ROADMAP item 1.
     """
     (conf,), output = plan_join_passes(query, None, catalog, cluster,
-                                       cost_model, features, fs=fs)
+                                       cost_model, features)
     return conf, output
 
 
 def plan_join_passes(query: StarQuery, passes: list[list[str]] | None,
                      catalog: Catalog, cluster: ClusterSpec,
                      cost_model: CostModel, features: ClydesdaleFeatures,
-                     fs: MiniDFS | None = None,
-                     span: Span | NullSpan = NULL_SPAN,
                      ) -> tuple[list[JobConf], CollectingOutputFormat]:
     """One ready-to-run JobConf per join pass, in run order.
 
@@ -252,11 +155,7 @@ def plan_join_passes(query: StarQuery, passes: list[list[str]] | None,
     The first job scans the CIF fact table, every later one the row
     table the pass before it wrote; the last aggregates into the
     returned collector.  Every job gets the same execution shape.
-    ``span`` (the engine's ``plan`` span) gets the zone-map facts of
-    :func:`derive_zonemap_predicate`, 0 when none are derived.
     """
-    span.set("fk_ranges_derived", 0)
-    span.set("dimension_images", 0)
     validate_query(query, catalog)
     fact_meta = catalog.meta(query.fact_table)
     if fact_meta.format != FORMAT_CIF:
@@ -286,11 +185,6 @@ def plan_join_passes(query: StarQuery, passes: list[list[str]] | None,
                     conf, fact_scan_columns(query, catalog))
             # else: no projection -> CIF reads every column (section
             # 6.5's "turning off columnar storage").
-            if features.zone_maps and fs is not None:
-                pruner = derive_zonemap_predicate(query, catalog, fs,
-                                                  span)
-                if pruner is not None:
-                    ColumnInputFormat.set_zonemap_filter(conf, pruner)
 
         if features.multithreaded:
             conf.map_runner_class = MTMapRunner

@@ -48,10 +48,9 @@ def append_fact_rows(fs: MiniDFS, meta: TableMeta,
     dictionary = bool(meta.extras.get("dictionary", True))
     for start in range(0, len(rows), size):
         chunk = rows[start:start + size]
-        zonemap = write_row_group(fs, meta.directory, meta.schema,
-                                  next_id, chunk, dictionary=dictionary)
-        groups.append({"id": next_id, "rows": len(chunk),
-                       "zonemap": zonemap})
+        write_row_group(fs, meta.directory, meta.schema, next_id, chunk,
+                        dictionary=dictionary)
+        groups.append({"id": next_id, "rows": len(chunk)})
         next_id += 1
     meta.num_rows += len(rows)
     meta.extras["groups"] = groups

@@ -121,6 +121,7 @@ class HiveEngine:
         #: The session's tracer and broadcast-table cache, set per run.
         self._tracer: Tracer | NullTracer = NULL_TRACER
         self._ht_cache: "HashTableCache | None" = None
+        self._ht_generation: int | None = None
         #: Monotonic execution id: Hadoop gives every job a unique id,
         #: which keys the distributed cache (re-running a query must not
         #: reuse stale node-local hash-table copies).
@@ -149,7 +150,8 @@ class HiveEngine:
     def run(self, query: StarQuery, *,
             plan: str | None = None,
             tracer: Tracer | NullTracer = NULL_TRACER,
-            ht_cache: "HashTableCache | None" = None) -> QueryResult:
+            ht_cache: "HashTableCache | None" = None,
+            ht_generation: int | None = None) -> QueryResult:
         """Run the multi-stage Hive plan; may raise
         :class:`JobFailedError` (e.g. mapjoin OOM).
 
@@ -157,12 +159,16 @@ class HiveEngine:
         ``tracer`` (stage/job spans nest under the session span; the
         no-op tracer when tracing is off) and the ``ht_cache`` reusing
         master-built mapjoin broadcast tables across queries.
+        ``ht_generation`` is the cache generation read before the run:
+        a table built from a catalog a reload has since replaced is
+        stored under it, and the cache refuses it as stale.
         """
         plan = plan or self.default_plan
         if plan not in (PLAN_MAPJOIN, PLAN_REPARTITION):
             raise PlanningError(f"unknown Hive plan {plan!r}")
         self._tracer = tracer
         self._ht_cache = ht_cache
+        self._ht_generation = ht_generation
         query_span = tracer.start(f"query:{query.name}", CAT_JOB)
         try:
             result = self._execute_plan(query, plan, tracer)
@@ -172,6 +178,7 @@ class HiveEngine:
         finally:
             self._tracer = NULL_TRACER
             self._ht_cache = None
+            self._ht_generation = None
         query_span.finish()
         return result
 
@@ -341,7 +348,8 @@ class HiveEngine:
                 if self._ht_cache is not None:
                     payload = self.fs.read_file(cache_path)
                     self._ht_cache.put("master", cache_key,
-                                       (entries, payload), len(payload))
+                                       (entries, payload), len(payload),
+                                       generation=self._ht_generation)
                     if self.last_stats is not None:
                         self.last_stats.ht_cache_misses += 1
             build_span.set("dimension", join.dimension)

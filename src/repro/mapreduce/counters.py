@@ -24,7 +24,6 @@ class Counters:
     GROUP_HDFS = keys.COUNTER_GROUP_HDFS
     GROUP_SHUFFLE = keys.COUNTER_GROUP_SHUFFLE
     GROUP_JOB = keys.COUNTER_GROUP_JOB
-    GROUP_STORAGE = keys.COUNTER_GROUP_STORAGE
 
     def __init__(self) -> None:
         self._data: dict[str, dict[str, int]] = defaultdict(

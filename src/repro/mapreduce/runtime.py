@@ -15,8 +15,6 @@ from typing import Any
 
 from repro.common.errors import JobFailedError, TaskOutOfMemoryError
 from repro.common.keys import (
-    CTR_ROWGROUPS_PRUNED,
-    CTR_ROWS_SKIPPED,
     CTR_TRACE_SPANS,
     KEY_GRANTED_THREADS,
     KEY_MAP_MAX_ATTEMPTS,
@@ -123,14 +121,6 @@ class JobRunner:
             job_span.set("job", job.name)
             cache_report = self._localize_cache(job, breakdown)
             splits = job.input_format.get_splits(self.fs, job)
-            prune_report = getattr(job.input_format,
-                                   "last_prune_report", None)
-            if prune_report and prune_report.get(CTR_ROWGROUPS_PRUNED):
-                counters.increment(Counters.GROUP_STORAGE,
-                                   CTR_ROWGROUPS_PRUNED,
-                                   prune_report[CTR_ROWGROUPS_PRUNED])
-                counters.increment(Counters.GROUP_STORAGE, CTR_ROWS_SKIPPED,
-                                   prune_report.get(CTR_ROWS_SKIPPED, 0))
             if not splits:
                 raise JobFailedError(f"job {job.name!r}: input has no splits")
             scheduler = job.scheduler or FifoScheduler()

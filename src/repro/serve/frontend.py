@@ -415,9 +415,15 @@ class Frontend:
         return gen
 
     def close(self) -> None:
-        """Stop admitting and shut every worker down."""
+        """Stop admitting and shut every worker down.
+
+        The dataset is released too: a frontend and its sessions refer
+        to each other, so it would otherwise stay in memory until a
+        full collection, and every worker forked meanwhile would
+        inherit it."""
         with self._lock:
             self._closed = True
+            self._data = None
         for wid in sorted(self._workers):
             self._workers[wid].shutdown()
 
@@ -591,6 +597,8 @@ class Frontend:
         if not self._respawn:
             return
         with self._lock:
+            if self._closed:
+                return
             data, gen = self._data, self.generation
         if handle.ensure_respawned(data, gen):
             # A reload_catalog that committed while the worker was down
@@ -602,7 +610,7 @@ class Frontend:
             while True:
                 with self._lock:
                     cur_data, cur_gen = self._data, self.generation
-                if cur_gen == gen:
+                if cur_gen == gen or cur_data is None:   # None: closed
                     break
                 if not handle.post(("reload", cur_data, cur_gen)):
                     break   # died again; the next recovery replays

@@ -75,7 +75,6 @@ class ExplainReport:
     aggstore: str | None           # "exact" | "rollup" | "miss" | None
     candidates: tuple[tuple[str, ...], ...] = ()
     routing: dict[str, Any] | None = None   # {"worker": id, "warm": bool}
-    pruning: str | None = None     # the plan's zone-map pruning lines
 
     def __str__(self) -> str:
         return self.plan
@@ -339,15 +338,12 @@ class Session:
 
         ``str()`` of the report is the legacy EXPLAIN text; the typed
         fields add the aggstore decision (via the store's read-only
-        :meth:`AggStore.peek` — nothing is served or counted) and the
-        plan's pruning lines.
+        :meth:`AggStore.peek` — nothing is served or counted).
         """
         plan = self._plan_text(query)
         decision = (peek_reuse(query, self.aggstore)
                     if self.aggstore is not None else None)
         from repro.serve.routing import query_shape
-        pruning = "\n".join(line for line in plan.splitlines()
-                            if "zone maps" in line) or None
         return ExplainReport(
             query_name=query.name,
             backend=self.backend,
@@ -355,8 +351,7 @@ class Session:
             shape=query_shape(query),
             aggstore=decision.kind if decision is not None else None,
             candidates=(decision.candidates
-                        if decision is not None else ()),
-            pruning=pruning)
+                        if decision is not None else ()))
 
     def _plan_text(self, query: StarQuery) -> str:
         """The legacy EXPLAIN string for ``query`` (per backend)."""
@@ -482,20 +477,21 @@ class Session:
 
     def _run_engine(self, query: StarQuery, tracer: Tracer | NullTracer,
                     ) -> tuple[QueryResult, Provenance]:
+        # The generation first, then the engine: reload_catalog swaps
+        # the engine before it bumps the generation, so a query that
+        # still runs the old engine publishes its tables under the old
+        # generation and the cache refuses them.
+        generation = (self.cache.current_generation()
+                      if self.cache is not None else None)
         if self.backend == "clydesdale":
-            # The generation first, then the engine: reload_catalog
-            # swaps the engine before it bumps the generation, so a
-            # query that still runs the old engine publishes its tables
-            # under the old generation and the cache refuses them.
-            generation = (self.cache.current_generation()
-                          if self.cache is not None else None)
             result = self._engine.run(
                 query, features=self.features, tracer=tracer,
                 ht_cache=self.cache, ht_generation=generation,
                 slot_share=self.slot_share)
         elif self.backend == "hive":
             result = self._engine.run(query, plan=self.plan, tracer=tracer,
-                                      ht_cache=self.cache)
+                                      ht_cache=self.cache,
+                                      ht_generation=generation)
         else:
             result = self._engine.execute(query)
         stats = getattr(self._engine, "last_stats", None)

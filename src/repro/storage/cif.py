@@ -18,14 +18,6 @@ B-CIF layers *block iteration* on the same data: the record reader
 returns its split's whole row group as one :class:`RowBlock` (a batch
 of column vectors) instead of one row per call, amortizing per-record
 framework overhead over the largest batch the reader already holds.
-
-Writers also record a **zone map** per row group — each column's
-min/max — in the group descriptor. When a job pushes a pruning
-predicate into the format (``cif.zonemap.filter``, a serialized
-:class:`~repro.core.expressions.Predicate`), ``get_splits`` drops row
-groups whose zone maps prove no row can match, before a single column
-byte is read. Pruning is strictly conservative: groups without stats
-(old tables, stale metadata) are always kept.
 """
 
 from __future__ import annotations
@@ -53,7 +45,6 @@ from repro.trace.tracer import CAT_PHASE, tracer_for
 from repro.common.keys import (  # noqa: E402  (kept with the format docs)
     KEY_BLOCK_ITERATION,
     KEY_CIF_COLUMNS,
-    KEY_ZONEMAP_FILTER,
 )
 
 DEFAULT_ROW_GROUP_SIZE = 50_000
@@ -83,10 +74,9 @@ def write_cif_table(fs: MiniDFS, name: str, directory: str, schema: Schema,
     for start in range(0, max(1, len(rows)), row_group_size):
         chunk = rows[start:start + row_group_size]
         group = start // row_group_size
-        zonemap = write_row_group(fs, directory, schema, group, chunk,
-                                  dictionary=dictionary)
-        groups.append({"id": group, "rows": len(chunk),
-                       "zonemap": zonemap})
+        write_row_group(fs, directory, schema, group, chunk,
+                        dictionary=dictionary)
+        groups.append({"id": group, "rows": len(chunk)})
     meta = TableMeta(name=name, directory=directory, schema=schema,
                      format=FORMAT_CIF, num_rows=len(rows),
                      row_group_size=row_group_size,
@@ -98,30 +88,25 @@ def write_cif_table(fs: MiniDFS, name: str, directory: str, schema: Schema,
 
 def write_row_group(fs: MiniDFS, directory: str, schema: Schema,
                     group: int, chunk: Sequence[Sequence],
-                    dictionary: bool = True) -> dict[str, list]:
+                    dictionary: bool = True) -> None:
     """Write one row group's column files (used by writes and roll-in).
 
     String columns are dictionary-encoded when that is smaller (paper
     section 8's storage-organization direction); see
-    :mod:`repro.storage.dictionary`. Returns the group's zone map so
-    callers can record it in the table metadata. A row whose arity is
-    not the schema's raises :class:`StorageError`, as the row format's
-    writer does.
+    :mod:`repro.storage.dictionary`. A row whose arity is not the
+    schema's raises :class:`StorageError`, as the row format's writer
+    does.
     """
     width = len(schema)
     if set(map(len, chunk)) - {width}:
         arity = next(len(row) for row in chunk if len(row) != width)
         raise StorageError(f"row arity {arity} != schema arity {width}")
-    zonemap: dict[str, list] = {}
     for col_index, column in enumerate(schema.columns):
         values = list(map(itemgetter(col_index), chunk))
         data = encode_cif_column(column.dtype, values,
                                  dictionary=dictionary)
         fs.write_file(column_path(directory, group, column.name), data,
                       overwrite=True)
-        if values:
-            zonemap[column.name] = [min(values), max(values)]
-    return zonemap
 
 
 def group_descriptors(meta: TableMeta) -> list[dict]:
@@ -296,22 +281,10 @@ class ColumnInputFormat(InputFormat):
 
     * ``cif.columns`` — JSON list of column names to read (default: all);
     * ``cif.block.iteration`` — return each row group as one
-      :class:`RowBlock` (B-CIF);
-    * ``cif.zonemap.filter`` — serialized predicate for row-group
-      pruning (see :meth:`set_zonemap_filter`).
-
-    After ``get_splits``, :attr:`last_prune_report` holds
-    ``{"rowgroups_pruned", "rows_skipped"}`` for the runtime's counters.
+      :class:`RowBlock` (B-CIF).
     """
 
-    def __init__(self) -> None:
-        self.last_prune_report: dict[str, int] = {
-            "rowgroups_pruned": 0, "rows_skipped": 0}
-
     def get_splits(self, fs: MiniDFS, conf: JobConf) -> list[InputSplit]:
-        pruner = self._zonemap_filter(conf)
-        pruned_groups = 0
-        pruned_rows = 0
         splits: list[InputSplit] = []
         for directory in conf.input_paths():
             meta = TableMeta.load(fs, directory)
@@ -320,45 +293,17 @@ class ColumnInputFormat(InputFormat):
                     f"{directory} is {meta.format}, not CIF")
             schema = self._projection(conf, meta.schema)
             columns = schema.names
-            kept: list[CIFSplit] = []
-            pruned: list[CIFSplit] = []
             base = 0
             for descriptor in group_descriptors(meta):
                 group = descriptor["id"]
                 num_rows = descriptor["rows"]
-                prune = (pruner is not None
-                         and self._can_prune(pruner, descriptor))
-                if prune:
-                    # Global row ids must stay stable, so base still
-                    # advances past the skipped group.
-                    pruned.append(CIFSplit(
-                        directory=directory, group=group, base_row=base,
-                        num_rows=num_rows, schema=schema, length=0,
-                        hosts=()))
-                    base += num_rows
-                    continue
                 length, hosts = self._extent(fs, directory, group,
                                              columns)
-                kept.append(CIFSplit(
+                splits.append(CIFSplit(
                     directory=directory, group=group, base_row=base,
                     num_rows=num_rows, schema=schema, length=length,
                     hosts=hosts))
                 base += num_rows
-            if not kept and pruned:
-                # An all-pruned table would leave the job with no input
-                # splits (the runtime treats that as a failure); keep the
-                # smallest group — the mapper re-filters, so the result
-                # is still correct (and empty).
-                keep = min(pruned, key=lambda s: s.num_rows)
-                pruned.remove(keep)
-                keep._length, keep._hosts = self._extent(
-                    fs, directory, keep.group, columns)
-                kept.append(keep)
-            pruned_groups += len(pruned)
-            pruned_rows += sum(s.num_rows for s in pruned)
-            splits.extend(kept)
-        self.last_prune_report = {"rowgroups_pruned": pruned_groups,
-                                  "rows_skipped": pruned_rows}
         return splits
 
     @staticmethod
@@ -375,29 +320,6 @@ class ColumnInputFormat(InputFormat):
                 locations = fs.block_locations(path)
                 hosts = locations[0].hosts if locations else ()
         return length, hosts
-
-    @staticmethod
-    def _zonemap_filter(conf: JobConf):
-        raw = conf.get(KEY_ZONEMAP_FILTER)
-        if raw is None:
-            return None
-        from repro.core.expressions import predicate_from_dict
-        return predicate_from_dict(json.loads(raw))
-
-    @staticmethod
-    def _can_prune(pruner, descriptor: dict) -> bool:
-        """True only when the zone map *proves* no row can match."""
-        zonemap = descriptor.get("zonemap")
-        if not isinstance(zonemap, dict):
-            return False  # no/stale stats: never prune
-        ranges = {}
-        for name, bounds in zonemap.items():
-            try:
-                lo, hi = bounds
-            except (TypeError, ValueError):
-                continue  # malformed entry: treat column as unbounded
-            ranges[name] = (lo, hi)
-        return not pruner.can_match(ranges)
 
     def get_record_reader(self, fs: MiniDFS, split: InputSplit,
                           conf: JobConf,
@@ -427,13 +349,3 @@ class ColumnInputFormat(InputFormat):
         """Push the query's column list into the format (paper 4.2)."""
         conf.set(KEY_CIF_COLUMNS, json.dumps(list(columns)))
 
-    @staticmethod
-    def set_zonemap_filter(conf: JobConf, predicate) -> None:
-        """Push a row-group pruning predicate into the format.
-
-        ``predicate`` is any :class:`~repro.core.expressions.Predicate`;
-        only its :meth:`can_match` interval test is used, so it may be a
-        plan-time *implied* predicate (e.g. an FK range derived from a
-        dimension filter) that the mapper never evaluates row-by-row.
-        """
-        conf.set(KEY_ZONEMAP_FILTER, json.dumps(predicate.to_dict()))

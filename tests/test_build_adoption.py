@@ -245,6 +245,40 @@ def test_build_racing_a_reload_is_not_stored_as_fresh(monkeypatch):
     assert result.rows == ReferenceEngine.from_ssb(new).execute(query).rows
 
 
+def test_hive_build_racing_a_reload_is_not_stored_as_fresh(monkeypatch):
+    """The Hive mapjoin's master-side build publishes under the
+    generation its run started with, as Clydesdale's tables do: a
+    broadcast table built from the old catalog while it reloads is
+    refused, and the repeat rebuilds from the new data."""
+    import repro.hive.engine as hive_engine
+
+    old = SSBGenerator(scale_factor=0.002, seed=5).generate()
+    new = SSBGenerator(scale_factor=0.002, seed=11).generate()
+    session = connect("hive", data=old, aggstore=False)
+    query = ssb_queries()["Q2.1"]
+    original = hive_engine.build_broadcast_table
+    reloaded: list[bool] = []
+
+    def reload_then_build(*args, **kwargs):
+        if not reloaded:
+            reloaded.append(True)
+            session.reload_catalog(new)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hive_engine, "build_broadcast_table",
+                        reload_then_build)
+    session.execute(query)
+    monkeypatch.undo()
+    assert reloaded
+    assert session.cache_stats().stale_drops >= 1
+    assert session.cache_stats().entries == 0
+    result = session.execute(query)
+    stats = session.stats().execution
+    assert stats.ht_cache_misses >= 1
+    assert stats.ht_cache_hits == 0
+    assert result.rows == ReferenceEngine.from_ssb(new).execute(query).rows
+
+
 def test_reload_between_engine_read_and_planning_is_refused(monkeypatch):
     """A query that read the engine just before ``reload_catalog``
     swapped it publishes its tables under the generation it started

@@ -546,6 +546,27 @@ class TestConnectIntegration:
     def test_single_process_connect_unchanged(self, plain_session):
         assert isinstance(plain_session, Session)
 
+    def test_closed_frontend_releases_its_dataset(self):
+        """Once a frontend is closed and its caller drops the dataset,
+        the dataset goes at once, not at the next full collection —
+        until then every worker another frontend forks inherits it."""
+        import gc
+        import weakref
+
+        from repro.ssb.datagen import SSBGenerator
+        data = SSBGenerator(scale_factor=0.001, seed=3).generate()
+        handle = connect(backend="clydesdale", data=data, workers=1)
+        handle.frontend.session("other")
+        handle.frontend.close()
+        dataset = weakref.ref(data)
+        gc.collect()
+        gc.disable()
+        try:
+            del handle, data
+            assert dataset() is None
+        finally:
+            gc.enable()
+
 
 #: Every reuse layer off: each execute must rebuild its hash tables,
 #: whichever route the configuration took to reach the engine.

@@ -196,3 +196,66 @@ class TestPlanning:
             plan_star_join(ssb_queries()["Q1.1"], rc_catalog,
                            tiny_cluster(3), DEFAULT_COST_MODEL,
                            ClydesdaleFeatures())
+
+
+class TestPlanningFootprint:
+    """What planning a query costs besides its ``JobConf``s: no file
+    read and no garbage for the cycle collector."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        from repro.ssb.datagen import SSBGenerator
+        return SSBGenerator(scale_factor=0.002, seed=42).generate()
+
+    def test_planning_reads_no_hdfs_file(self, data, monkeypatch):
+        """A fresh session plans all 13 SSB queries from the catalog
+        alone: no dimension master copy, no fact byte."""
+        from repro.api import connect
+        from repro.core import engine as engine_module
+        from repro.hdfs.filesystem import MiniDFS
+
+        session = connect("clydesdale", data=data, aggstore=False)
+        planning = [False]
+        reads: list[str] = []
+        read_file = MiniDFS.read_file
+        plan_join_passes = engine_module.plan_join_passes
+
+        def counting_read(self, path, *args, **kwargs):
+            if planning[0]:
+                reads.append(path)
+            return read_file(self, path, *args, **kwargs)
+
+        def flagged_plan(*args, **kwargs):
+            planning[0] = True
+            try:
+                return plan_join_passes(*args, **kwargs)
+            finally:
+                planning[0] = False
+
+        monkeypatch.setattr(MiniDFS, "read_file", counting_read)
+        monkeypatch.setattr(engine_module, "plan_join_passes",
+                            flagged_plan)
+        for query in ssb_queries().values():
+            session.execute(query)
+        assert reads == []
+
+    def test_warm_queries_leave_no_reference_cycles(self, data):
+        """Warm repeats of the 13 SSB queries free everything they
+        allocate by reference counting alone."""
+        import gc
+
+        from repro.api import connect
+
+        session = connect("clydesdale", data=data, aggstore=False)
+        queries = ssb_queries()
+        for query in queries.values():
+            session.execute(query)
+        gc.collect()
+        gc.disable()
+        try:
+            for query in queries.values():
+                session.execute(query)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0

@@ -93,10 +93,11 @@ def test_one_block_kernel_over_one_column_handoff():
                         SRC / "core" / "expressions.py") == 1
     assert [field.name for field in dataclasses.fields(
         ClydesdaleFeatures)] == ["columnar", "multithreaded",
-                                 "block_iteration", "jvm_reuse",
-                                 "zone_maps"]
+                                 "block_iteration", "jvm_reuse"]
     sources = list(SRC.rglob("*.py"))
-    for retired in ("clydesdale.vectorized", "cif.encoded.exec"):
+    for retired in ("clydesdale.vectorized", "cif.encoded.exec",
+                    "cif.zonemap.filter", "zonemap", "can_match",
+                    "last_prune_report"):
         assert _occurrences(retired, *sources) == 0, retired
 
 
