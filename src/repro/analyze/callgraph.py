@@ -157,7 +157,7 @@ class ProjectCallGraph:
     Nodes are ``(module_path, qualname)`` pairs. Same-module edges come
     from :func:`resolve_calls`; attribute calls additionally resolve to
     every in-scope method of that name in *other* modules (one level of
-    duck typing — enough to follow ``table.probe_block(...)`` from
+    duck typing — enough to follow ``table.select_hits(...)`` from
     ``joinjob`` into ``hashtable`` without a type system).
     """
 

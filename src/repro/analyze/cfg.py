@@ -87,12 +87,6 @@ class CFG:
                 return
         node.edges.append(Edge(target=dst, kind=kind))
 
-    def predecessors(self, index: int) -> list[tuple[int, str]]:
-        return [(node.index, edge.kind)
-                for node in self.nodes
-                for edge in node.edges
-                if edge.target == index]
-
     def statements(self):
         """(node, stmt) pairs for nodes carrying a real statement."""
         for node in self.nodes:

@@ -27,7 +27,7 @@ flags, **inside loops** of those functions:
 
 One level interprocedurally: a function *called from inside a loop* of
 a hot function has its own straight-line allocations flagged too —
-``probe_block`` runs per join per block, so a literal at its top is
+``select_hits`` runs per join per block, so a literal at its top is
 still per-block-per-join work — except allocations inside a ``return``
 expression (returning a fresh output list **is** the vectorized
 calling convention).

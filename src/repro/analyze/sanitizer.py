@@ -9,8 +9,8 @@ object's attributes — raises :class:`~repro.common.errors.SanitizerError`
 at the mutation site instead of corrupting a concurrent probe.
 
 Read paths are untouched: the frozen dict is a real ``dict`` subclass,
-so the hot-path ``self._table.get`` hoist in ``probe_block`` keeps
-working at full speed.
+so the key-index lookups of ``probe``, ``select_hits`` and
+``entries_at`` run at full speed.
 
 Concurrency v2 adds the *lock-discipline* half: :class:`TrackedRLock`
 is a drop-in reentrant lock that records per-thread acquisition order

@@ -400,11 +400,6 @@ LOCK_JOIN_QUEUE = _lock_rank(
     "threads; innermost: nothing may be acquired under it.")
 
 
-def lock_rank(name: str) -> LockRank:
-    """The declared :class:`LockRank` for ``name`` (KeyError if absent)."""
-    return LOCK_HIERARCHY[name]
-
-
 def lock_ranks_by_site() -> dict[str, LockRank]:
     """The hierarchy keyed by declaration site, for the static pass."""
     return {rank.site: rank for rank in LOCK_HIERARCHY.values()}

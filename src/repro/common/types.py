@@ -31,10 +31,6 @@ class DataType(enum.Enum):
         """Bytes per value for fixed-width types, ``None`` for STRING."""
         return _FIXED_WIDTHS[self]
 
-    @property
-    def python_type(self) -> type:
-        return _PYTHON_TYPES[self]
-
     def coerce(self, value: Any) -> Any:
         """Convert ``value`` to this type's canonical Python representation.
 
@@ -80,14 +76,6 @@ _FIXED_WIDTHS = {
     DataType.FLOAT64: 8,
     DataType.STRING: None,
 }
-
-_PYTHON_TYPES = {
-    DataType.INT32: int,
-    DataType.INT64: int,
-    DataType.FLOAT64: float,
-    DataType.STRING: str,
-}
-
 
 def type_from_name(name: str) -> DataType:
     """Look up a :class:`DataType` by its lowercase name.

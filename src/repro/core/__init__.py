@@ -37,7 +37,6 @@ from repro.core.sqlparser import SqlError, parse_sql
 from repro.core.rollin import (
     RollinCost,
     append_fact_rows,
-    append_to_catalog,
     compare_rollin_cost,
     roll_out_oldest,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "TruePredicate",
     "ValueExpr",
     "append_fact_rows",
-    "append_to_catalog",
     "apply_order_by",
     "compare_rollin_cost",
     "explain_clydesdale",

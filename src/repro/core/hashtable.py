@@ -51,22 +51,32 @@ class HashTableStats:
 
 
 class DimensionHashTable:
-    """pk -> aux-tuple mapping for one dimension of one query."""
+    """One dimension's table for one query, its entries in one order:
+    the key index ``_table`` (pk -> entry position), each aux column's
+    values in entry order, and each aux column's group codes."""
 
-    def __init__(self, dimension: str, fact_fk: str, table: dict,
+    def __init__(self, dimension: str, fact_fk: str, keys: Sequence[Any],
+                 aux: Sequence[Sequence[Any]],
                  aux_columns: tuple[str, ...], stats: HashTableStats):
         self.dimension = dimension
         self.fact_fk = fact_fk
-        self._table = table
+        self._table = dict(zip(keys, range(len(keys))))
+        if len(self._table) != len(keys):
+            seen: set = set()
+            key = next(k for k in keys if k in seen or seen.add(k))
+            raise QueryError(f"duplicate primary key {key!r} in "
+                             f"dimension {dimension!r}")
         self.aux_columns = aux_columns
         self.stats = stats
-        # Built eagerly: published tables are frozen by the sanitizer,
-        # so a lazily-attached cache would raise on first probe.
-        self._dense = _DenseView.build(table, len(aux_columns))
+        # Immutable: tables are cached, shared by threads, and frozen.
+        self._aux = tuple(tuple(column) for column in aux)
+        self._aux_codes = tuple((_read_only(codes), count) for codes, count
+                                in map(value_codes, self._aux))
+        self._dense = _DenseView.build(keys)
 
     def _dense_for(self, keys: Sequence[Any]) -> "_DenseView | None":
-        """The dense view when ``keys`` can index it — a typed buffer of
-        integers — else ``None``: the dict leg then gives any other key
+        """The dense index when ``keys`` can use it — a typed buffer of
+        integers — else ``None``: the key index then gives any other key
         (a float FK, a hand-built list) exact ``probe`` semantics."""
         if (isinstance(keys, NumericVector)
                 and keys.data.dtype.kind in "iu"):
@@ -78,8 +88,7 @@ class DimensionHashTable:
 
         The block kernel's first mask stage when the query has no fact
         predicate. ``None`` when the column is not an integer typed
-        buffer or the table has no dense view — ``probe_block``'s dict
-        leg still applies.
+        buffer or the table has no dense index.
         """
         dense = self._dense_for(keys)
         if dense is None:
@@ -87,38 +96,44 @@ class DimensionHashTable:
         return dense.hits(keys.data)
 
     def select_hits(self, keys: Sequence[Any], selection: Sequence[int],
-                    ) -> np.ndarray | None:
+                    ) -> np.ndarray:
         """The positions of ``selection`` whose keys hit, testing only
         those keys (the early-out at survivor grain: a later table never
-        looks at rows an earlier stage already dropped). ``None`` when
-        :meth:`hit_mask` would be."""
-        dense = self._dense_for(keys)
-        if dense is None:
-            return None
+        looks at rows an earlier stage already dropped): one gather
+        through the dense index, else one key-index lookup per key."""
         sel = as_index_array(selection)
-        return sel[dense.hits(keys.data[sel])]
+        dense = self._dense_for(keys)
+        if dense is not None:
+            return sel[dense.hits(keys.data[sel])]
+        index = self._table
+        hits = bytearray(len(sel))
+        for k, key in enumerate(gather_values(keys, sel)):
+            hits[k] = key in index
+        return sel[np.frombuffer(hits, dtype=bool)]
 
     def entries_at(self, keys: Sequence[Any], selection: Sequence[int],
-                   ) -> np.ndarray | None:
-        """Dense entry positions of selected keys already known to hit —
-        indexes into :meth:`aux_codes`' arrays — or ``None`` without a
-        dense view for ``keys``."""
+                   ) -> np.ndarray:
+        """Entry positions of selected keys already known to hit —
+        indexes into :meth:`aux_codes`' arrays."""
+        sel = as_index_array(selection)
         dense = self._dense_for(keys)
-        if dense is None:
-            return None
-        return dense.entries(keys.data[as_index_array(selection)])
+        if dense is not None:
+            return dense.entries(keys.data[sel])
+        index = self._table
+        entries = np.empty(len(sel), dtype=np.int64)
+        for k, key in enumerate(gather_values(keys, sel)):
+            entries[k] = index[key]
+        return entries
 
     def aux_codes(self, aux_index: int) -> tuple[np.ndarray, int]:
-        """(code per dense entry, number of codes) of one aux column:
-        equal values share a code. Only valid while a dense view exists
-        (:meth:`entries_at` returned positions)."""
-        dense = self._dense
-        return dense.aux_codes[aux_index], dense.aux_cards[aux_index]
+        """(code per entry, number of codes) of one aux column: equal
+        values share a code, numbered in entry order."""
+        return self._aux_codes[aux_index]
 
     def aux_values(self, entries: np.ndarray, aux_index: int) -> list:
-        """Aux column ``aux_index`` of the given dense entries."""
-        aux_rows = self._dense.aux_rows
-        return [aux_rows[j][aux_index] for j in entries.tolist()]
+        """Aux column ``aux_index`` of the given entries."""
+        column = self._aux[aux_index]
+        return [column[j] for j in entries.tolist()]
 
     @classmethod
     def from_columns(cls, dimension: str, fact_fk: str,
@@ -135,20 +150,13 @@ class DimensionHashTable:
         survivors = (np.flatnonzero(mask) if mask is not None else
                      predicate.evaluate_block(columns, range(num_rows)))
         keys = gather_values(columns[dim_pk], survivors)
-        aux = [gather_values(columns[name], survivors)
-               for name in aux_columns]
-        entries = dict(zip(keys, zip(*aux))) if aux \
-            else dict.fromkeys(keys, ())
-        if len(entries) != len(keys):
-            seen: set = set()
-            key = next(k for k in keys if k in seen or seen.add(k))
-            raise QueryError(f"duplicate primary key {key!r} in "
-                             f"dimension {dimension!r}")
         stats = HashTableStats(
             dimension=dimension, rows_scanned=num_rows,
-            entries=len(entries), aux_arity=len(aux_columns),
+            entries=len(keys), aux_arity=len(aux_columns),
             rows_rowwise=0 if mask is not None else num_rows)
-        return cls(dimension, fact_fk, entries, tuple(aux_columns), stats)
+        return cls(dimension, fact_fk, keys,
+                   [gather_values(columns[name], survivors)
+                    for name in aux_columns], tuple(aux_columns), stats)
 
     @classmethod
     def build(cls, dimension: str, fact_fk: str, schema: Schema,
@@ -176,16 +184,14 @@ class DimensionHashTable:
         may come from any table in the branch.
         """
         flattened = flatten_dimension(join, schemas, tables)
-        table: dict[Any, tuple] = {}
-        for key, row in flattened.items():
-            table[key] = tuple(row[c] for c in aux_columns)
         stats = HashTableStats(
             dimension=join.dimension,
             rows_scanned=len(tables[join.dimension]),
-            entries=len(table), aux_arity=len(aux_columns),
+            entries=len(flattened), aux_arity=len(aux_columns),
             rows_rowwise=sum(len(tables[t]) for t in join.all_tables()))
-        return cls(join.dimension, join.fact_fk, table,
-                   tuple(aux_columns), stats)
+        return cls(join.dimension, join.fact_fk, list(flattened),
+                   [[row[c] for row in flattened.values()]
+                    for c in aux_columns], tuple(aux_columns), stats)
 
     @classmethod
     def from_branch(cls, join, schemas: dict[str, Schema],
@@ -206,47 +212,26 @@ class DimensionHashTable:
 
     def probe(self, key: Any) -> tuple | None:
         """Return the aux tuple for ``key`` or ``None`` on join miss."""
-        return self._table.get(key)
+        entry = self._table.get(key)
+        if entry is None:
+            return None
+        return tuple([column[entry] for column in self._aux])
 
     def probe_block(self, keys: Sequence[Any], selection: Sequence[int],
-                    ) -> tuple[Sequence[int], list[tuple]]:
-        """Probe a whole column of foreign keys at selected positions.
-
-        Returns (surviving positions, their aux tuples) — the block
-        counterpart of calling :meth:`probe` per row. On an integer key
-        buffer with a dense view the whole probe runs in numpy: one
-        bounds-checked gather. Otherwise (the dict leg) the selected
-        keys are gathered once and looked up one by one.
-        """
-        dense = self._dense_for(keys)
-        if dense is not None:
-            sel = as_index_array(selection)
-            data = keys.data[sel]
-            hit = dense.hits(data)
-            aux_rows = dense.aux_rows
-            entries = dense.entries(data[hit]).tolist()
-            return sel[hit], [aux_rows[j] for j in entries]
-        get = self._table.get
-        positions: list[int] = []
-        aux_out: list[tuple] = []
-        add_pos = positions.append
-        add_aux = aux_out.append
-        for i, key in zip(selection, gather_values(keys, selection)):
-            aux = get(key)
-            if aux is not None:
-                add_pos(i)
-                add_aux(aux)
-        return positions, aux_out
+                    ) -> tuple[np.ndarray, list[tuple]]:
+        """(surviving positions, their aux tuples) of a whole column of
+        foreign keys at selected positions — the block counterpart of
+        calling :meth:`probe` per row."""
+        positions = self.select_hits(keys, selection)
+        return positions, self.gather_aux(keys, positions)
 
     def gather_aux(self, keys: Sequence[Any],
                    selection: Sequence[int]) -> list[tuple]:
         """Aux tuples for positions already known to hit (no filtering)."""
         entries = self.entries_at(keys, selection)
-        if entries is not None:
-            aux_rows = self._dense.aux_rows
-            return [aux_rows[j] for j in entries.tolist()]
-        get = self._table.get
-        return [get(key) for key in gather_values(keys, selection)]
+        columns = [self.aux_values(entries, index)
+                   for index in range(len(self._aux))]
+        return list(zip(*columns)) if columns else [()] * len(entries)
 
     def __contains__(self, key: Any) -> bool:
         return key in self._table
@@ -260,59 +245,48 @@ class DimensionHashTable:
 
 
 class _DenseView:
-    """A code-space view of a table for vectorized probes.
+    """The key index as offset arrays, for vectorized probes.
 
     Dimension primary keys are dense small ints (datekey, custkey …),
-    so the dict maps onto offset arrays over ``[lo, hi]``:
+    so the index maps onto offset arrays over ``[lo, hi]``:
 
-    * ``lookup[key - lo]`` — the entry's position in ``aux_rows``, or -1
-      for a join miss;
+    * ``lookup[key - lo]`` — the key's entry position, or -1 for a join
+      miss;
     * ``bitmap[key - lo + 1]`` — the hit verdict, padded with a ``False``
       slot at each end, so a clipped gather answers for keys below and
-      above the range without a bounds test;
-    * ``aux_codes[i]`` — per entry, a code for aux column ``i`` (equal
-      values share one; ``aux_cards[i]`` codes in all): the group codes
-      of the block kernel's grouped emission.
+      above the range without a bounds test.
 
-    Every array is read-only: tables are cached across queries and
+    Both arrays are read-only: tables are cached across queries and
     shared by join threads.
     """
 
-    __slots__ = ("lookup", "lo", "bitmap", "aux_rows", "aux_codes",
-                 "aux_cards")
+    __slots__ = ("lookup", "lo", "bitmap")
 
-    def __init__(self, lookup: np.ndarray, lo: int, aux_rows: tuple,
-                 arity: int):
+    def __init__(self, lookup: np.ndarray, lo: int):
         self.lookup = _read_only(lookup)
         self.lo = lo
         bitmap = np.zeros(len(lookup) + 2, dtype=bool)
         bitmap[1:-1] = lookup >= 0
         self.bitmap = _read_only(bitmap)
-        self.aux_rows = aux_rows
-        columns = [value_codes([row[index] for row in aux_rows])
-                   for index in range(arity)]
-        self.aux_codes = tuple(_read_only(codes) for codes, _ in columns)
-        self.aux_cards = tuple(count for _, count in columns)
 
     @classmethod
-    def build(cls, table: dict, arity: int) -> "_DenseView | None":
-        """The view of ``table``, or ``None`` when its keys are not ints
-        or too sparse (the dict path still works)."""
-        if type(next(iter(table), None)) is not int:
+    def build(cls, keys: Sequence[Any]) -> "_DenseView | None":
+        """The view of ``keys`` (in entry order), or ``None`` when they
+        are not ints or too sparse (the key index still works)."""
+        if type(next(iter(keys), None)) is not int:
             return None
-        keys = np.asarray(list(table))
-        if keys.dtype.kind != "i":
+        array = np.asarray(keys)
+        if array.dtype.kind != "i":
             return None  # a float, str or over-wide key among the ints
-        lo, hi = int(keys.min()), int(keys.max())
+        lo, hi = int(array.min()), int(array.max())
         if lo == _INT64_MIN:
             return None  # the low padding slot's key must be an int64
         spread = hi - lo + 1
-        if spread > max(_DENSE_MIN_SLOTS,
-                        _DENSE_SPREAD_FACTOR * len(table)):
+        if spread > max(_DENSE_MIN_SLOTS, _DENSE_SPREAD_FACTOR * len(keys)):
             return None
         lookup = np.full(spread, -1, dtype=np.int64)
-        lookup[keys - lo] = np.arange(len(keys))
-        return cls(lookup, lo, tuple(table.values()), arity)
+        lookup[array - lo] = np.arange(len(keys))
+        return cls(lookup, lo)
 
     def hits(self, data: np.ndarray) -> np.ndarray:
         """Hit verdicts for an integer key buffer: one gather.

@@ -13,8 +13,8 @@ One MapReduce job executes the whole star join:
 A B-CIF block runs through **one block kernel**
 (:meth:`StarJoinMapper._map_block`): the first mask stage (the fact
 predicate, else the most selective hash table) reads the whole block,
-every later table tests only the rows still selected, and a table
-without a mask shrinks the selection by dict probes. Survivors then
+every later table tests only the rows still selected (a gather, or
+key-index lookups where the keys have no dense index). Survivors then
 leave as one pair per group when the job declares a combiner — measures
 reduced exactly in int64 — and one pair per survivor otherwise (or when
 the block declines, saying why). A single :class:`Record` takes the
@@ -90,8 +90,8 @@ class _Tally:
 
     Join threads bump their own tally lock-free; the mapper's lock is
     taken only once per thread (at registration), never per row or per
-    block. ``scalar`` counts rows handed to a per-row dict probe — the
-    part of the probe work that left the mask path; ``rowwise`` counts
+    block. ``scalar`` counts rows looked up one by one in a key index —
+    the part of the probe work that left the mask path; ``rowwise`` counts
     survivors emitted one pair each instead of one pair per group.
     """
 
@@ -397,7 +397,9 @@ class StarJoinMapper(Mapper):
         return expr.evaluate_vector
 
     def _plan_probe_order(self) -> list[int]:
-        """Join indexes ordered most-selective-first (early-out ordering).
+        """Join indexes in probe order: tables with a dense index first
+        (a gather per stage; key-index lookups then run on the fewest
+        rows), each group most-selective-first (early-out ordering).
 
         A table's expected match rate is ``entries / rows_scanned`` — the
         fraction of the dimension its predicate kept, which (under the
@@ -405,10 +407,11 @@ class StarJoinMapper(Mapper):
         Probing the lowest rate first shrinks the selection fastest; the
         sort is stable, so ties keep query join order.
         """
-        def match_rate(index: int) -> float:
-            stats = self.hash_tables[index].stats
-            return stats.entries / max(1, stats.rows_scanned)
-        return sorted(range(len(self.hash_tables)), key=match_rate)
+        def rank(index: int) -> tuple[bool, float]:
+            table = self.hash_tables[index]
+            return (table._dense is None,
+                    table.stats.entries / max(1, table.stats.rows_scanned))
+        return sorted(range(len(self.hash_tables)), key=rank)
 
     def _tally(self) -> _Tally:
         tally = getattr(self._local, "tally", None)
@@ -433,14 +436,9 @@ class StarJoinMapper(Mapper):
         Row-at-a-time by contract (the scalar API); per-row allocation
         is inherent here, which is exactly why the block path exists.
         """
-        if not self._fact_pred.evaluate(get):
+        aux_values = self._probe_row(get)
+        if aux_values is None:
             return False
-        aux_values: list[tuple] = []
-        for name, table in zip(self._fk_names, self.hash_tables):
-            aux = table.probe(get(name))
-            if aux is None:
-                return False  # early-out (paper 4.2)
-            aux_values.append(aux)
         group_key = tuple(
             get(self.query.group_by[i]) if source == "fact"
             else aux_values[join_index][aux_index]
@@ -449,6 +447,20 @@ class StarJoinMapper(Mapper):
         values = tuple(fn(get) for fn in self._agg_fns)
         collector.collect(group_key, values)
         return True
+
+    def _probe_row(self, get: Callable[[str], Any],  # analyze: allow-alloc
+                   ) -> list[tuple] | None:
+        """One fact row's aux tuple from every table, or ``None`` when it
+        fails the fact predicate or misses a table (early-out, paper 4.2)."""
+        if not self._fact_pred.evaluate(get):
+            return None
+        aux_values: list[tuple] = []
+        for name, table in zip(self._fk_names, self.hash_tables):
+            aux = table.probe(get(name))
+            if aux is None:
+                return None
+            aux_values.append(aux)
+        return aux_values
 
     def map(self, key: Any, value: Any, collector: OutputCollector,
             context: TaskContext) -> None:
@@ -503,61 +515,46 @@ class StarJoinMapper(Mapper):
     def _select(self, block: RowBlock) -> tuple[Sequence[int], int]:
         """Positions of the block's rows that pass the fact predicate
         and hit every hash table — Figure 4's probe loop with early-out,
-        one stage at a time — and how many rows were handed to a per-row
-        dict probe on the way.
+        one stage at a time — and how many rows were looked up one by
+        one in a key index on the way.
 
-        Only the first mask stage reads the whole block: the predicate's
+        Only the first stage reads the whole block: the predicate's
         :meth:`~repro.core.expressions.Predicate.evaluate_mask`, or, with
-        no fact predicate, the most selective table's
-        :meth:`~repro.core.hashtable.DimensionHashTable.hit_mask`; its
-        ``flatnonzero`` becomes the selection. Every later table in
-        ``_probe_order`` tests only the selected keys
-        (:meth:`~repro.core.hashtable.DimensionHashTable.select_hits`)
-        and shrinks the selection, so a row one table dropped is never
-        looked up in the next. A stage that cannot answer with a mask (a
-        plain-list column, a table without a dense view) then runs on
-        those survivors only — ``evaluate_block`` / ``probe_block``,
-        same order.
+        no fact predicate, the first table's
+        :meth:`~repro.core.hashtable.DimensionHashTable.hit_mask`. Every
+        later table in ``_probe_order`` tests only the selected keys
+        (:meth:`~repro.core.hashtable.DimensionHashTable.select_hits`),
+        so a row one table dropped is never looked up in the next. A
+        predicate without a mask (a plain-list column) runs row by row
+        just before the first table whose keys have no dense index.
         """
         columns = block.columns
-        tables = self.hash_tables
-        fk_names = self._fk_names
-        selection = None  # every row, until a mask stage narrows it
-        pred_declined = False
+        whole = selection = range(block.num_rows)
+        rowwise = None  # the fact predicate, when it has no mask here
         if not self._pred_is_true:
             mask = self._fact_pred.evaluate_mask(columns, block.num_rows)
-            pred_declined = mask is None
-            if not pred_declined:
-                selection = np.flatnonzero(mask)
-                if len(selection) == 0:
-                    return (), 0
-        declined = 0  # bit per join that has no mask for its keys
-        for join_index in self._probe_order:
-            keys = columns[fk_names[join_index]]
-            if selection is None:
-                hits = tables[join_index].hit_mask(keys)
-                kept = None if hits is None else np.flatnonzero(hits)
+            if mask is None:
+                rowwise = self._fact_pred
             else:
-                kept = tables[join_index].select_hits(keys, selection)
-            if kept is None:
-                declined |= 1 << join_index
-                continue
-            selection = kept
-            if len(selection) == 0:
-                return (), 0
-        if selection is None:
-            selection = range(block.num_rows)
-        if pred_declined:
-            selection = self._fact_pred.evaluate_block(columns, selection)
+                selection = np.flatnonzero(mask)
         scalar_probed = 0
         for join_index in self._probe_order:
-            # len(), not truthiness: selections may be index arrays.
             if len(selection) == 0:
                 break
-            if declined >> join_index & 1:
+            table = self.hash_tables[join_index]
+            keys = columns[self._fk_names[join_index]]
+            if table._dense_for(keys) is None:
+                if rowwise is not None:
+                    selection = rowwise.evaluate_block(columns, selection)
+                    rowwise = None
                 scalar_probed += len(selection)
-                selection, _ = tables[join_index].probe_block(
-                    columns[fk_names[join_index]], selection)
+                selection = table.select_hits(keys, selection)
+            elif selection is whole:
+                selection = np.flatnonzero(table.hit_mask(keys))
+            else:
+                selection = table.select_hits(keys, selection)
+        if rowwise is not None:
+            selection = rowwise.evaluate_block(columns, selection)
         return selection, scalar_probed
 
     def _emit_grouped(self, columns: dict, selection: Sequence[int],
@@ -570,14 +567,14 @@ class StarJoinMapper(Mapper):
         per-survivor :meth:`_emit_block` instead.
 
         Group codes come from the data, never from Python values where
-        the data has them: dictionary codes of a fact column, the dense
-        table's per-entry aux codes, ``np.unique`` over an integer fact
-        column; only a plain-list column or a dict-leg table's aux values
-        go through a value-to-code map. Each group's key is read at its
-        first survivor, so it is the very value the per-survivor loop
-        would emit first. Integer measures are reduced exactly in int64
-        (declined past :func:`~repro.core.expressions.int64_safe`); sums
-        and counts then merge like any combiner's partials.
+        the data has them: dictionary codes of a fact column, a table's
+        per-entry aux codes, ``np.unique`` over an integer fact column;
+        only a plain-list fact column goes through a value-to-code map.
+        Each group's key is read at its first survivor, so it is the
+        very value the per-survivor loop would emit first. Integer
+        measures are reduced exactly in int64 (declined past
+        :func:`~repro.core.expressions.int64_safe`); sums and counts then
+        merge like any combiner's partials.
         """
         sel = as_index_array(selection)
         n = len(sel)
@@ -605,12 +602,9 @@ class StarJoinMapper(Mapper):
         entries = {join: tables[join].entries_at(columns[fk_names[join]],
                                                  sel)
                    for join in key_joins}
-        aux_rows = {join: tables[join].gather_aux(columns[fk_names[join]],
-                                                  sel)
-                    for join in key_joins if entries[join] is None}
-        key_codes = [
-            self._key_codes(plan, name, columns, sel, entries, aux_rows)
-            for plan, name in zip(self._group_plan, self.query.group_by)]
+        key_codes = [self._key_codes(plan, name, columns, sel, entries)
+                     for plan, name in zip(self._group_plan,
+                                           self.query.group_by)]
         composite = np.zeros(n, dtype=np.int64)
         span = 1
         for codes, cardinality, _ in key_codes:
@@ -642,7 +636,6 @@ class StarJoinMapper(Mapper):
 
     def _key_codes(self, plan: tuple[str, int, int], name: str,
                    columns: dict, sel: np.ndarray, entries: dict,
-                   aux_rows: dict,
                    ) -> tuple[np.ndarray, int, Callable[[np.ndarray], list]]:
         """One group-by column over the survivors as (code per survivor,
         number of codes, survivor indexes -> their values)."""
@@ -658,11 +651,11 @@ class StarJoinMapper(Mapper):
                                             return_inverse=True)
                 return (codes, len(distinct),
                         lambda firsts: column.take(sel[firsts]))
-            return _value_codes(gather_values(column, sel))
+            values = gather_values(column, sel)
+            codes, count = value_codes(values)
+            return (codes, count,
+                    lambda firsts: [values[i] for i in firsts.tolist()])
         found = entries[join_index]
-        if found is None:
-            return _value_codes(
-                [aux[aux_index] for aux in aux_rows[join_index]])
         table = self.hash_tables[join_index]
         codes, cardinality = table.aux_codes(aux_index)
         return (codes[found], cardinality,
@@ -749,13 +742,6 @@ class StarJoinMapper(Mapper):
 
 #: Exact int64 reductions of one aggregate over sorted group runs.
 _REDUCE = {"sum": np.add, "min": np.minimum, "max": np.maximum}
-
-
-def _value_codes(values: list,
-                 ) -> tuple[np.ndarray, int, Callable[[np.ndarray], list]]:
-    """:meth:`StarJoinMapper._key_codes` for plain Python values."""
-    codes, count = value_codes(values)
-    return codes, count, lambda firsts: [values[i] for i in firsts.tolist()]
 
 
 class StarJoinReducer(Reducer):

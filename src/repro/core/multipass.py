@@ -94,14 +94,9 @@ class PartialJoinMapper(StarJoinMapper):
         self._output_names = output_schema.names
 
     def process_record(self, get, collector: OutputCollector) -> bool:  # analyze: allow-alloc (scalar API)
-        if not self._fact_pred.evaluate(get):
+        aux_values = self._probe_row(get)
+        if aux_values is None:
             return False
-        aux_values: list[tuple] = []
-        for name, table in zip(self._fk_names, self.hash_tables):
-            aux = table.probe(get(name))
-            if aux is None:
-                return False
-            aux_values.append(aux)
         flattened: dict[str, Any] = {}
         for table, aux in zip(self.hash_tables, aux_values):
             flattened.update(zip(table.aux_columns, aux))

@@ -21,7 +21,6 @@ from typing import Sequence
 from repro.common.errors import StorageError, ValidationError
 from repro.hdfs.filesystem import MiniDFS
 from repro.sim.costs import DEFAULT_COST_MODEL, CostModel
-from repro.ssb.loader import Catalog
 from repro.storage.cif import (
     column_path,
     group_descriptors,
@@ -84,12 +83,6 @@ def roll_out_oldest(fs: MiniDFS, meta: TableMeta,
     meta.extras["num_groups"] = len(survivors)
     meta.save(fs)
     return meta, removed_rows
-
-
-def append_to_catalog(fs: MiniDFS, catalog: Catalog, table: str,
-                      rows: Sequence[Sequence]) -> TableMeta:
-    """Convenience wrapper: roll rows into a cataloged fact table."""
-    return append_fact_rows(fs, catalog.meta(table), rows)
 
 
 # --------------------------------------------------------------------- #

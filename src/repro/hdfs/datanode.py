@@ -29,10 +29,6 @@ class DataNode:
     def used_bytes(self) -> int:
         return sum(len(data) for data in self._replicas.values())
 
-    @property
-    def block_ids(self) -> list[BlockId]:
-        return sorted(self._replicas)
-
     def store_replica(self, block_id: BlockId, data: bytes) -> None:
         if not self.alive:
             raise HdfsError(f"{self.node_id} is dead; cannot store replica")

@@ -32,9 +32,3 @@ class ModelResult:
 
     def breakdown(self) -> dict[str, float]:
         return {s.name: s.seconds for s in self.stages}
-
-    def speedup_vs(self, other: "ModelResult") -> float | None:
-        """other.seconds / self.seconds (how much faster self is)."""
-        if not self.completed or not other.completed or not self.seconds:
-            return None
-        return other.seconds / self.seconds

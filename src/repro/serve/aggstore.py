@@ -286,10 +286,13 @@ class AggStore(GenerationalStore):
                       for a in query.aggregates]
         requested_sem = _order_semantics(query.order_by, query.group_by,
                                          query.aggregates)
-        if any_order or requested_sem == entry.order_sem:
+        if any_order or (requested_sem == entry.order_sem
+                         and entry.group_cols == tuple(query.group_by)):
             # Replay the stored execution's own permutation: the stable
             # sort the engine ran is byte-identical to the one this
-            # request asks for (or the caller re-sorts anyway).
+            # request asks for (or the caller re-sorts anyway). Its
+            # tie-break — the whole order, without an ORDER BY — follows
+            # the group-by column order, so that must match too.
             rows = [tuple(row[p] for p in positions)
                     for row in entry.rows]
             rows = rows[:query.limit] if query.limit is not None else rows

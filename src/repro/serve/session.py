@@ -27,11 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.common.errors import ValidationError
 from repro.core.query import Aggregate, OrderKey, StarQuery
 from repro.core.result import QueryResult, apply_order_by
+from repro.core.rollin import append_fact_rows, roll_out_oldest
 from repro.serve.aggstore import (
     AggDecision,
     AggStore,
@@ -462,6 +463,40 @@ class Session:
     def close(self) -> None:
         """Release session state (cached hash tables, warm JVMs)."""
         self.invalidate_cache()
+
+    # ------------------------------------------------------------------ #
+    # Fact-table roll-in and roll-out (paper sections 2 and 8).
+    # ------------------------------------------------------------------ #
+
+    def roll_in(self, table: str, rows: Sequence[Sequence]) -> None:
+        """Append ``rows`` to fact table ``table`` as fresh row groups
+        (:func:`~repro.core.rollin.append_fact_rows`). The materialized
+        aggregates no longer describe the table and are dropped; cached
+        hash tables stay, because the dimensions did not change."""
+        meta = self._fact_meta(table)
+        append_fact_rows(self._engine.fs, meta, rows)
+        self._drop_aggregates()
+
+    def roll_out(self, table: str, num_groups: int) -> int:
+        """Delete the ``num_groups`` oldest row groups of fact table
+        ``table`` (:func:`~repro.core.rollin.roll_out_oldest`) and the
+        materialized aggregates, as :meth:`roll_in` does. Returns the
+        rows removed."""
+        meta = self._fact_meta(table)
+        _, removed = roll_out_oldest(self._engine.fs, meta, num_groups)
+        self._drop_aggregates()
+        return removed
+
+    def _fact_meta(self, table: str) -> Any:
+        if self.backend != "clydesdale":
+            raise ValidationError(
+                f"roll-in and roll-out need a clydesdale session, not "
+                f"{self.backend!r}")
+        return self._engine.catalog.meta(table)
+
+    def _drop_aggregates(self) -> None:
+        if self.aggstore is not None:
+            self.aggstore.invalidate()
 
     # ------------------------------------------------------------------ #
     # Internals.

@@ -90,10 +90,6 @@ class ClusterSpec:
         return self.workers * self.node.reduce_slots
 
     @property
-    def total_cores(self) -> int:
-        return self.workers * self.node.cores
-
-    @property
     def heap_budget_per_node(self) -> float:
         """Bytes of memory available across all task heaps on one node."""
         return self.node.memory_bytes * self.heap_fraction

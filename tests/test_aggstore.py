@@ -196,6 +196,23 @@ class TestExactServe:
         assert "tie" in decision.declined
         assert store.stats().declined == 1
 
+    def test_swapped_group_by_is_not_replayed(self):
+        """Without an ORDER BY the engine's row order follows the
+        group-by column order, so a swapped one is not a replay: it
+        declines like any unordered re-sort, and serves when an ORDER BY
+        is tie-free."""
+        store = _warm_store()
+        swapped = _fine_query().with_group_by(["brand", "year"])
+        decision = store.fetch(swapped)
+        assert decision.kind == "miss"
+        assert "engine-defined" in decision.declined
+        ordered = swapped.with_order_by([OrderKey("rev")])
+        decision = store.fetch(ordered)
+        assert decision.kind == "exact"
+        assert decision.result.rows == sorted(
+            [(b, y, *rest) for (y, b, *rest) in FINE_ROWS],
+            key=lambda r: r[2])
+
     def test_missing_aggregate_is_a_miss(self):
         store = _warm_store()
         other = _query(
@@ -376,6 +393,15 @@ def session(ssb_data):
 
 
 class TestSessionIntegration:
+    def test_swapped_group_by_answers_as_executed(self, session, ssb_data):
+        query = _query(group_by=["lo_orderpriority", "lo_shipmode"])
+        swapped = query.with_group_by(["lo_shipmode", "lo_orderpriority"])
+        session.execute(query)
+        cold = connect(backend="clydesdale", data=ssb_data,
+                       aggstore=False)
+        assert session.execute(swapped).rows == cold.execute(swapped).rows
+        assert session.last_provenance.source == "executed"
+
     def test_provenance_transitions(self, session, queries, reference):
         query = queries["Q2.1"]
         cold = session.execute(query)

@@ -48,6 +48,23 @@ def fixture_context(path, source, design_text=""):
     return AnalysisContext(modules=[module], design_text=design_text)
 
 
+@pytest.fixture(scope="session")
+def repo_analysis():
+    """One run of every default pass over the repo, shared by the
+    repo-clean tests: (the parsed project, the analyzer's findings, the
+    ids of the passes that ran)."""
+    context = load_project(find_repo_root())
+    analyzer = Analyzer(default_passes())
+    return context, analyzer.run(context), set(analyzer.timings)
+
+
+def repo_findings(repo_analysis, pass_id):
+    """The shared run's findings of one pass, which must have run."""
+    _, findings, ran = repo_analysis
+    assert pass_id in ran
+    return [f for f in findings if f.pass_id == pass_id]
+
+
 # --------------------------------------------------------------------- #
 # Race lint
 # --------------------------------------------------------------------- #
@@ -155,9 +172,8 @@ class TestRaceLint:
         ''')
         assert sorted(f.code for f in findings) == ["RACE002", "RACE002"]
 
-    def test_repo_hot_paths_are_clean(self):
-        context = load_project(find_repo_root())
-        assert RaceLintPass().run(context) == []
+    def test_repo_hot_paths_are_clean(self, repo_analysis):
+        assert repo_findings(repo_analysis, RaceLintPass.pass_id) == []
 
 
 # --------------------------------------------------------------------- #
@@ -343,9 +359,9 @@ class TestLockDiscipline:
         ''', entries=("stash",))
         assert findings == []
 
-    def test_repo_is_lockset_clean(self):
-        context = load_project(find_repo_root())
-        assert LockDisciplinePass().run(context) == []
+    def test_repo_is_lockset_clean(self, repo_analysis):
+        assert repo_findings(repo_analysis,
+                             LockDisciplinePass.pass_id) == []
 
 
 class TestLockOrder:
@@ -489,15 +505,14 @@ class TestLockOrder:
         ''', entries=("backward",), hierarchy=self.HIERARCHY)
         assert [f.code for f in findings] == ["LOCK002"]
 
-    def test_repo_order_is_clean(self):
-        context = load_project(find_repo_root())
-        assert LockOrderPass().run(context) == []
+    def test_repo_order_is_clean(self, repo_analysis):
+        assert repo_findings(repo_analysis, LockOrderPass.pass_id) == []
 
-    def test_repo_hierarchy_covers_every_lock(self):
+    def test_repo_hierarchy_covers_every_lock(self, repo_analysis):
         # Every lock the model discovers in the repo must carry a
         # declared rank — undeclared locks would dodge LOCK002.
         from repro.analyze.locks import SCOPES, THREAD_ENTRIES, shared_analysis
-        context = load_project(find_repo_root())
+        context = repo_analysis[0]
         analysis = shared_analysis(context, SCOPES, THREAD_ENTRIES)
         declared = set(keys.lock_ranks_by_site())
         assert set(analysis.model.decls) == declared
@@ -644,6 +659,31 @@ class TestHotPathDecodeLint:
         ''')
         assert findings == []
 
+    def test_key_index_loops_are_on_the_hot_path(self, repo_analysis):
+        """The block kernel reaches the key-index loops of
+        ``select_hits`` and ``entries_at``: a list literal seeded in
+        each is flagged."""
+        context = repo_analysis[0]
+        module = context.module("repro/core/hashtable.py")
+        loop = "for k, key in enumerate(gather_values(keys, sel)):"
+        lines = []
+        for line in module.text.splitlines():
+            lines.append(line)
+            if line.strip() == loop:
+                indent = len(line) - len(line.lstrip()) + 4
+                lines.append(" " * indent + "seeded = []")
+        assert [line.strip() for line in lines].count("seeded = []") == 2
+        seeded = SourceModule.from_text(module.path, "\n".join(lines))
+        findings = HotPathPass().run(AnalysisContext(
+            modules=[seeded if m is module else m
+                     for m in context.modules], root=context.root))
+        assert [f.code for f in findings] == ["HOT001"] * 2
+        assert all(lines[f.line - 1].strip() == "seeded = []"
+                   for f in findings)
+        messages = " | ".join(f.message for f in findings)
+        assert "DimensionHashTable.select_hits" in messages
+        assert "DimensionHashTable.entries_at" in messages
+
     def test_allow_alloc_suppresses_hot004(self):
         findings = self.run_pass('''
             class Kernel:
@@ -699,9 +739,9 @@ class TestStringKeyLint:
         assert {f.code for f in findings} == {"KEYS004"}
         assert {f.severity for f in findings} == {Severity.WARNING}
 
-    def test_repo_has_no_unregistered_or_unused_keys(self):
-        context = load_project(find_repo_root())
-        assert StringKeyRegistryPass().run(context) == []
+    def test_repo_has_no_unregistered_or_unused_keys(self, repo_analysis):
+        assert repo_findings(repo_analysis,
+                             StringKeyRegistryPass.pass_id) == []
 
 
 RESERVED_FIXTURE = '''
@@ -778,9 +818,8 @@ class TestFeatureFlagLint:
         assert any("without a default" in f.message for f in findings)
         assert any("DESIGN.md" in f.message for f in findings)
 
-    def test_repo_flags_are_documented(self):
-        context = load_project(find_repo_root())
-        assert FeatureFlagPass().run(context) == []
+    def test_repo_flags_are_documented(self, repo_analysis):
+        assert repo_findings(repo_analysis, FeatureFlagPass.pass_id) == []
 
 
 # --------------------------------------------------------------------- #
@@ -836,9 +875,9 @@ class TestExceptionContractLint:
                                   CONTRACTS_FIXTURE)
         assert ExceptionContractPass().run(context) == []
 
-    def test_repo_apis_keep_the_contract(self):
-        context = load_project(find_repo_root())
-        assert ExceptionContractPass().run(context) == []
+    def test_repo_apis_keep_the_contract(self, repo_analysis):
+        assert repo_findings(repo_analysis,
+                             ExceptionContractPass.pass_id) == []
 
 
 # --------------------------------------------------------------------- #
@@ -866,9 +905,8 @@ class TestFramework:
         findings = Analyzer([]).run(AnalysisContext(modules=[module]))
         assert [f.code for f in findings] == ["PARSE001"]
 
-    def test_repo_is_clean(self):
-        context = load_project(find_repo_root())
-        findings = Analyzer(default_passes()).run(context)
+    def test_repo_is_clean(self, repo_analysis):
+        findings = repo_analysis[1]
         assert findings == []
 
     def test_cli_exits_zero_on_repo(self, capsys):

@@ -44,7 +44,7 @@ DIMS = {
 DIM_ROWS = {
     # keys 0..49: a dense view (fact keys 50..59 miss).
     "a": [(i, f"a{i % 3}", i % 4) for i in range(50)],
-    # keys 0, 7000, 14000, ...: too sparse, the dict leg.
+    # keys 0, 7000, 14000, ...: too sparse, looked up in the key index.
     "b": [(i * 7000, f"b{i % 4}") for i in range(20)]}
 BLOBS = {dim_cache_name(name): encode_dimension_copy(DIMS[name],
                                                      DIM_ROWS[name])
@@ -248,9 +248,11 @@ class TestPublishedArraysAreReadOnly:
         mapper, _, _ = _mapper(_query(["a_grp", "a_num"],
                                       [("sum", "m_int")]),
                                combiner=True, sanitize=sanitize)
-        (dense,) = [table._dense for table in mapper.hash_tables
+        (table,) = [table for table in mapper.hash_tables
                     if table._dense is not None]
-        arrays = [dense.lookup, dense.bitmap, *dense.aux_codes]
+        arrays = [table._dense.lookup, table._dense.bitmap,
+                  *(table.aux_codes(index)[0]
+                    for index in range(len(table.aux_columns)))]
         assert len(arrays) == 4
         for array in arrays:
             with pytest.raises(ValueError):
@@ -289,13 +291,13 @@ class TestEmittedRowwiseCounter:
 def test_numeric_vector_fk_of_every_width_agrees_with_probe():
     """The bitmap gather answers like ``probe`` for keys of any integer
     width, including ones whose int64 offset wraps."""
-    from repro.core.hashtable import DimensionHashTable, HashTableStats
+    from repro.core.hashtable import DimensionHashTable
     top = 2**63 - 1
     for keys in ([0, 1, 2], [-10, -3, -1], [top - 2, top], [5],
                  [-top, -top + 4], [2**31 - 4, 2**31 - 1]):
-        table = DimensionHashTable(
-            "d", "fk", {k: (k,) for k in keys}, ("v",),
-            HashTableStats("d", len(keys), len(keys), 1))
+        table = DimensionHashTable.from_columns(
+            "d", "fk", {"k": keys, "v": keys}, len(keys), "k",
+            TruePredicate(), ["v"])
         assert table.hit_mask(NumericVector(np.arange(1))) is not None
         for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint8,
                       np.uint16, np.uint32, np.uint64):

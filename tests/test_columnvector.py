@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 from repro.common.errors import StorageError
 from repro.common.schema import Schema
 from repro.common.types import DataType
-from repro.core.expressions import Between, Comparison, InList
-from repro.core.hashtable import DimensionHashTable, HashTableStats
+from repro.core.expressions import Between, Comparison, InList, TruePredicate
+from repro.core.hashtable import DimensionHashTable
 from repro.core.planner import ClydesdaleFeatures
 from repro.core.query import StarQuery
 from repro.hdfs.filesystem import MiniDFS
@@ -268,10 +268,11 @@ class TestDenseProbeEquivalence:
                                    st.tuples(st.integers(), st.integers()),
                                    max_size=25))
     def test_vector_probe_matches_list_probe(self, keys, entries):
-        stats = HashTableStats(dimension="d", rows_scanned=len(entries),
-                               entries=len(entries), aux_arity=2)
-        table = DimensionHashTable("d", "fk", dict(entries), ("x", "y"),
-                                   stats)
+        table = DimensionHashTable.from_columns(
+            "d", "fk", {"k": list(entries),
+                        "x": [x for x, _ in entries.values()],
+                        "y": [y for _, y in entries.values()]},
+            len(entries), "k", TruePredicate(), ["x", "y"])
         selection = list(range(len(keys)))
         list_pos, list_aux = table.probe_block(keys, selection)
         vec = ensure_vector(keys, "<i8")

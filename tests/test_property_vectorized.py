@@ -6,7 +6,7 @@ Three layers, matching the kernel pipeline:
   row-wise ``evaluate`` keeps, for arbitrary predicates over arbitrary
   column data;
 * ``DimensionHashTable.probe_block``/``gather_aux`` must agree with
-  per-row ``probe`` calls;
+  per-row ``probe`` calls, through the dense index and the key index;
 * end-to-end, the engine must return identical rows from the block
   kernel, from record-at-a-time execution (``block_iteration=False``,
   the row-wise oracle) and from the reference engine — for random SSB
@@ -15,6 +15,7 @@ Three layers, matching the kernel pipeline:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -29,12 +30,13 @@ from repro.core.expressions import (
     Or,
     TruePredicate,
 )
-from repro.core.hashtable import DimensionHashTable, HashTableStats
+from repro.core.hashtable import DimensionHashTable
 from repro.core.planner import ClydesdaleFeatures
 from repro.core.query import StarQuery
 from repro.reference.engine import ReferenceEngine
 from repro.serve.session import Session
 from repro.ssb.datagen import SSBGenerator
+from repro.storage.columnvector import NumericVector
 from tests.test_property_random_queries import star_queries
 
 COLUMNS = ("a", "b", "c")
@@ -104,19 +106,30 @@ class TestProbeBlockEquivalence:
     @settings(max_examples=150, deadline=None)
     @given(keys=st.lists(values, max_size=60),
            entries=st.dictionaries(values, st.tuples(values, values),
-                                   max_size=25))
-    def test_probe_block_matches_per_row_probe(self, keys, entries):
-        stats = HashTableStats(dimension="d", rows_scanned=len(entries),
-                               entries=len(entries), aux_arity=2)
-        table = DimensionHashTable("d", "fk", dict(entries), ("x", "y"),
-                                   stats)
+                                   max_size=25),
+           # 10**4 apart, two keys already span more than 8 x entries
+           # slots: the table has no dense index.
+           spacing=st.sampled_from([1, 10**4]))
+    def test_probe_block_matches_per_row_probe(self, keys, entries,
+                                               spacing):
+        keys = [key * spacing for key in keys]
+        entries = {key * spacing: aux for key, aux in entries.items()}
+        table = DimensionHashTable.from_columns(
+            "d", "fk", {"k": list(entries),
+                        "x": [x for x, _ in entries.values()],
+                        "y": [y for _, y in entries.values()]},
+            len(entries), "k", TruePredicate(), ["x", "y"])
+        vector = NumericVector(np.asarray(keys, dtype=np.int64))
+        dense = bool(entries) and (spacing == 1 or len(entries) == 1)
+        assert (table.hit_mask(vector) is not None) == dense
         selection = list(range(len(keys)))
-        positions, aux = table.probe_block(keys, selection)
         expected = [(i, table.probe(keys[i])) for i in selection
                     if table.probe(keys[i]) is not None]
-        assert positions == [i for i, _ in expected]
-        assert aux == [a for _, a in expected]
-        assert table.gather_aux(keys, positions) == aux
+        for column in (keys, vector):
+            positions, aux = table.probe_block(column, selection)
+            assert positions.tolist() == [i for i, _ in expected]
+            assert aux == [a for _, a in expected]
+            assert table.gather_aux(column, positions) == aux
 
 
 def _without_limit(query: StarQuery) -> StarQuery:

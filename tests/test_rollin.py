@@ -2,9 +2,12 @@
 retiring fact data without rewriting the table, with queries staying
 correct throughout — plus the Llama cost-comparison model."""
 
+import dataclasses
+
 import pytest
 
-from repro.common.errors import StorageError
+from repro.api import connect
+from repro.common.errors import StorageError, ValidationError
 from repro.common.units import GB
 from repro.core.engine import ClydesdaleEngine
 from repro.core.rollin import (
@@ -130,6 +133,73 @@ class TestRollOut:
             roll_out_oldest(engine.fs, meta, 999)
         with pytest.raises(StorageError):
             roll_out_oldest(engine.fs, meta, -1)
+
+
+class TestSessionRollInAndOut:
+    """``Session.roll_in``/``roll_out``: the repeat of a query answers
+    from the new fact rows, not from aggregates materialized over the
+    old ones, and still reuses every cached hash table."""
+
+    QUERY = ssb_queries()["Q2.1"]
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return SSBGenerator(scale_factor=0.002, seed=42).generate()
+
+    def _expected(self, data, lineorder):
+        reference = connect("reference", data=dataclasses.replace(
+            data, lineorder=lineorder))
+        return reference.execute(self.QUERY).rows
+
+    def test_repeat_after_roll_in(self, data):
+        session = connect("clydesdale", data=data)
+        before = session.execute(self.QUERY).rows
+        batch = fresh_batch(session.engine, count=2_000)
+        session.roll_in("lineorder", batch)
+        rows = session.execute(self.QUERY).rows
+        assert rows == self._expected(data, data.lineorder + batch)
+        assert rows != before
+        assert session.last_provenance.source == "executed"
+        # Every table cached before is reused; only the node that holds
+        # the new row group builds its own.
+        assert session.stats().execution.ht_cache_hits == \
+            len(self.QUERY.joins)
+        assert session.cache.stats().invalidations == 0
+
+    def test_repeat_after_roll_out(self, data):
+        session = connect("clydesdale", data=data)
+        batch = fresh_batch(session.engine, count=2_000)
+        session.roll_in("lineorder", batch)
+        session.execute(self.QUERY)
+        removed = session.roll_out("lineorder", 1)
+        assert removed == len(data.lineorder)
+        rows = session.execute(self.QUERY).rows
+        assert rows == self._expected(data, batch)
+        assert session.last_provenance.source == "executed"
+        assert session.stats().execution.ht_cache_misses == 0
+
+    def test_reload_catalog_afterwards_invalidates_both_stores(self, data):
+        session = connect("clydesdale", data=data)
+        session.execute(self.QUERY)
+        session.roll_in("lineorder", fresh_batch(session.engine))
+        session.execute(self.QUERY)
+        cache = session.cache.stats().invalidations
+        aggstore = session.aggstore.stats().invalidations
+        session.reload_catalog(data)
+        assert session.cache.stats().invalidations == cache + 1
+        assert session.aggstore.stats().invalidations == aggstore + 1
+        rows = session.execute(self.QUERY).rows
+        assert rows == self._expected(data, data.lineorder)
+        assert session.last_provenance.source == "executed"
+        assert session.stats().execution.ht_cache_misses > 0
+
+    @pytest.mark.parametrize("backend", ["hive", "reference"])
+    def test_other_backends_refuse(self, data, backend):
+        session = connect(backend, data=data)
+        with pytest.raises(ValidationError, match="clydesdale"):
+            session.roll_in("lineorder", data.lineorder[:10])
+        with pytest.raises(ValidationError, match="clydesdale"):
+            session.roll_out("lineorder", 1)
 
 
 class TestLlamaComparison:
