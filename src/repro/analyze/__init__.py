@@ -1,24 +1,21 @@
 """Project-specific static analysis and runtime sanitizers.
 
-``python -m repro.analyze`` runs nine passes over ``src/repro``
+``python -m repro.analyze`` runs six passes over ``src/repro``
 (``--list-passes`` enumerates them, ``--only=<pass>[,<pass>]`` runs a
 subset):
 
-* :mod:`repro.analyze.race` — unguarded shared-state writes reachable
-  from the threaded join hot path, judged against lockset facts;
 * :mod:`repro.analyze.locks` (``locks``) — interprocedural lockset
-  dataflow: fields of lock-owning classes accessed under inconsistent
-  locksets (RACE101), written with no lock held (RACE102), and
-  explicitly acquired locks that leak through early returns or
-  exception paths (RACE103);
-* :mod:`repro.analyze.locks` (``lockorder``) — the global lock
-  acquisition-order graph: cycles are potential deadlocks (LOCK001)
-  and every nested acquisition must follow the hierarchy declared in
+  dataflow over the code reachable from thread entry points: unlocked
+  writes to module globals (RACE001), closure variables or module
+  globals mutated with no lock held (RACE003), fields accessed under
+  inconsistent locksets (RACE101), ``self`` fields written with no lock
+  held (RACE102), explicitly acquired locks that leak through early
+  returns or exception paths (RACE103), acquisition-order cycles
+  (LOCK001) and nested acquisitions against the hierarchy declared in
   :data:`repro.common.keys.LOCK_HIERARCHY` (LOCK002);
-* :mod:`repro.analyze.registry` — config keys and counters must be
-  registered in :mod:`repro.common.keys`;
-* :mod:`repro.analyze.flags` — feature flags need defaults and a
-  DESIGN.md mention;
+* :mod:`repro.analyze.registry` (``keys``) — config keys, counters and
+  feature flags must be registered in :mod:`repro.common.keys`, and
+  every flag needs a default and a DESIGN.md mention;
 * :mod:`repro.analyze.contracts` — public APIs raise repro error types
   and never swallow exceptions;
 * :mod:`repro.analyze.lifecycle` — readers/writers must reach
@@ -28,6 +25,10 @@ subset):
   reachable from the vectorized block kernels;
 * :mod:`repro.analyze.plantypes` — the SSB workload typechecks against
   the catalog (tables, columns, join keys, literals, aggregates).
+
+A deliberate exception is suppressed inline, on the flagged line or the
+``def`` line (``# analyze: allow-unlocked``, ``# analyze:
+allow-alloc``); there is no suppression file.
 
 The dataflow-backed passes are built on :mod:`repro.analyze.cfg`
 (per-function control-flow graphs), :mod:`repro.analyze.dataflow`
@@ -45,28 +46,25 @@ runtime in tests.
 from repro.analyze.findings import (Finding, Severity, render_github,
                                     render_json, render_text)
 from repro.analyze.framework import (AnalysisContext, AnalysisPass, Analyzer,
-                                     Baseline, SourceModule, find_repo_root,
+                                     SourceModule, find_repo_root,
                                      load_project)
 
 
 def default_passes():
     """The standard pass suite, instantiated fresh."""
     from repro.analyze.contracts import ExceptionContractPass
-    from repro.analyze.flags import FeatureFlagPass
     from repro.analyze.hotpath import HotPathPass
     from repro.analyze.lifecycle import LifecyclePass
-    from repro.analyze.locks import LockDisciplinePass, LockOrderPass
+    from repro.analyze.locks import LockDisciplinePass
     from repro.analyze.plantypes import PlanTypePass
-    from repro.analyze.race import RaceLintPass
     from repro.analyze.registry import StringKeyRegistryPass
-    return [RaceLintPass(), LockDisciplinePass(), LockOrderPass(),
-            StringKeyRegistryPass(), FeatureFlagPass(),
+    return [LockDisciplinePass(), StringKeyRegistryPass(),
             ExceptionContractPass(), LifecyclePass(), HotPathPass(),
             PlanTypePass()]
 
 
 __all__ = [
-    "AnalysisContext", "AnalysisPass", "Analyzer", "Baseline", "Finding",
+    "AnalysisContext", "AnalysisPass", "Analyzer", "Finding",
     "Severity", "SourceModule", "default_passes", "find_repo_root",
     "load_project", "render_github", "render_json", "render_text",
 ]

@@ -1,7 +1,8 @@
 """CLI: ``python -m repro.analyze [--fail-on=error] [--format=text]``.
 
-``--list-passes`` enumerates the suite; ``--only=race,locks`` runs a
-subset (and scopes ``--update-baseline`` to those passes' entries).
+``--list-passes`` enumerates the suite; ``--only=locks,keys`` runs a
+subset. Findings are suppressed only by inline ``# analyze: allow-*``
+annotations.
 
 Exit codes: 0 — no finding at or above the fail threshold; 1 — at
 least one such finding; 2 — usage or I/O error.
@@ -13,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.analyze import (Analyzer, Baseline, Severity, default_passes,
+from repro.analyze import (Analyzer, Severity, default_passes,
                            find_repo_root, load_project, render_github,
                            render_json, render_text)
 
@@ -34,23 +35,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format; 'github' emits workflow annotations "
              "(default: text)")
     parser.add_argument(
-        "--baseline", type=Path, default=None,
-        help="JSON baseline of suppressed findings "
-             "(default: scripts/analyze_baseline.json under the root, "
-             "if present)")
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to the currently firing findings "
-             "(drops stale entries with a warning, keeps reasons) and "
-             "exit 0")
-    parser.add_argument(
         "--timings", action="store_true",
         help="print per-pass wall time to stderr")
     parser.add_argument(
         "--only", default=None, metavar="PASS[,PASS]",
         help="run only these passes (comma-separated pass ids; see "
-             "--list-passes); --update-baseline then rewrites only "
-             "their baseline entries")
+             "--list-passes)")
     parser.add_argument(
         "--list-passes", action="store_true",
         help="list the available pass ids and exit")
@@ -65,7 +55,6 @@ def main(argv: list[str] | None = None) -> int:
         for p in passes:
             print(f"{p.pass_id:<{width}}  {p.description}")
         return 0
-    only = None
     if args.only is not None:
         only = {name.strip() for name in args.only.split(",")
                 if name.strip()}
@@ -92,25 +81,8 @@ def main(argv: list[str] | None = None) -> int:
               f"(no src/repro/)", file=sys.stderr)
         return 2
 
-    baseline_path = args.baseline
-    if baseline_path is None:
-        candidate = root / "scripts" / "analyze_baseline.json"
-        baseline_path = candidate if candidate.exists() else None
-    if baseline_path is not None and (baseline_path.exists()
-                                      or not args.update_baseline):
-        # With --update-baseline a missing file is fine — we are about
-        # to create it; otherwise an unreadable baseline is an error.
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read baseline {baseline_path}: {exc}",
-                  file=sys.stderr)
-            return 2
-    else:
-        baseline = Baseline()
-
     context = load_project(root)
-    analyzer = Analyzer(passes, baseline)
+    analyzer = Analyzer(passes)
     findings = analyzer.run(context)
 
     if args.timings:
@@ -118,22 +90,6 @@ def main(argv: list[str] | None = None) -> int:
                                        key=lambda kv: -kv[1]):
             print(f"repro.analyze: pass {pass_id:<10} {seconds * 1000:8.1f} ms",
                   file=sys.stderr)
-
-    if args.update_baseline:
-        if baseline_path is None:
-            baseline_path = root / "scripts" / "analyze_baseline.json"
-        stale = analyzer.baseline.rebuild(analyzer.unfiltered,
-                                          pass_ids=only)
-        for key in stale:
-            print(f"warning: dropping stale baseline entry "
-                  f"{key[0]} [{key[1]}] {key[2]!r} (no longer fires)",
-                  file=sys.stderr)
-        analyzer.baseline.save(baseline_path)
-        print(f"repro.analyze: baseline {baseline_path} rewritten with "
-              f"{len(analyzer.baseline.suppress)} entr"
-              f"{'y' if len(analyzer.baseline.suppress) == 1 else 'ies'} "
-              f"({len(stale)} stale dropped)")
-        return 0
 
     if args.format == "json":
         print(render_json(findings))

@@ -1,8 +1,7 @@
 """Call-graph construction shared by the analysis passes.
 
-Originally private machinery inside :mod:`repro.analyze.race`, hoisted
-here so the dataflow passes (lifecycle, hotpath) reuse the same function
-flattening and reachability the race lint has always used:
+One function flattening and reachability scheme for every pass that
+needs a call graph (locks, lifecycle, hotpath):
 
 * :func:`collect_functions` flattens a module AST into
   :class:`FunctionInfo` records keyed by dotted qualname
@@ -11,8 +10,7 @@ flattening and reachability the race lint has always used:
 * :func:`resolve_calls` links call sites to same-module callees —
   ``self.method()`` precisely, bare names to nested/module functions,
   and other attribute calls duck-typed to any same-module method of that
-  name (how ``join_thread`` reaches ``StarJoinMapper.map``);
-* :func:`reachable` is the worklist closure over those edges.
+  name (how ``join_thread`` reaches ``StarJoinMapper.map``).
 
 :class:`ProjectCallGraph` lifts the same scheme across modules for
 interprocedural passes: attribute calls resolve to any method of that
@@ -133,22 +131,6 @@ def resolve_calls(funcs: dict[str, FunctionInfo]) -> None:
                 else:
                     # Duck-typed: any same-module method of that name.
                     func.calls.update(by_method.get(target.attr, ()))
-
-
-def reachable(funcs: dict[str, FunctionInfo],
-              entry_names: Iterable[str]) -> set[str]:
-    """Qualnames reachable from functions whose *name* is an entry."""
-    entries = set(entry_names)
-    frontier = [qual for qual, func in funcs.items()
-                if func.node.name in entries or qual in entries]
-    seen: set[str] = set()
-    while frontier:
-        qual = frontier.pop()
-        if qual in seen:
-            continue
-        seen.add(qual)
-        frontier.extend(funcs[qual].calls - seen)
-    return seen
 
 
 class ProjectCallGraph:

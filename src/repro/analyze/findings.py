@@ -2,8 +2,8 @@
 
 A :class:`Finding` is one diagnosed violation: which pass produced it,
 how severe it is, where it lives, and a stable ``code`` (e.g.
-``RACE001``) tests and baselines can key on. Findings are value objects
-— ordering and baseline matching never depend on object identity.
+``RACE001``) tests can key on. Findings are value objects — ordering
+never depends on object identity.
 """
 
 from __future__ import annotations
@@ -40,10 +40,6 @@ class Finding:
     message: str
     severity: Severity = field(default=Severity.ERROR, compare=False)
     pass_id: str = field(default="", compare=False)
-
-    def baseline_key(self) -> tuple[str, str, str]:
-        """Line-insensitive identity used for baseline suppression."""
-        return (self.path, self.code, self.message)
 
     def to_dict(self) -> dict:
         data = asdict(self)

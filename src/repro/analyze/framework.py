@@ -1,4 +1,4 @@
-"""The pass framework: source loading, pass protocol, baseline, runner.
+"""The pass framework: source loading, pass protocol, runner.
 
 An :class:`AnalysisPass` sees the whole project at once through an
 :class:`AnalysisContext` — parsed modules plus project-level artifacts
@@ -11,9 +11,8 @@ not parse is itself a finding, not a crash.
 from __future__ import annotations
 
 import ast
-import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.analyze.findings import Finding, Severity
@@ -72,81 +71,6 @@ class AnalysisPass:
                        pass_id=self.pass_id)
 
 
-@dataclass
-class Baseline:
-    """Committed suppressions: known findings that do not fail the build.
-
-    Keys are line-insensitive (path, code, message) triples so routine
-    edits above a suppressed site do not resurrect it. Each entry may
-    carry a one-line ``reason`` saying why it is a false positive;
-    reasons survive ``--update-baseline`` rewrites. Entries also record
-    which pass produced them so ``--update-baseline --only=<pass>``
-    can rewrite one pass's entries without touching the rest.
-    """
-
-    suppress: set[tuple[str, str, str]] = field(default_factory=set)
-    reasons: dict[tuple[str, str, str], str] = field(default_factory=dict)
-    passes: dict[tuple[str, str, str], str] = field(default_factory=dict)
-
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        data = json.loads(path.read_text())
-        suppress = set()
-        reasons = {}
-        passes = {}
-        for e in data.get("suppress", []):
-            key = (e["path"], e["code"], e["message"])
-            suppress.add(key)
-            if e.get("reason"):
-                reasons[key] = e["reason"]
-            if e.get("pass"):
-                passes[key] = e["pass"]
-        return cls(suppress=suppress, reasons=reasons, passes=passes)
-
-    def save(self, path: Path) -> None:
-        entries = []
-        for key in sorted(self.suppress):
-            p, c, m = key
-            entry = {"path": p, "code": c, "message": m}
-            if key in self.passes:
-                entry["pass"] = self.passes[key]
-            if key in self.reasons:
-                entry["reason"] = self.reasons[key]
-            entries.append(entry)
-        path.write_text(json.dumps({"version": 1, "suppress": entries},
-                                   indent=2) + "\n")
-
-    def filter(self, findings: list[Finding]) -> list[Finding]:
-        return [f for f in findings
-                if f.baseline_key() not in self.suppress]
-
-    def rebuild(self, findings: list[Finding],
-                pass_ids: set[str] | None = None,
-                ) -> list[tuple[str, str, str]]:
-        """Replace the suppress set with the given findings' keys,
-        keeping reasons for keys that survive. Returns the stale keys
-        that were dropped (they no longer fire).
-
-        With ``pass_ids``, only entries recorded under those passes are
-        rewritten (a partial run's findings only cover those passes);
-        entries from other passes — including pre-pass-tracking entries
-        with no recorded pass — are kept as-is.
-        """
-        current = {f.baseline_key(): f.pass_id for f in findings}
-        if pass_ids is None:
-            kept: set[tuple[str, str, str]] = set()
-        else:
-            kept = {key for key in self.suppress
-                    if self.passes.get(key) not in pass_ids}
-        stale = sorted(self.suppress - kept - set(current))
-        self.suppress = kept | set(current)
-        self.reasons = {k: r for k, r in self.reasons.items()
-                        if k in self.suppress}
-        self.passes = {k: p for k, p in self.passes.items() if k in kept}
-        self.passes.update({k: p for k, p in current.items() if p})
-        return stale
-
-
 def load_project(root: Path, package: str = "src/repro") -> AnalysisContext:
     """Parse every ``.py`` file under ``root/package`` plus DESIGN.md."""
     package_dir = root / package
@@ -176,25 +100,21 @@ def find_repo_root() -> Path:
 
 
 def _finding_order(f: Finding) -> tuple:
-    """Deterministic (pass, path, line, code, message) ordering so
-    baseline diffs and CLI output never depend on pass internals."""
+    """Deterministic (pass, path, line, code, message) ordering so CLI
+    output never depends on pass internals."""
     return (f.pass_id, f.path, f.line, f.code, f.message)
 
 
 class Analyzer:
-    """Runs a set of passes over a context and applies the baseline.
+    """Runs a set of passes over a context.
 
     After :meth:`run`, ``timings`` holds seconds per pass (keyed by
-    pass_id) and ``unfiltered`` the deduped findings before baseline
-    suppression — what ``--update-baseline`` snapshots.
+    pass_id).
     """
 
-    def __init__(self, passes: list[AnalysisPass],
-                 baseline: Baseline | None = None):
+    def __init__(self, passes: list[AnalysisPass]):
         self.passes = passes
-        self.baseline = baseline or Baseline()
         self.timings: dict[str, float] = {}
-        self.unfiltered: list[Finding] = []
 
     def run(self, context: AnalysisContext) -> list[Finding]:
         findings: list[Finding] = []
@@ -211,6 +131,4 @@ class Analyzer:
             self.timings[analysis_pass.pass_id] = (
                 time.perf_counter() - started)
         deduped = {_finding_order(f): f for f in findings}
-        self.unfiltered = [deduped[k] for k in sorted(deduped)]
-        return sorted(self.baseline.filter(self.unfiltered),
-                      key=_finding_order)
+        return [deduped[k] for k in sorted(deduped)]

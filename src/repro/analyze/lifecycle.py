@@ -37,7 +37,7 @@ from __future__ import annotations
 import ast
 
 from repro.analyze.callgraph import ProjectCallGraph, own_statements
-from repro.analyze.cfg import CFG, CFGNode, EXCEPTION, FALSE, TRUE, build_cfg
+from repro.analyze.cfg import CFGNode, EXCEPTION, FALSE, TRUE, build_cfg
 from repro.analyze.dataflow import DataflowProblem, solve
 from repro.analyze.findings import Finding, Severity
 from repro.analyze.framework import AnalysisContext, AnalysisPass, SourceModule

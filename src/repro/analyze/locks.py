@@ -1,11 +1,11 @@
-"""Interprocedural lockset analysis: races (RACE101-103) and lock order
-(LOCK001-002).
+"""Interprocedural lockset analysis: races (RACE001-003, RACE101-103)
+and lock order (LOCK001-002), in one pass over one analysis.
 
-The race lint of PRs 2-3 judged a write "guarded" when it sat lexically
-inside a ``with`` whose context expression *contained the substring*
-``lock`` — it could not tell which lock protects which field, nor see a
-lock acquired in a caller. This module replaces that heuristic with
-facts, built on the pieces the repo already owns:
+Paper section 4.2 lets join threads share state with no locks; that
+holds only while shared state is read-only on the hot path and every
+write sits behind a lock. This module checks it with facts, not
+lexical heuristics (a ``with`` whose expression merely *contains* the
+substring ``lock`` guards nothing):
 
 * a **lock model** (:func:`build_lock_model`): every lock in the
   in-scope modules, discovered from its construction site
@@ -28,10 +28,15 @@ facts, built on the pieces the repo already owns:
 
 Finding codes:
 
-* ``RACE101`` — a field of a lock-owning class is accessed under
-  inconsistent locksets across its sites (Eraser-style: the
-  intersection of the locksets at all reachable reads/writes is empty);
-* ``RACE102`` — a write to such a field with *no* lock held, in code
+* ``RACE001`` — a write to a module global (``global`` declaration)
+  with no lock held, in code reachable from a thread entry point;
+* ``RACE003`` — a mutating call (``.append()``, ``.update()``, ...) on
+  a closure variable or module global with no lock held, ditto;
+* ``RACE101`` — a field is accessed under inconsistent locksets across
+  its sites (Eraser-style: the intersection of the locksets at all
+  reachable reads/writes is empty);
+* ``RACE102`` — a write to a ``self`` field (or to a field of a
+  lock-owning class through another name) with *no* lock held, in code
   reachable from a thread entry point;
 * ``RACE103`` — an explicitly ``.acquire()``-d lock that is released on
   some paths but not others (early return), or that leaks through an
@@ -42,25 +47,25 @@ Finding codes:
   hierarchy in :data:`repro.common.keys.LOCK_HIERARCHY`, or that
   involves a lock with no declared rank at all.
 
-Shared-state inventory: RACE101/102 examine the fields of *lock-owning
-classes* (a class that constructs a ``threading`` lock evidently expects
-concurrent callers) in functions reachable from the thread entry points
-(``join_thread`` bodies, the map hot path, the tracer span APIs, the
-serving layer's public surface) through same-module call edges.
-``__init__`` writes (pre-publication), declared thread-local holders,
-the lock attributes themselves, and writes to locals freshly constructed
-in the same function are exempt. Deliberate exceptions are annotated
-``# analyze: allow-unlocked`` on the access line or the ``def`` line.
+Shared-state inventory: the RACE codes examine functions reachable from
+the thread entry points (``join_thread`` bodies, the map hot path, the
+tracer span APIs, the serving layer's public surface) through
+same-module call edges. ``__init__`` writes (pre-publication), declared
+thread-local holders, the lock attributes themselves, and writes to
+locals freshly constructed in the same function are exempt. Deliberate
+exceptions are annotated ``# analyze: allow-unlocked`` on the access
+line or the ``def`` line.
 
 Documented imprecision: attribute calls resolve by duck typing (every
 in-scope method of that name), so acquisition-order edges can include
 infeasible chains — ranks are declared for never-nested lock pairs too,
-which keeps phantom edges consistent instead of baselining them.
+which keeps phantom edges consistent instead of suppressing them.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 from dataclasses import dataclass, field
 
 from repro.analyze.callgraph import (
@@ -75,9 +80,8 @@ from repro.analyze.framework import AnalysisContext, AnalysisPass
 from repro.common.keys import lock_ranks_by_site
 
 __all__ = [
-    "ANNOTATION", "LockDisciplinePass", "LockModel", "LockOrderPass",
-    "LocksetAnalysis", "build_lock_model", "attr_chain",
-    "shared_analysis",
+    "ANNOTATION", "LockDisciplinePass", "LockModel", "LocksetAnalysis",
+    "build_lock_model", "attr_chain",
 ]
 
 ANNOTATION = "analyze: allow-unlocked"
@@ -101,6 +105,8 @@ _MUTATORS = frozenset({
 })
 
 _INIT_METHODS = frozenset({"__init__", "__new__", "__post_init__"})
+
+_BUILTIN_NAMES = frozenset(dir(builtins))
 
 _FuncKey = tuple[str, str]          # (module_path, qualname)
 
@@ -289,6 +295,7 @@ class _Op:
 @dataclass
 class _Access:
     owner: tuple[str, str]         # (path, class) owning the field
+    base: str                      # the name it is reached through
     attr: str
     write: bool
     node_index: int
@@ -341,7 +348,7 @@ class LocksetAnalysis:
     Call :meth:`solve` once; afterwards ``must``/``may`` hold per-node
     fixpoint states per function, ``order_edges`` the acquisition-order
     graph, and :meth:`lockset_at` answers "which locks are definitely
-    held at this AST node" for other passes (the migrated race lint).
+    held at this AST node".
     """
 
     _ROUNDS = 6                    # entry-lockset/summary fixpoint bound
@@ -428,16 +435,12 @@ class LocksetAnalysis:
 
     def _field_owner(self, func: FunctionInfo, base: str,
                      attr: str) -> tuple[str, str] | None:
-        """The lock-owning class whose field ``attr`` this access hits."""
+        """The class whose field ``attr`` this access hits: the method's
+        own class through ``self``, else the one lock-owning class that
+        has such a field."""
         path = func.module_path
         if base == "self":
-            if not func.cls:
-                return None
-            key = (path, func.cls)
-            if (key in self.model.class_locks
-                    and attr in self.model.class_fields.get(key, ())):
-                return key
-            return None
+            return (path, func.cls) if func.cls else None
         owners = [key for key in self.model.class_locks
                   if attr in self.model.class_fields.get(key, ())]
         return owners[0] if len(owners) == 1 else None
@@ -459,16 +462,16 @@ class LocksetAnalysis:
             if attr in self.model.threadlocal_attrs.get(owner, ()):
                 return
             facts.accesses.append(_Access(
-                owner=owner, attr=attr, write=write,
+                owner=owner, base=base, attr=attr, write=write,
                 node_index=node_index, line=line, func_key=key))
 
         for sub in _walk_expr(top):
             if isinstance(sub, ast.Attribute):
                 chain = attr_chain(sub)
-                if len(chain) != 2:
-                    continue
                 write = isinstance(sub.ctx, (ast.Store, ast.Del))
-                record(chain[0], chain[1], write, sub.lineno)
+                # ``self.a.b = v`` writes into field ``a``'s object.
+                if len(chain) == 2 or (write and len(chain) > 2):
+                    record(chain[0], chain[1], write, sub.lineno)
             elif (isinstance(sub, ast.Subscript)
                     and isinstance(sub.ctx, (ast.Store, ast.Del))):
                 chain = attr_chain(sub.value)
@@ -710,7 +713,7 @@ class LocksetAnalysis:
                 break
         return self
 
-    # -- queries for other passes --------------------------------------- #
+    # -- queries ---------------------------------------------------------- #
 
     def lockset_at(self, key: _FuncKey, node: ast.AST) -> frozenset:
         """Locks definitely held when ``node`` executes (∅ if unknown)."""
@@ -747,24 +750,6 @@ class LocksetAnalysis:
         return seen
 
 
-# --------------------------------------------------------------------- #
-# Shared analysis cache (both passes run over the same scope).
-# --------------------------------------------------------------------- #
-
-def shared_analysis(context: AnalysisContext, scopes: tuple[str, ...],
-                    entries: tuple[str, ...]) -> LocksetAnalysis:
-    cache = getattr(context, "_lockset_cache", None)
-    if cache is None:
-        cache = {}
-        context._lockset_cache = cache
-    key = (scopes, entries)
-    if key not in cache:
-        graph = ProjectCallGraph(context, scopes=scopes)
-        model = build_lock_model(graph)
-        cache[key] = LocksetAnalysis(graph, model, entries).solve()
-    return cache[key]
-
-
 #: Modules that own or touch threading locks.
 SCOPES = ("repro/serve/", "repro/trace/", "repro/mapreduce/",
           "repro/core/")
@@ -776,6 +761,7 @@ THREAD_ENTRIES = (
     "join_thread",
     "StarJoinMapper.map", "StarJoinMapper.process_record",
     "Tracer.span", "Tracer.start", "Tracer._finish", "Span.finish",
+    "NullTracer.span", "NullTracer.start", "NullSpan.finish",
     "GenerationalStore.get", "GenerationalStore.put",
     "GenerationalStore.invalidate", "GenerationalStore.stats",
     "GenerationalStore.current_generation", "GenerationalStore.__len__",
@@ -803,35 +789,122 @@ def _allowed(lines: list[str], lineno: int) -> bool:
     return False
 
 
+def _module_globals(tree: ast.Module) -> set[str]:
+    """Names a module binds at top level."""
+    names: set[str] = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target])
+            for target in targets:
+                names.update(node.id for node in ast.walk(target)
+                             if isinstance(node, ast.Name))
+    return names
+
+
 class LockDisciplinePass(AnalysisPass):
-    """RACE101/102/103: lockset races on thread-reachable shared state."""
+    """RACE001-003, RACE101-103 and LOCK001-002 over one
+    :class:`LocksetAnalysis`."""
 
     pass_id = "locks"
-    description = ("fields of lock-owning classes must be accessed under "
-                   "one consistent lockset on thread-reachable paths "
-                   "(annotate '# analyze: allow-unlocked' to opt out)")
+    description = ("shared state reachable from thread entry points is "
+                   "written only under a lock, fields keep one lockset, "
+                   "and nested acquisitions follow the rank order in "
+                   "repro.common.keys.LOCK_HIERARCHY (annotate "
+                   "'# analyze: allow-unlocked' to opt out)")
 
     def __init__(self, scopes: tuple[str, ...] | None = None,
-                 entries: tuple[str, ...] | None = None):
+                 entries: tuple[str, ...] | None = None,
+                 hierarchy: dict[str, tuple[str, int]] | None = None):
         self.scopes = tuple(scopes) if scopes else SCOPES
         self.entries = tuple(entries) if entries else THREAD_ENTRIES
+        #: lock declaration site -> (symbolic name, rank).
+        self.hierarchy = (dict(hierarchy) if hierarchy is not None
+                          else {site: (rank.name, rank.rank)
+                                for site, rank
+                                in lock_ranks_by_site().items()})
 
     def run(self, context: AnalysisContext) -> list[Finding]:
-        analysis = shared_analysis(context, self.scopes, self.entries)
-        if not analysis.model.decls:
-            return []
+        graph = ProjectCallGraph(context, scopes=self.scopes)
+        analysis = LocksetAnalysis(graph, build_lock_model(graph),
+                                   self.entries).solve()
         lines_by_path = {mod.path: mod.text.splitlines()
-                         for mod in analysis.graph.modules}
+                         for mod in graph.modules}
+        checked = analysis.checked_functions()
         findings: list[Finding] = []
-        findings.extend(self._check_fields(analysis, lines_by_path))
+        findings.extend(self._check_names(analysis, checked, lines_by_path))
+        findings.extend(self._check_fields(analysis, checked,
+                                           lines_by_path))
         findings.extend(self._check_leaks(analysis, lines_by_path))
+        edges = analysis.order_edges
+        in_cycle = self._report_cycles(analysis, edges, findings)
+        self._report_rank_violations(analysis, edges, in_cycle, findings)
+        return findings
+
+    def _error(self, path: str, line: int, code: str,
+               message: str) -> Finding:
+        return Finding(path=path, line=line, code=code, message=message,
+                       severity=Severity.ERROR, pass_id=self.pass_id)
+
+    # -- RACE001/003 ---------------------------------------------------- #
+
+    def _check_names(self, analysis: LocksetAnalysis, checked,
+                     lines_by_path) -> list[Finding]:
+        """Unlocked writes to module globals and mutations of closure
+        variables or module globals."""
+        module_globals = {mod.path: _module_globals(mod.tree)
+                          for mod in analysis.graph.modules}
+        findings: list[Finding] = []
+        for key in sorted(checked):
+            path = key[0]
+            func = analysis.graph.functions[key]
+            lines = lines_by_path.get(path, [])
+            if _allowed(lines, func.node.lineno):
+                continue
+
+            def report(node, code, message):
+                if not (analysis.lockset_at(key, node)
+                        or _allowed(lines, node.lineno)):
+                    findings.append(self._error(path, node.lineno, code,
+                                                message))
+
+            for node in own_statements(func.node):
+                if isinstance(node, (ast.Assign, ast.AnnAssign,
+                                     ast.AugAssign)):
+                    targets = (node.targets if isinstance(node, ast.Assign)
+                               else [node.target])
+                    for target in targets:
+                        while isinstance(target, ast.Subscript):
+                            target = target.value
+                        if (isinstance(target, ast.Name)
+                                and target.id in func.global_decls):
+                            report(node, "RACE001",
+                                   f"{func.qualname} writes module global "
+                                   f"{target.id!r} without holding a lock")
+                elif (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in _MUTATORS
+                        and isinstance(node.func.value, ast.Name)):
+                    name = node.func.value.id
+                    if name in func.locals or name == "self":
+                        continue
+                    if (name in func.global_decls
+                            or name in module_globals[path]):
+                        kind = "module global"
+                    elif (func.parent is not None
+                            and name not in _BUILTIN_NAMES):
+                        kind = "closure variable"
+                    else:
+                        continue
+                    report(node, "RACE003",
+                           f"{func.qualname} mutates {kind} {name!r} via "
+                           f".{node.func.attr}() without holding a lock")
         return findings
 
     # -- RACE101/102 ---------------------------------------------------- #
 
-    def _check_fields(self, analysis: LocksetAnalysis,
+    def _check_fields(self, analysis: LocksetAnalysis, checked,
                       lines_by_path) -> list[Finding]:
-        checked = analysis.checked_functions()
         groups: dict[tuple[tuple[str, str], str], list] = {}
         for key in sorted(checked):
             facts = analysis.facts.get(key)
@@ -882,13 +955,11 @@ class LockDisciplinePass(AnalysisPass):
             if dedup in seen_lines:
                 continue
             seen_lines.add(dedup)
-            findings.append(Finding(
-                path=access.func_key[0], line=access.line,
-                code="RACE102",
-                message=(f"{func.qualname} writes shared field "
-                         f"{cls}.{attr} with no lock held (reachable "
-                         f"from a thread entry point)"),
-                severity=Severity.ERROR, pass_id=self.pass_id))
+            findings.append(self._error(
+                access.func_key[0], access.line, "RACE102",
+                f"{func.qualname} writes shared field {cls}.{attr} "
+                f"({access.base}.{attr}) with no lock held (reachable "
+                f"from a thread entry point)"))
             reported = True
         return reported
 
@@ -906,14 +977,12 @@ class LockDisciplinePass(AnalysisPass):
         if _allowed(lines, anchor.line) or _allowed(lines,
                                                     func.node.lineno):
             return
-        held = counts[majority]
-        findings.append(Finding(
-            path=anchor.func_key[0], line=anchor.line, code="RACE101",
-            message=(f"field {cls}.{attr} is accessed under inconsistent "
-                     f"locksets: {analysis.model.display(majority)} held "
-                     f"at {held} of {len(sites)} sites, but not in "
-                     f"{func.qualname}"),
-            severity=Severity.ERROR, pass_id=self.pass_id))
+        findings.append(self._error(
+            anchor.func_key[0], anchor.line, "RACE101",
+            f"field {cls}.{attr} is accessed under inconsistent "
+            f"locksets: {analysis.model.display(majority)} held at "
+            f"{counts[majority]} of {len(sites)} sites, but not in "
+            f"{func.qualname}"))
 
     # -- RACE103 -------------------------------------------------------- #
 
@@ -952,41 +1021,9 @@ class LockDisciplinePass(AnalysisPass):
                             "(acquire/release without try/finally)")
                 else:
                     continue
-                findings.append(Finding(
-                    path=key[0], line=line, code="RACE103",
-                    message=f"{func.qualname} acquires {display} which "
-                            f"{what}",
-                    severity=Severity.ERROR, pass_id=self.pass_id))
-        return findings
-
-
-class LockOrderPass(AnalysisPass):
-    """LOCK001/002: acquisition-order cycles and hierarchy violations."""
-
-    pass_id = "lockorder"
-    description = ("nested lock acquisitions must follow the declared "
-                   "rank order in repro.common.keys.LOCK_HIERARCHY "
-                   "(cycles are potential deadlocks)")
-
-    def __init__(self, scopes: tuple[str, ...] | None = None,
-                 entries: tuple[str, ...] | None = None,
-                 hierarchy: dict[str, tuple[str, int]] | None = None):
-        self.scopes = tuple(scopes) if scopes else SCOPES
-        self.entries = tuple(entries) if entries else THREAD_ENTRIES
-        #: lock declaration site -> (symbolic name, rank).
-        self.hierarchy = (dict(hierarchy) if hierarchy is not None
-                          else {site: (rank.name, rank.rank)
-                                for site, rank
-                                in lock_ranks_by_site().items()})
-
-    def run(self, context: AnalysisContext) -> list[Finding]:
-        analysis = shared_analysis(context, self.scopes, self.entries)
-        edges = analysis.order_edges
-        if not edges:
-            return []
-        findings: list[Finding] = []
-        in_cycle = self._report_cycles(analysis, edges, findings)
-        self._report_rank_violations(analysis, edges, in_cycle, findings)
+                findings.append(self._error(
+                    key[0], line, "RACE103",
+                    f"{func.qualname} acquires {display} which {what}"))
         return findings
 
     # -- LOCK001 -------------------------------------------------------- #
@@ -1021,9 +1058,7 @@ class LockOrderPass(AnalysisPass):
                            f" acquired while holding "
                            f"{analysis.model.display(witness[0])} in "
                            f"{qualname})")
-            findings.append(Finding(
-                path=path, line=line, code="LOCK001", message=message,
-                severity=Severity.ERROR, pass_id=self.pass_id))
+            findings.append(self._error(path, line, "LOCK001", message))
         return in_cycle
 
     # -- LOCK002 -------------------------------------------------------- #
@@ -1041,26 +1076,23 @@ class LockOrderPass(AnalysisPass):
             acq_rank = self.hierarchy.get(acquired)
             if held_rank is not None and acq_rank is not None:
                 if acq_rank[1] <= held_rank[1]:
-                    findings.append(Finding(
-                        path=path, line=line, code="LOCK002",
-                        message=(f"{qualname} acquires {acq_rank[0]} "
-                                 f"(rank {acq_rank[1]}) while holding "
-                                 f"{held_rank[0]} (rank {held_rank[1]}); "
-                                 f"the declared hierarchy requires "
-                                 f"strictly increasing rank"),
-                        severity=Severity.ERROR, pass_id=self.pass_id))
+                    findings.append(self._error(
+                        path, line, "LOCK002",
+                        f"{qualname} acquires {acq_rank[0]} (rank "
+                        f"{acq_rank[1]}) while holding {held_rank[0]} "
+                        f"(rank {held_rank[1]}); the declared hierarchy "
+                        f"requires strictly increasing rank"))
                 continue
             for lock, rank in ((held, held_rank), (acquired, acq_rank)):
                 if rank is not None or lock in undeclared_seen:
                     continue
                 undeclared_seen.add(lock)
-                findings.append(Finding(
-                    path=path, line=line, code="LOCK002",
-                    message=(f"nested acquisition involves lock "
-                             f"{analysis.model.display(lock)} which has "
-                             f"no declared rank; add it to "
-                             f"repro.common.keys.LOCK_HIERARCHY"),
-                    severity=Severity.ERROR, pass_id=self.pass_id))
+                findings.append(self._error(
+                    path, line, "LOCK002",
+                    f"nested acquisition involves lock "
+                    f"{analysis.model.display(lock)} which has no "
+                    f"declared rank; add it to "
+                    f"repro.common.keys.LOCK_HIERARCHY"))
 
 
 def _tarjan_sccs(adjacency: dict[str, set[str]]) -> list[list[str]]:

@@ -1,5 +1,5 @@
-"""String-key registry lint: every config key and counter must be
-registered in :mod:`repro.common.keys`.
+"""String-key registry lint: every config key, counter and feature
+flag must be registered in :mod:`repro.common.keys`.
 
 Configuration keys and counter names are bare strings at every call
 site; a typo silently becomes a default-valued knob or a new counter
@@ -19,7 +19,13 @@ registry:
   ``ht_cache_*`` counter names) without being registered. Unlike
   KEYS001/KEYS003 this fires on *any* literal, not just resolved call
   sites: serving-layer keys travel through dicts and cache-key tuples
-  where call-site resolution cannot see them.
+  where call-site resolution cannot see them;
+* ``FLAG001`` — a registered feature flag has no default, or its key
+  string never appears in ``DESIGN.md`` (a flag read with inline
+  defaults forks behavior between call sites; an undocumented flag is
+  never cleaned up);
+* ``FLAG002`` — a ``get_bool(...)`` call reads a dotted key that is not
+  registered as a feature flag (in place of KEYS001 for that call).
 
 Dict-style ``.get("name")`` calls are ignored unless the key contains a
 dot (configuration style) or the group argument resolves to a known
@@ -55,14 +61,19 @@ class StringKeyRegistryPass(AnalysisPass):
     """Checks key/counter call sites against ``repro.common.keys``."""
 
     pass_id = "keys"
-    description = ("config keys and counter (group, name) pairs must be "
-                   "registered in repro.common.keys")
+    description = ("config keys, counter (group, name) pairs and feature "
+                   "flags must be registered in repro.common.keys; flags "
+                   "need a default and a DESIGN.md mention")
 
     REGISTRY_PATH_SUFFIX = "repro/common/keys.py"
 
-    def __init__(self, registry=None, check_unused: bool = True):
+    def __init__(self, registry=None, flags: dict | None = None):
         self.registry = registry or default_registry
-        self.check_unused = check_unused
+        #: Fixture override: {key_name: ConfigKey-like with .default};
+        #: None checks the registry's own flags.
+        self.flags = flags
+        self.flag_names = frozenset(
+            flags if flags is not None else self.registry.feature_flags())
         self.constants = dict(self.registry.constant_names())
         # Counters class attributes (GROUP_MAP etc.) alias registry groups.
         try:
@@ -82,8 +93,9 @@ class StringKeyRegistryPass(AnalysisPass):
             if mod.path.endswith(self.REGISTRY_PATH_SUFFIX):
                 continue
             findings.extend(self._check_module(mod, referenced))
-        if self.check_unused and context.root is not None:
+        if context.root is not None:
             findings.extend(self._unused_entries(context, referenced))
+        findings.extend(self._check_flags(context))
         return findings
 
     # -- resolution ----------------------------------------------------- #
@@ -170,6 +182,11 @@ class StringKeyRegistryPass(AnalysisPass):
                 return self._check_counter_pair(
                     mod, call, key, self._resolve(call.args[1], env))
             return []  # dict-style access, out of scope
+        if call.func.attr == "get_bool" and key not in self.flag_names:
+            return [self.finding(
+                mod, call, "FLAG002",
+                f"get_bool reads {key!r}, which is not registered as a "
+                f"feature flag in repro.common.keys")]
         if self.registry.is_registered_key(key):
             return []
         return [self.finding(
@@ -252,7 +269,33 @@ class StringKeyRegistryPass(AnalysisPass):
             return "counter" in base.attr.lower()
         return False
 
-    # -- unused entries -------------------------------------------------- #
+    # -- registry entries ------------------------------------------------ #
+
+    def _check_flags(self, context: AnalysisContext) -> list[Finding]:
+        """FLAG001: every flag has a default and a DESIGN.md mention."""
+        flags = self.flags
+        if flags is None:
+            # The registry's flags are documented in a checkout's
+            # DESIGN.md; with no DESIGN.md text there is nothing to
+            # check them against.
+            if not context.design_text:
+                return []
+            flags = self.registry.feature_flags()
+        registry_mod = (context.module(self.REGISTRY_PATH_SUFFIX)
+                        or SourceModule(path="repro/common/keys.py",
+                                        text=""))
+        findings: list[Finding] = []
+        for name, key in sorted(flags.items()):
+            if key.default is None:
+                findings.append(self.finding(
+                    registry_mod, None, "FLAG001",
+                    f"feature flag {name!r} is registered without a "
+                    f"default value"))
+            if name not in context.design_text:
+                findings.append(self.finding(
+                    registry_mod, None, "FLAG001",
+                    f"feature flag {name!r} is not mentioned in DESIGN.md"))
+        return findings
 
     def _unused_entries(self, context: AnalysisContext,
                         referenced: set[str]) -> list[Finding]:

@@ -1,8 +1,8 @@
 """Runtime shared-state sanitizer (enabled by ``clydesdale.sanitizer``).
 
-The static race lint proves the *code it can see* follows the
-read-only-after-build convention; this module enforces it at runtime for
-the code it cannot. When the flag is on, :class:`StarJoinMapper` freezes
+The static lockset pass (:mod:`repro.analyze.locks`) proves the *code
+it can see* follows the read-only-after-build convention; this module
+enforces it at runtime for the code it cannot. When the flag is on, :class:`StarJoinMapper` freezes
 its dimension hash tables the moment they are published to the join
 threads: any later mutation — of the underlying dict or of the table
 object's attributes — raises :class:`~repro.common.errors.SanitizerError`
@@ -17,8 +17,9 @@ is a drop-in reentrant lock that records per-thread acquisition order
 and raises :class:`~repro.common.errors.SanitizerError` on a rank
 inversion against the hierarchy declared in
 :data:`repro.common.keys.LOCK_HIERARCHY` — the dynamic companion to the
-static ``lockorder`` pass, catching orderings the analyzer cannot see
-(locks taken through callbacks, data-dependent paths). Pairing it with
+static lock-order check (``LOCK001/002``), catching orderings the
+analyzer cannot see (locks taken through callbacks, data-dependent
+paths). Pairing it with
 :func:`guard_fields` additionally rejects writes to named fields while
 the guarding lock is *not* held — a check the frozen-table sanitizer
 cannot express, because guarded state is mutable *under* its lock.

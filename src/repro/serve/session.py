@@ -435,9 +435,13 @@ class Session:
         if self.cache is not None:
             applied = self.cache.invalidate(generation=generation)
         if self.aggstore is not None:
-            # Same stamp semantics as the HT cache: stale/duplicate
-            # stamps are no-ops, so the two stay in lockstep.
-            self.aggstore.invalidate(generation=generation)
+            # Same stamp semantics as the HT cache, but a roll-in or
+            # roll-out advances the AggStore alone, so a stamp the cache
+            # applies can be a duplicate here: the aggregates of the old
+            # catalog must go all the same.
+            if (not self.aggstore.invalidate(generation=generation)
+                    and self.cache is not None and applied):
+                self.aggstore.invalidate()
         if applied:
             pool = self._jvm_pool()
             if pool is not None:

@@ -10,8 +10,6 @@ import pytest
 from repro.analyze import (
     Analyzer,
     AnalysisContext,
-    Baseline,
-    Finding,
     Severity,
     SourceModule,
     default_passes,
@@ -19,10 +17,9 @@ from repro.analyze import (
     load_project,
 )
 from repro.analyze.contracts import ExceptionContractPass
-from repro.analyze.flags import FeatureFlagPass
 from repro.analyze.hotpath import HotPathPass
-from repro.analyze.locks import LockDisciplinePass, LockOrderPass
-from repro.analyze.race import RaceLintPass
+from repro.analyze.locks import LockDisciplinePass
+from repro.analyze.plantypes import PlanTypePass
 from repro.analyze.registry import StringKeyRegistryPass
 from repro.analyze.sanitizer import (FrozenTableDict, TrackedRLock,
                                      freeze_table)
@@ -39,7 +36,8 @@ from repro.core.expressions import Col, Comparison
 from repro.mapreduce.api import Mapper, TaskContext
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.types import OutputCollector, RecordReader
-from repro.ssb.schema import SCHEMAS
+from repro.ssb.schema import FOREIGN_KEYS, SCHEMAS
+from tests.test_dataflow import HOT_FIXTURE, LEAK_FIXTURE, QUERIES_STUB
 
 
 def fixture_context(path, source, design_text=""):
@@ -113,12 +111,13 @@ def run():
 class TestRaceLint:
     def run_pass(self, source):
         context = fixture_context("fixture_race.py", source)
-        return RaceLintPass(targets=("fixture_race.py",)).run(context)
+        return LockDisciplinePass(scopes=("fixture_race.py",),
+                                  entries=("join_thread", "map")).run(context)
 
     def test_seeded_fixture(self):
         findings = self.run_pass(RACE_FIXTURE)
         codes = sorted(f.code for f in findings)
-        assert codes == ["RACE001", "RACE002", "RACE002", "RACE003"]
+        assert codes == ["RACE001", "RACE003", "RACE102", "RACE102"]
         messages = " | ".join(f.message for f in findings)
         assert "self.rows" in messages
         assert "self.cache" in messages
@@ -170,10 +169,11 @@ class TestRaceLint:
                         self.rows += 1
                     self._local.tally = value  # never threading.local()
         ''')
-        assert sorted(f.code for f in findings) == ["RACE002", "RACE002"]
+        assert sorted(f.code for f in findings) == ["RACE102", "RACE102"]
 
     def test_repo_hot_paths_are_clean(self, repo_analysis):
-        assert repo_findings(repo_analysis, RaceLintPass.pass_id) == []
+        assert repo_findings(repo_analysis,
+                             LockDisciplinePass.pass_id) == []
 
 
 # --------------------------------------------------------------------- #
@@ -187,8 +187,8 @@ def _locks_pass(path, source, entries):
 
 def _order_pass(path, source, entries, hierarchy):
     context = fixture_context(path, source)
-    return LockOrderPass(scopes=(path,), entries=entries,
-                         hierarchy=hierarchy).run(context)
+    return LockDisciplinePass(scopes=(path,), entries=entries,
+                              hierarchy=hierarchy).run(context)
 
 
 class TestLockDiscipline:
@@ -506,16 +506,18 @@ class TestLockOrder:
         assert [f.code for f in findings] == ["LOCK002"]
 
     def test_repo_order_is_clean(self, repo_analysis):
-        assert repo_findings(repo_analysis, LockOrderPass.pass_id) == []
+        assert repo_findings(repo_analysis,
+                             LockDisciplinePass.pass_id) == []
 
     def test_repo_hierarchy_covers_every_lock(self, repo_analysis):
         # Every lock the model discovers in the repo must carry a
         # declared rank — undeclared locks would dodge LOCK002.
-        from repro.analyze.locks import SCOPES, THREAD_ENTRIES, shared_analysis
-        context = repo_analysis[0]
-        analysis = shared_analysis(context, SCOPES, THREAD_ENTRIES)
+        from repro.analyze.callgraph import ProjectCallGraph
+        from repro.analyze.locks import SCOPES, build_lock_model
+        model = build_lock_model(ProjectCallGraph(repo_analysis[0],
+                                                  scopes=SCOPES))
         declared = set(keys.lock_ranks_by_site())
-        assert set(analysis.model.decls) == declared
+        assert set(model.decls) == declared
 
 
 # --------------------------------------------------------------------- #
@@ -719,7 +721,7 @@ def setup(conf, context, options):
 class TestStringKeyLint:
     def test_seeded_fixture(self):
         context = fixture_context("fixture_keys.py", KEYS_FIXTURE)
-        findings = StringKeyRegistryPass(check_unused=False).run(context)
+        findings = StringKeyRegistryPass().run(context)
         codes = sorted(f.code for f in findings)
         assert codes == ["KEYS001", "KEYS002", "KEYS003", "KEYS003"]
         messages = " | ".join(f.message for f in findings)
@@ -765,7 +767,7 @@ class TestReservedNamespaceLint:
 
     def test_seeded_fixture(self):
         context = fixture_context("fixture_reserved.py", RESERVED_FIXTURE)
-        findings = StringKeyRegistryPass(check_unused=False).run(context)
+        findings = StringKeyRegistryPass().run(context)
         codes = [f.code for f in findings]
         assert codes == ["KEYS005"] * 4
         messages = " | ".join(f.message for f in findings)
@@ -786,7 +788,7 @@ class TestReservedNamespaceLint:
         CTRS = ("ht_cache_hits", "ht_cache_misses")
         '''
         context = fixture_context("fixture_reserved_ok.py", source)
-        assert StringKeyRegistryPass(check_unused=False).run(context) == []
+        assert StringKeyRegistryPass().run(context) == []
 
 
 # --------------------------------------------------------------------- #
@@ -805,7 +807,7 @@ class TestFeatureFlagLint:
             '    conf.get_bool("clydesdale.sanitizer", False)\n'
             '    conf.get_bool("verbose")\n',     # non-dotted: ignored
             design_text=self.all_flags_documented())
-        findings = FeatureFlagPass().run(context)
+        findings = StringKeyRegistryPass().run(context)
         assert [f.code for f in findings] == ["FLAG002"]
         assert "my.undocumented.flag" in findings[0].message
 
@@ -813,13 +815,14 @@ class TestFeatureFlagLint:
         flags = {"x.y.flag": keys.ConfigKey(
             name="x.y.flag", kind="bool", default=None, doc="", flag=True)}
         context = fixture_context("fixture_flags.py", "", design_text="")
-        findings = FeatureFlagPass(flags=flags).run(context)
+        findings = StringKeyRegistryPass(flags=flags).run(context)
         assert [f.code for f in findings] == ["FLAG001", "FLAG001"]
         assert any("without a default" in f.message for f in findings)
         assert any("DESIGN.md" in f.message for f in findings)
 
     def test_repo_flags_are_documented(self, repo_analysis):
-        assert repo_findings(repo_analysis, FeatureFlagPass.pass_id) == []
+        assert repo_findings(repo_analysis,
+                             StringKeyRegistryPass.pass_id) == []
 
 
 # --------------------------------------------------------------------- #
@@ -881,8 +884,40 @@ class TestExceptionContractLint:
 
 
 # --------------------------------------------------------------------- #
-# Framework: findings, baseline, analyzer, CLI
+# Framework: findings, analyzer, CLI
 # --------------------------------------------------------------------- #
+
+#: One seeded fixture per pass: (path, source).
+PASS_FIXTURES = {
+    "locks": ("src/repro/serve/fixture_race.py", RACE_FIXTURE),
+    "keys": ("fixture_keys.py", KEYS_FIXTURE),
+    "contracts": ("repro/core/fixture_exc.py", CONTRACTS_FIXTURE),
+    "lifecycle": ("src/repro/storage/fixture.py", LEAK_FIXTURE),
+    "hotpath": ("src/repro/core/fixture.py", HOT_FIXTURE),
+    "plantypes": ("src/repro/ssb/queries.py", QUERIES_STUB),
+}
+
+
+def seeded_suite():
+    """The default suite, except that the plan-type pass, which imports
+    its workload instead of parsing it, gets one ill-typed query."""
+    bad = StarQuery(name="Qfix", fact_table="lineitem", joins=[],
+                    aggregates=[Aggregate("sum", Col("lo_revenue"),
+                                          alias="r")])
+    return [PlanTypePass(load=lambda: ([bad], SCHEMAS, FOREIGN_KEYS))
+            if p.pass_id == PlanTypePass.pass_id else p
+            for p in default_passes()]
+
+
+def small_checkout(root, files):
+    """A repo checkout under ``root`` holding only ``files``
+    (path under ``src/repro`` -> source)."""
+    for path, source in files.items():
+        target = root / "src" / "repro" / path
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(textwrap.dedent(source))
+    return str(root)
+
 
 class TestFramework:
     def test_severity_parse(self):
@@ -891,19 +926,22 @@ class TestFramework:
         with pytest.raises(ValueError):
             Severity.parse("fatal")
 
-    def test_baseline_roundtrip_and_filter(self, tmp_path):
-        finding = Finding(path="a.py", line=3, code="X001", message="m")
-        other = Finding(path="a.py", line=9, code="X002", message="n")
-        baseline = Baseline(suppress={finding.baseline_key()})
-        path = tmp_path / "baseline.json"
-        baseline.save(path)
-        reloaded = Baseline.load(path)
-        assert reloaded.filter([finding, other]) == [other]
-
     def test_parse_error_is_a_finding(self):
         module = SourceModule.from_text("bad.py", "def broken(:\n")
         findings = Analyzer([]).run(AnalysisContext(modules=[module]))
         assert [f.code for f in findings] == ["PARSE001"]
+
+    @pytest.mark.parametrize("pass_id",
+                             [p.pass_id for p in default_passes()])
+    def test_each_pass_owns_a_seeded_defect(self, pass_id):
+        """Each pass catches its fixture's defects, and no other pass
+        reports anything there: a pass that does not earn its place
+        here duplicates another."""
+        path, source = PASS_FIXTURES[pass_id]
+        findings = Analyzer(seeded_suite()).run(
+            fixture_context(path, source))
+        assert findings
+        assert {f.pass_id for f in findings} == {pass_id}
 
     def test_repo_is_clean(self, repo_analysis):
         findings = repo_analysis[1]
@@ -914,11 +952,17 @@ class TestFramework:
         assert main([]) == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
-    def test_cli_json_format(self, capsys):
+    def test_cli_json_format(self, tmp_path, capsys):
         import json
         from repro.analyze.__main__ import main
-        assert main(["--format", "json", "--fail-on", "never"]) == 0
-        assert json.loads(capsys.readouterr().out) == {"findings": []}
+        root = small_checkout(tmp_path, {"core/conf.py": KEYS_FIXTURE})
+        assert main(["--root", root, "--format", "json",
+                     "--fail-on", "never"]) == 0
+        findings = json.loads(capsys.readouterr().out)["findings"]
+        assert sorted(f["code"] for f in findings) == \
+            ["KEYS001", "KEYS002", "KEYS003", "KEYS003"]
+        assert {f["path"] for f in findings} == {"src/repro/core/conf.py"}
+        assert {f["severity"] for f in findings} == {"error"}
 
     def test_cli_rejects_bad_severity(self, capsys):
         from repro.analyze.__main__ import main
@@ -927,37 +971,26 @@ class TestFramework:
     def test_cli_list_passes(self, capsys):
         from repro.analyze.__main__ import main
         assert main(["--list-passes"]) == 0
-        out = capsys.readouterr().out
-        for pass_id in ("race", "locks", "lockorder", "keys", "flags",
-                        "contracts", "lifecycle", "hotpath", "plantypes"):
-            assert pass_id in out
+        listed = [line.split()[0]
+                  for line in capsys.readouterr().out.splitlines()]
+        assert listed == ["locks", "keys", "contracts", "lifecycle",
+                          "hotpath", "plantypes"]
 
-    def test_cli_only_runs_subset(self, capsys):
+    def test_cli_only_runs_subset(self, tmp_path, capsys):
         from repro.analyze.__main__ import main
-        assert main(["--only", "locks,lockorder"]) == 0
+        root = small_checkout(tmp_path, {
+            "core/conf.py": KEYS_FIXTURE,
+            "serve/worker.py": RACE_FIXTURE})
+        assert main(["--root", root, "--only", "locks"]) == 1
+        out = capsys.readouterr().out
+        assert "[RACE001]" in out and "KEYS" not in out
+        assert main(["--root", root, "--only", "contracts,hotpath"]) == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
     def test_cli_only_rejects_unknown_pass(self, capsys):
         from repro.analyze.__main__ import main
         assert main(["--only", "nosuchpass"]) == 2
         assert "unknown pass id" in capsys.readouterr().err
-
-    def test_baseline_partial_rebuild_scoped_to_pass(self, tmp_path):
-        stays = Finding(path="a.py", line=1, code="HOT001", message="m",
-                        pass_id="hotpath")
-        gone = Finding(path="b.py", line=2, code="RACE102", message="n",
-                       pass_id="locks")
-        baseline = Baseline()
-        baseline.rebuild([stays, gone])
-        # A locks-only rerun with no findings: the locks entry is
-        # stale, the hotpath entry must survive untouched.
-        stale = baseline.rebuild([], pass_ids={"locks"})
-        assert stale == [gone.baseline_key()]
-        assert baseline.suppress == {stays.baseline_key()}
-        # Round-trips with the pass recorded.
-        path = tmp_path / "baseline.json"
-        baseline.save(path)
-        assert Baseline.load(path).passes[stays.baseline_key()] == "hotpath"
 
 
 # --------------------------------------------------------------------- #

@@ -1,9 +1,8 @@
 """Tests for the dataflow engine (cfg/dataflow/callgraph) and the three
-passes built on it (lifecycle, hotpath, plantypes), plus the baseline
-rewrite and GitHub-annotation satellites."""
+passes built on it (lifecycle, hotpath, plantypes), plus the analyzer's
+dedupe/sort and GitHub-annotation satellites."""
 
 import ast
-import json
 import textwrap
 
 import pytest
@@ -12,7 +11,6 @@ from repro.analyze import (
     AnalysisContext,
     AnalysisPass,
     Analyzer,
-    Baseline,
     Finding,
     Severity,
     SourceModule,
@@ -508,7 +506,7 @@ class TestPlanTypePass:
 
 
 # --------------------------------------------------------------------- #
-# Satellites: baseline rebuild, dedupe/sort, github format, timings
+# Satellites: dedupe/sort, github format, timings
 # --------------------------------------------------------------------- #
 
 class _CannedPass(AnalysisPass):
@@ -531,25 +529,7 @@ class TestSatellites:
         analyzer = Analyzer([_CannedPass([f1, f2, f1])])
         out = analyzer.run(AnalysisContext(modules=[]))
         assert out == [f2, f1]                # sorted, duplicate dropped
-        assert analyzer.unfiltered == [f2, f1]
         assert "canned" in analyzer.timings
-
-    def test_baseline_rebuild_drops_stale_keeps_reasons(self, tmp_path):
-        live = Finding(path="a.py", line=1, code="X001", message="m")
-        stale_key = ("gone.py", "X009", "old")
-        baseline = Baseline(
-            suppress={live.baseline_key(), stale_key},
-            reasons={live.baseline_key(): "known false positive",
-                     stale_key: "obsolete"})
-        dropped = baseline.rebuild([live])
-        assert dropped == [stale_key]
-        assert baseline.suppress == {live.baseline_key()}
-        path = tmp_path / "baseline.json"
-        baseline.save(path)
-        data = json.loads(path.read_text())
-        assert data["suppress"][0]["reason"] == "known false positive"
-        assert Baseline.load(path).reasons == {
-            live.baseline_key(): "known false positive"}
 
     def test_render_github_annotations(self):
         f = Finding(path="src/x.py", line=7, code="LIFE001",
@@ -560,37 +540,25 @@ class TestSatellites:
         assert "::error file=src/x.py,line=7::[LIFE001] reader leaked" in out
         assert "::warning file=src/y.py,line=1::[KEY002] unused" in out
 
-    def test_cli_github_format_on_clean_repo(self, capsys):
+    def test_cli_github_format_on_clean_repo(self, tmp_path, capsys):
         from repro.analyze.__main__ import main
-        assert main(["--format", "github", "--fail-on", "never"]) == 0
+        module = tmp_path / "src" / "repro" / "storage" / "fixture.py"
+        module.parent.mkdir(parents=True)
+        module.write_text(textwrap.dedent(CLEAN_FIXTURE))
+        assert main(["--root", str(tmp_path), "--format", "github",
+                     "--fail-on", "never"]) == 0
         assert capsys.readouterr().out.strip() == ""
-
-    def test_cli_update_baseline_drops_stale(self, tmp_path, capsys):
-        from repro.analyze.__main__ import main
-        path = tmp_path / "baseline.json"
-        Baseline(suppress={("gone.py", "X009", "old")}).save(path)
-        assert main(["--baseline", str(path), "--update-baseline"]) == 0
-        captured = capsys.readouterr()
-        assert "stale" in captured.err
-        # The repo is clean, so the rewritten baseline is empty.
-        assert json.loads(path.read_text()) == {"version": 1,
-                                                "suppress": []}
-
-    def test_cli_update_baseline_creates_missing_file(self, tmp_path):
-        from repro.analyze.__main__ import main
-        path = tmp_path / "fresh.json"
-        assert main(["--baseline", str(path), "--update-baseline"]) == 0
-        assert json.loads(path.read_text())["suppress"] == []
-        # Without --update-baseline, a missing baseline is still an
-        # I/O error.
-        missing = tmp_path / "nope.json"
-        assert main(["--baseline", str(missing)]) == 2
+        module.write_text(textwrap.dedent(LEAK_FIXTURE))
+        assert main(["--root", str(tmp_path), "--format", "github",
+                     "--fail-on", "never"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("::error file=src/repro/storage/fixture.py,")
 
     def test_planted_leak_is_a_gating_error(self):
         """check.sh gates on --fail-on=error; a planted leak must clear
-        that bar (ERROR severity, surviving an empty baseline)."""
+        that bar (ERROR severity)."""
         context = fixture_context("src/repro/storage/fixture.py",
                                   LEAK_FIXTURE)
-        findings = Baseline().filter(LifecyclePass().run(context))
+        findings = LifecyclePass().run(context)
         assert findings
         assert all(f.severity >= Severity.parse("error") for f in findings)

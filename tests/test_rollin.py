@@ -193,6 +193,21 @@ class TestSessionRollInAndOut:
         assert session.last_provenance.source == "executed"
         assert session.stats().execution.ht_cache_misses > 0
 
+    def test_stamped_reload_after_roll_in_drops_aggregates(self, data):
+        # The roll-in advances the AggStore's generation past the hash
+        # table cache's, so the reload's stamp is new to the cache but a
+        # duplicate to the AggStore; the aggregates over the old rows
+        # must go anyway.
+        session = connect("clydesdale", data=data)
+        session.roll_in("lineorder", fresh_batch(session.engine))
+        session.execute(self.QUERY)
+        lineorder = data.lineorder[::2]
+        session.reload_catalog(
+            dataclasses.replace(data, lineorder=lineorder), generation=1)
+        rows = session.execute(self.QUERY).rows
+        assert rows == self._expected(data, lineorder)
+        assert session.last_provenance.source == "executed"
+
     @pytest.mark.parametrize("backend", ["hive", "reference"])
     def test_other_backends_refuse(self, data, backend):
         session = connect(backend, data=data)
