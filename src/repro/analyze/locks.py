@@ -758,7 +758,7 @@ SCOPES = ("repro/serve/", "repro/trace/", "repro/mapreduce/",
 #: names match nested thread bodies; qualnames pin class methods so a
 #: name like ``close`` does not pull unrelated driver-side code in.
 THREAD_ENTRIES = (
-    "join_thread",
+    "join_thread", "JoinThreadPool.fan_out", "JoinThreadPool._serve",
     "StarJoinMapper.map", "StarJoinMapper.process_record",
     "Tracer.span", "Tracer.start", "Tracer._finish", "Span.finish",
     "NullTracer.span", "NullTracer.start", "NullSpan.finish",

@@ -29,7 +29,7 @@ from repro.serve.session import Session
 from repro.sim.costs import DEFAULT_COST_MODEL, CostModel
 from repro.sim.hardware import ClusterSpec, cluster_a, cluster_b
 from repro.ssb.datagen import SSBGenerator
-from repro.ssb.queries import FLIGHTS, flight_of, ssb_queries
+from repro.ssb.queries import FLIGHTS, ssb_queries
 
 MODEL_SF = 1000.0
 

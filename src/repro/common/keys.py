@@ -236,9 +236,6 @@ KEY_HIVE_DIM_AUX = _config(
 KEY_HIVE_FACT_PREDICATE = _config(
     "hive.repartition.fact.predicate", kind="json",
     doc="Repartition join: serialized fact predicate.")
-KEY_HIVE_INPUT_SCHEMA = _config(
-    "hive.repartition.input.schema", kind="json",
-    doc="Repartition join: serialized input schema.")
 KEY_HIVE_ROWS_RATE = _config(
     "hive.rate.rows.per.s.per.slot", kind="float",
     doc="Calibrated Hive per-slot row throughput (cost model).")
@@ -308,6 +305,7 @@ CTR_HT_BUILDS_REUSED = _counter(COUNTER_GROUP_CLYDESDALE,
                                 "ht_builds_reused")
 CTR_HT_TABLES_ADOPTED = _counter(COUNTER_GROUP_CLYDESDALE,
                                  "ht_tables_adopted")
+CTR_JOBS_PREPARED = _counter(COUNTER_GROUP_CLYDESDALE, "jobs_prepared")
 CTR_HT_CACHE_HITS = _counter(COUNTER_GROUP_CLYDESDALE, "ht_cache_hits")
 CTR_HT_CACHE_MISSES = _counter(COUNTER_GROUP_CLYDESDALE, "ht_cache_misses")
 CTR_HT_ENTRIES_PREFIX = _counter_prefix(COUNTER_GROUP_CLYDESDALE,
@@ -393,6 +391,12 @@ LOCK_JOIN_MAPPER = _lock_rank(
     "src/repro/core/joinjob.py:StarJoinMapper._lock",
     "Guards the mapper's cross-thread tally registry; taken once per "
     "thread at tally registration and once at close, never per row.")
+LOCK_JOIN_POOL = _lock_rank(
+    "join.pool", 55,
+    "src/repro/core/joinjob.py:JoinThreadPool._lock",
+    "Guards the process's pool of parked join threads (their inboxes "
+    "and the started count); taken once per thread hand-off and once "
+    "per thread parking, never while another lock is held.")
 LOCK_JOIN_QUEUE = _lock_rank(
     "join.queue", 60,
     "src/repro/core/joinjob.py:MTMapRunner.run.queue_lock",

@@ -23,15 +23,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.common.keys import KEY_TRACE
+from repro.common.keys import (
+    COUNTER_GROUP_CLYDESDALE,
+    CTR_JOBS_PREPARED,
+    KEY_TRACE,
+)
+from repro.core.canonical import CanonicalQuery
 from repro.core.multipass import plan_passes, scratch_dir
 from repro.core.planner import ClydesdaleFeatures, plan_join_passes
+from repro.core.prepared import MULTI_PASS, NO_CACHE, PreparedJob
 from repro.core.query import StarQuery
 from repro.core.result import QueryResult, apply_order_by
 from repro.hdfs.filesystem import MiniDFS
 from repro.hdfs.placement import CoLocatingPlacementPolicy
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.fairshare import FairShareScheduler
+from repro.mapreduce.job import JobConf
+from repro.mapreduce.outputformat import CollectingOutputFormat
 from repro.mapreduce.runtime import JobResult, JobRunner
 from repro.sim.costs import DEFAULT_COST_MODEL, CostModel
 from repro.sim.hardware import ClusterSpec, tiny_cluster
@@ -43,13 +51,15 @@ from repro.trace.tracer import (
     CAT_STEP,
     NULL_TRACER,
     STATUS_FAILED,
+    NullSpan,
     NullTracer,
+    Span,
     SpanTree,
     Tracer,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.serve.cache import HashTableCache
+    from repro.serve.cache import HashTableCache, PreparedJobStore
 
 #: Fact rows per CIF row group as loaded here: the B-CIF block size.
 ROW_GROUP_SIZE = 25_000
@@ -83,6 +93,10 @@ class ExecutionStats:
     #: byte-identical node-local copies instead of building them again;
     #: each still counts as its node's build.
     ht_tables_adopted: int = 0
+    #: 1 when this run planned a job and kept it prepared for the next
+    #: runs of the same query (:mod:`repro.core.prepared`); 0 when it
+    #: ran a prepared job, or kept none.
+    jobs_prepared: int = 0
     ht_cache_hits: int = 0
     ht_cache_misses: int = 0
     #: Always 0: row groups are never skipped. Kept only because the
@@ -115,6 +129,7 @@ class ExecutionStats:
         stats.ht_builds = counters.get("clydesdale", "ht_builds")
         stats.ht_tables_adopted = counters.get("clydesdale",
                                                "ht_tables_adopted")
+        stats.jobs_prepared = counters.get("clydesdale", "jobs_prepared")
         stats.ht_cache_hits = counters.get("clydesdale", "ht_cache_hits")
         stats.ht_cache_misses = counters.get("clydesdale",
                                              "ht_cache_misses")
@@ -158,6 +173,11 @@ class ClydesdaleEngine:
         self.features = features or ClydesdaleFeatures()
         self.runner = JobRunner(fs, self.cluster, self.cost_model)
         self.last_stats: ExecutionStats | None = None
+        #: Session-owned store of prepared jobs (installed, and dropped,
+        #: by a caching session, like ``runner.jvm_pool``); a run with a
+        #: hash-table cache plans a single-pass query once per store
+        #: generation and reuses the job after that.
+        self.prepared_jobs: "PreparedJobStore | None" = None
 
     @classmethod
     def with_ssb_data(cls, scale_factor: float = 0.01, seed: int = 42,
@@ -238,15 +258,15 @@ class ClydesdaleEngine:
         """Plan ``query`` as ``passes`` (None: the one pass over every
         dimension) and run the jobs in order on the engine's runner.
 
-        Planning reads no file: the ``plan`` span times catalog
-        validation and ``JobConf`` assembly alone.
+        The ``plan`` span times catalog validation and ``JobConf``
+        assembly, or taking a prepared job (:meth:`_plan`).
         """
         query_span = tracer.start(f"query:{query.name}", CAT_JOB)
         try:
-            with tracer.span("plan", CAT_STEP):
-                confs, output = plan_join_passes(
-                    query, passes, self.catalog, self.cluster,
-                    self.cost_model, features or self.features)
+            with tracer.span("plan", CAT_STEP) as plan_span:
+                confs, output, prepared = self._plan(
+                    query, passes, features or self.features,
+                    ht_cache is not None, plan_span)
             if len(confs) > 1:
                 self.fs.delete(scratch_dir(query), recursive=True)
             jobs: list[JobResult] = []
@@ -260,6 +280,9 @@ class ClydesdaleEngine:
                 if slot_share is not None:
                     conf.scheduler = FairShareScheduler(slot_share)
                 jobs.append(self.runner.run(conf))
+            if prepared:
+                jobs[-1].counters.increment(COUNTER_GROUP_CLYDESDALE,
+                                            CTR_JOBS_PREPARED)
             columns = (list(query.group_by)
                        + [a.alias for a in query.aggregates])
             rows = [tuple(key) + tuple(values)
@@ -300,6 +323,47 @@ class ClydesdaleEngine:
                                + final_sort),
             breakdown=breakdown,
         )
+
+    def _plan(self, query: StarQuery, passes: list[list[str]] | None,
+              features: ClydesdaleFeatures, cached: bool,
+              span: Span | NullSpan,
+              ) -> tuple[list[JobConf], CollectingOutputFormat, bool]:
+        """The jobs that answer ``query``, the collector of the answer,
+        and whether this call prepared a job and kept it.
+
+        A single-pass query of a caching run (``cached``: it has a
+        hash-table cache, so a session owns :attr:`prepared_jobs`) is
+        planned once per (canonical query, features, store generation);
+        later runs copy the kept job and re-check its splits
+        (:class:`~repro.core.prepared.PreparedJob`). Everything else is
+        planned afresh. ``span`` says ``prepared`` (this run re-planned
+        nothing and re-derived no split) and, when false, the reason.
+        """
+        store = self.prepared_jobs if cached else None
+        if store is None or passes is not None:
+            span.set("prepared", False)
+            span.set("reason", NO_CACHE if store is None else MULTI_PASS)
+            confs, output = plan_join_passes(
+                query, passes, self.catalog, self.cluster,
+                self.cost_model, features)
+            return confs, output, False
+        key = (CanonicalQuery(query).exact, features)
+        generation = store.current_generation()
+        job = store.get(None, key)
+        fresh = job is None
+        if fresh:
+            (template,), _ = plan_join_passes(
+                query, None, self.catalog, self.cluster, self.cost_model,
+                features)
+            job = PreparedJob(template)
+        conf, output = job.run_conf()
+        conf.splits, reason = job.splits(self.fs)
+        kept = fresh and store.put(None, key, job, job.nbytes,
+                                   generation=generation)
+        span.set("prepared", reason is None)
+        if reason is not None:
+            span.set("reason", reason)
+        return [conf], output, kept
 
     def explain(self, query: StarQuery,
                 features: ClydesdaleFeatures | None = None,

@@ -25,13 +25,17 @@ by ``cif.block.iteration`` alone.
 The :class:`MTMapRunner` replaces Hadoop's default runner: it unpacks the
 MultiCIF multi-split and feeds each thread its own reader while all
 threads share the one set of hash tables (read-only after build, so no
-synchronization is needed).
+synchronization is needed). Its join threads outlive the task
+(:class:`JoinThreadPool`), as the paper's JVM reuse keeps a JVM.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import queue
 import threading
+import time
 from itertools import repeat
 from typing import Any, Callable, Sequence
 
@@ -142,32 +146,50 @@ def resolve_aux_columns(query: StarQuery, join,
 
 
 class _JobTables:
-    """What the map tasks of one job share about its hash tables: per
-    join, the aux columns and the :meth:`CanonicalQuery.table_key`,
-    computed once, and ``built`` — the job's build memo, (table key,
-    copy bytes built from) -> (table, rows scanned, read fact)."""
+    """What the map tasks of one job share, computed once: per join, the
+    aux columns and the :meth:`CanonicalQuery.table_key`; the group-key
+    plan; and each aggregate's function name with its row and batch
+    evaluators. Read-only once made, so a prepared job
+    (:mod:`repro.core.prepared`) hands the same one to every run."""
 
-    __slots__ = ("aux", "keys", "built")
+    __slots__ = ("aux", "keys", "group_plan", "agg_fns", "agg_vec_fns",
+                 "agg_functions")
 
-    def __init__(self, query: StarQuery,
+    def __init__(self, query: StarQuery, fact_schema: Schema,
                  dim_schemas: dict[str, Schema]) -> None:
         canonical = CanonicalQuery(query)
         self.aux = [resolve_aux_columns(query, join, dim_schemas)
                     for join in query.joins]
         self.keys = [canonical.table_key(join, aux)
                      for join, aux in zip(query.joins, self.aux)]
-        self.built: dict[tuple, tuple] = {}
+        self.group_plan = StarJoinMapper._plan_group_keys(
+            query, fact_schema, dim_schemas)
+        self.agg_fns = [StarJoinMapper._make_agg_fn(agg)
+                        for agg in query.aggregates]
+        self.agg_vec_fns = [StarJoinMapper._make_agg_vec(agg)
+                            for agg in query.aggregates]
+        self.agg_functions = [agg.function for agg in query.aggregates]
 
 
-def _job_tables(conf: JobConf, query: StarQuery,
-                dim_schemas: dict[str, Schema]) -> _JobTables:
-    """The job's :class:`_JobTables`, made by its first map task. It
-    rides on the ``JobConf`` next to ``query_config`` and dies with the
-    job (a runtime runs a job's tasks one after another)."""
+def job_tables(conf: JobConf) -> _JobTables:
+    """The job's :class:`_JobTables`, made by its first map task (or by
+    whoever prepares the job). It rides on the ``JobConf`` next to
+    ``query_config``; a copy of the conf shares it."""
     tables = getattr(conf, "job_tables", None)
     if tables is None:
-        tables = conf.job_tables = _JobTables(query, dim_schemas)
+        tables = conf.job_tables = _JobTables(*load_query_config(conf))
     return tables
+
+
+def _job_builds(conf: JobConf) -> dict[tuple, tuple]:
+    """The job's build memo — (table key, copy bytes built from) ->
+    (table, rows scanned, read fact) — for one run of the job: it rides
+    on the conf the runtime runs and dies with the run (a runtime runs a
+    job's tasks one after another)."""
+    builds = getattr(conf, "job_builds", None)
+    if builds is None:
+        builds = conf.job_builds = {}
+    return builds
 
 
 class StarJoinMapper(Mapper):
@@ -200,7 +222,8 @@ class StarJoinMapper(Mapper):
     # -- lifecycle --------------------------------------------------------- #
 
     def initialize(self, context: TaskContext) -> None:
-        query, fact_schema, dim_schemas = load_query_config(context.conf)
+        query, _, dim_schemas = load_query_config(context.conf)
+        plans = job_tables(context.conf)
         self.query = query
         self._tracer = context.tracer
         self._fact_pred = query.fact_predicate
@@ -209,15 +232,13 @@ class StarJoinMapper(Mapper):
         # Each fresh build says on this span what it read and how.
         with self._tracer.span("build", CAT_PHASE) as self._build_span:
             self.hash_tables = self._resolve_hash_tables(
-                context, query, dim_schemas)
+                context, query, dim_schemas, plans)
             self._build_span.set("tables", len(self.hash_tables))
         self._probe_order = self._plan_probe_order()
-        self._group_plan = self._plan_group_keys(query, fact_schema,
-                                                 dim_schemas)
-        self._agg_fns = [self._make_agg_fn(agg) for agg in query.aggregates]
-        self._agg_vec_fns = [self._make_agg_vec(agg)
-                             for agg in query.aggregates]
-        self._agg_functions = [agg.function for agg in query.aggregates]
+        self._group_plan = plans.group_plan
+        self._agg_fns = plans.agg_fns
+        self._agg_vec_fns = plans.agg_vec_fns
+        self._agg_functions = plans.agg_functions
         # Merging a block's survivors into one pair per group is the
         # combiner's job done early; only a job that declares one (with
         # this job's merge rules) may have its map output pre-merged.
@@ -239,7 +260,8 @@ class StarJoinMapper(Mapper):
 
     def _resolve_hash_tables(
             self, context: TaskContext, query: StarQuery,
-            dim_schemas: dict[str, Schema]) -> list[DimensionHashTable]:
+            dim_schemas: dict[str, Schema],
+            job: _JobTables) -> list[DimensionHashTable]:
         """One table per join, through one build-or-reuse loop:
 
         1. the task's region — the session cache's node region, or the
@@ -257,7 +279,7 @@ class StarJoinMapper(Mapper):
         query performs no build at all (``ht_builds`` stays 0).
         """
         conf = context.conf
-        job = _job_tables(conf, query, dim_schemas)
+        builds = _job_builds(conf)
         cache = getattr(conf, "ht_cache", None)
         region = context.jvm_state
         node = context.node_id
@@ -272,7 +294,7 @@ class StarJoinMapper(Mapper):
             if entry is None:
                 misses += 1
                 entry = self._adopt_or_build(context, join, dim_schemas,
-                                             key, aux, job.built)
+                                             key, aux, builds)
                 if cache is None:
                     region[key] = entry
                 else:
@@ -772,11 +794,90 @@ class StarJoinCombiner(StarJoinReducer):
     """Map-side partial aggregation (paper 4.2: "combiners can be used")."""
 
 
+class JoinThreadPool:
+    """The process's join threads, kept between map tasks.
+
+    Hadoop's JVM reuse (paper section 5, Figure 5) lets consecutive map
+    tasks on a node keep what they set up; this is its thread
+    counterpart. A join thread parks on its own inbox when its task is
+    done, and the next task's :class:`MTMapRunner` hands it new work
+    instead of starting a thread. The pool grows to the number of join
+    threads in flight, so a task never waits for another task's
+    threads; it never shrinks (parked threads are daemons).
+
+    A child of ``os.fork`` inherits the parked threads' inboxes but not
+    the threads, so :meth:`_forget` runs in every forked child and
+    leaves it an empty pool.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        #: Inboxes of parked threads; each thread parks on its own.
+        self._idle: list[queue.SimpleQueue] = []
+        self._started = 0
+
+    def fan_out(self, body: Callable[[], None], count: int) -> None:
+        """Run ``body`` on ``count`` join threads at once; return when
+        every one has finished. ``body`` is expected to keep its own
+        failures; anything that still escapes it is re-raised here."""
+        done: queue.SimpleQueue = queue.SimpleQueue()
+        for _ in range(count):
+            self._dispatch(body, done)
+        escaped = [done.get() for _ in range(count)]
+        for exc in escaped:
+            if exc is not None:
+                raise exc
+
+    def _dispatch(self, body: Callable[[], None],
+                  done: queue.SimpleQueue) -> None:
+        with self._lock:
+            inbox = self._idle.pop() if self._idle else None
+            number = self._started
+            if inbox is None:
+                self._started += 1
+        if inbox is None:
+            inbox = queue.SimpleQueue()
+            threading.Thread(target=self._serve, args=(inbox,),
+                             name=f"join-thread-{number}",
+                             daemon=True).start()
+        inbox.put((body, done))
+
+    def _serve(self, inbox: queue.SimpleQueue) -> None:
+        while True:
+            body, done = inbox.get()
+            escaped = None
+            try:
+                body()
+            except BaseException as exc:  # handed to the waiting task
+                escaped = exc
+            # Park before reporting: once the task has heard from every
+            # thread, all of them are idle again, so a task run after it
+            # finds them and starts none.
+            with self._lock:
+                self._idle.append(inbox)
+            done.put(escaped)
+
+    def _forget(self) -> None:
+        """Drop the parent's threads (runs in a fork child, which has
+        one thread, so nothing can race it)."""
+        self._lock = threading.Lock()
+        self._idle = []
+        self._started = 0
+
+
+#: The one pool of this process.
+JOIN_THREADS = JoinThreadPool()
+os.register_at_fork(after_in_child=JOIN_THREADS._forget)
+
+
 class MTMapRunner(MapRunner):
     """Figure 5: a multi-threaded map task sharing one set of hash tables.
 
     Unpacks the multi-split into per-thread readers; join threads run the
     probe pipeline concurrently against the shared read-only hash tables.
+    The threads come from the process's :data:`JOIN_THREADS` pool; a task
+    with one reader (or one granted thread) runs its ``join_thread`` on
+    the calling thread, where a hand-off would only add latency.
     """
 
     def run(self, reader: RecordReader, mapper: Mapper,
@@ -784,7 +885,7 @@ class MTMapRunner(MapRunner):
         mapper.initialize(context)
         readers = reader.get_multiple_readers()
         num_threads = max(1, min(context.threads, len(readers)))
-        queue: list[RecordReader] = list(readers)
+        pending: list[RecordReader] = list(readers)
         queue_lock = threading.Lock()
         errors: list[tuple[str, Exception]] = []
         tracer = context.tracer
@@ -795,14 +896,19 @@ class MTMapRunner(MapRunner):
             # the task span is passed as the explicit parent.
             thread_span = tracer.start("join_thread", CAT_THREAD,
                                        parent=task_span)
+            cpu_start = time.thread_time()
             try:
                 while True:
                     with queue_lock:
-                        if not queue:
+                        if not pending:
                             break
-                        current = queue.pop(0)
+                        current = pending.pop(0)
                     for key, value in current:
                         mapper.map(key, value, collector, context)
+                # Wall minus this CPU is the time the thread waited
+                # (the GIL, mostly).
+                thread_span.set("cpu_ms",
+                                (time.thread_time() - cpu_start) * 1e3)
                 thread_span.finish()
             except Exception as exc:  # collected; re-raised after join
                 thread_span.finish(STATUS_FAILED)
@@ -810,13 +916,10 @@ class MTMapRunner(MapRunner):
                     errors.append(
                         (threading.current_thread().name, exc))
 
-        threads = [threading.Thread(target=join_thread,
-                                    name=f"join-thread-{i}")
-                   for i in range(num_threads)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        if num_threads == 1:
+            join_thread()
+        else:
+            JOIN_THREADS.fan_out(join_thread, num_threads)
         if errors:
             raise collect_thread_failures(errors) from errors[0][1]
         mapper.close(collector, context)

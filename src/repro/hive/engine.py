@@ -21,8 +21,8 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.common.errors import JobFailedError, PlanningError
-from repro.common.schema import Column, Schema
+from repro.common.errors import PlanningError
+from repro.common.schema import Schema
 from repro.core.joinjob import configure_query
 from repro.core.planner import fact_scan_columns, validate_query
 from repro.core.query import StarQuery
@@ -53,7 +53,11 @@ from repro.sim.costs import DEFAULT_COST_MODEL, CostModel
 from repro.sim.hardware import ClusterSpec, tiny_cluster
 from repro.ssb.datagen import SSBData, SSBGenerator
 from repro.ssb.loader import Catalog, load_for_hive
-from repro.common.keys import KEY_TRACE
+from repro.common.keys import (
+    KEY_HIVE_DIM_SCHEMA,
+    KEY_HIVE_DIM_TABLE_DIR,
+    KEY_TRACE,
+)
 from repro.storage.rcfile import RCFileInputFormat
 from repro.storage.rowformat import RowInputFormat
 from repro.storage.tablemeta import FORMAT_RCFILE
@@ -153,7 +157,7 @@ class HiveEngine:
             ht_cache: "HashTableCache | None" = None,
             ht_generation: int | None = None) -> QueryResult:
         """Run the multi-stage Hive plan; may raise
-        :class:`JobFailedError` (e.g. mapjoin OOM).
+        :class:`~repro.common.errors.JobFailedError` (e.g. mapjoin OOM).
 
         Called by :class:`~repro.serve.session.Session`, which owns the
         ``tracer`` (stage/job spans nest under the session span; the
@@ -411,8 +415,8 @@ class HiveEngine:
         conf.set(rp.KEY_DIM_AUX, json.dumps(aux))
         conf.set(rp.KEY_FACT_SIDE_FK, join.fact_fk)
         conf.set(rp.KEY_DIM_PK, join.dim_pk)
-        conf.set(rp.KEY_DIM_TABLE_DIR, dim_meta.directory)
-        conf.set(rp.KEY_DIM_SCHEMA, json.dumps(
+        conf.set(KEY_HIVE_DIM_TABLE_DIR, dim_meta.directory)
+        conf.set(KEY_HIVE_DIM_SCHEMA, json.dumps(
             dim_meta.schema.project(dim_conf_cols).to_dict()))
         if not isinstance(join.predicate, TruePredicate):
             conf.set(rp.KEY_DIM_PREDICATE,

@@ -23,7 +23,6 @@ from repro.common.schema import Schema
 from repro.hdfs.filesystem import MiniDFS
 from repro.mapreduce.api import Mapper, TaskContext
 from repro.mapreduce.distcache import DistributedCache
-from repro.mapreduce.job import JobConf
 from repro.mapreduce.types import OutputCollector
 from repro.core.expressions import Predicate
 from repro.trace.tracer import CAT_PHASE

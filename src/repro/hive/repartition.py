@@ -13,7 +13,6 @@ import json
 from typing import Any
 
 from repro.common.errors import StorageError
-from repro.common.schema import Schema
 from repro.core.expressions import Predicate, predicate_from_dict
 from repro.hdfs.filesystem import MiniDFS
 from repro.mapreduce.api import Mapper, Reducer, TaskContext
@@ -26,11 +25,8 @@ from repro.common.keys import (
     KEY_HIVE_DIM_AUX as KEY_DIM_AUX,
     KEY_HIVE_DIM_PK as KEY_DIM_PK,
     KEY_HIVE_DIM_PREDICATE as KEY_DIM_PREDICATE,
-    KEY_HIVE_DIM_SCHEMA as KEY_DIM_SCHEMA,
-    KEY_HIVE_DIM_TABLE_DIR as KEY_DIM_TABLE_DIR,
     KEY_HIVE_FACT_PREDICATE as KEY_FACT_PREDICATE,
     KEY_HIVE_FACT_SIDE_FK as KEY_FACT_SIDE_FK,
-    KEY_HIVE_INPUT_SCHEMA as KEY_INPUT_SCHEMA,
     KEY_HIVE_ROWS_RATE as KEY_ROWS_RATE,
 )
 

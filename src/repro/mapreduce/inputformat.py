@@ -12,8 +12,9 @@ from abc import ABC, abstractmethod
 from typing import Any
 
 from repro.common.errors import StorageError
+from repro.common.keys import KEY_SPLIT_SIZE
 from repro.hdfs.filesystem import MiniDFS
-from repro.mapreduce.job import KEY_SPLIT_SIZE, JobConf
+from repro.mapreduce.job import JobConf
 from repro.mapreduce.types import FileSplit, InputSplit, RecordReader
 
 

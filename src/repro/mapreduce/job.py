@@ -9,6 +9,7 @@ job's pluggable pieces — input/output format, mapper, reducer, combiner,
 
 from __future__ import annotations
 
+from copy import copy as shallow_copy
 from typing import Any
 
 from repro.common.config import Configuration
@@ -22,7 +23,6 @@ from repro.common.keys import (
     KEY_JVM_REUSE,
     KEY_NUM_REDUCES,
     KEY_OUTPUT_PATH,
-    KEY_SPLIT_SIZE,
     KEY_TASK_MEMORY,
 )
 
@@ -42,6 +42,18 @@ class JobConf(Configuration):
         self.partitioner: Any = None       # Partitioner instance or None
         self.scheduler: Any = None         # TaskScheduler instance or None
         self.distcache_files: list[str] = []
+        #: The input splits when whoever runs the job already holds
+        #: them (a prepared job); None asks the input format.
+        self.splits: list | None = None
+
+    def copy(self) -> "JobConf":
+        """Another run of this job: its own values and cache-file list;
+        the pluggable pieces and every other attached object (the
+        parsed query and its plans among them) are shared."""
+        clone = shallow_copy(self)
+        clone._data = dict(self._data)
+        clone.distcache_files = list(self.distcache_files)
+        return clone
 
     # -- fluent setters -------------------------------------------------- #
 

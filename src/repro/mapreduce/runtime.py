@@ -120,7 +120,8 @@ class JobRunner:
         with tracer.span("job", CAT_JOB) as job_span:
             job_span.set("job", job.name)
             cache_report = self._localize_cache(job, breakdown)
-            splits = job.input_format.get_splits(self.fs, job)
+            splits = (job.splits if job.splits is not None
+                      else job.input_format.get_splits(self.fs, job))
             if not splits:
                 raise JobFailedError(f"job {job.name!r}: input has no splits")
             scheduler = job.scheduler or FifoScheduler()

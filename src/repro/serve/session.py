@@ -8,9 +8,10 @@ A :class:`Session` wraps a backend engine (``ClydesdaleEngine``,
 * the cross-query dimension hash-table cache
   (:class:`~repro.serve.cache.HashTableCache`), probed by Clydesdale's
   build phase and by Hive's master-side mapjoin build;
-* a cross-job JVM pool (Clydesdale only), so repeat queries start on
-  warm JVMs — together these extend the paper's within-job JVM reuse
-  across queries;
+* a cross-job JVM pool and a store of prepared jobs (Clydesdale only),
+  so repeat queries start on warm JVMs with their job already planned,
+  split and decoded — together these extend the paper's within-job JVM
+  reuse across queries;
 * tracing: the session owns the only tracer of a query —
   ``execute(trace=True)`` roots the engine's spans under a
   ``session:<query>`` span plus a ``cache`` span with the hit/miss
@@ -39,7 +40,7 @@ from repro.serve.aggstore import (
     AggStoreStats,
     Provenance,
 )
-from repro.serve.cache import CacheStats, HashTableCache
+from repro.serve.cache import CacheStats, HashTableCache, PreparedJobStore
 from repro.trace.tracer import (
     CAT_CACHE,
     CAT_SESSION,
@@ -269,7 +270,7 @@ class Session:
         self.last_trace: SpanTree | None = None
         #: How the most recent ``execute`` produced its answer.
         self.last_provenance: Provenance | None = None
-        self._install_jvm_pool()
+        self._install_warm_state()
 
     # ------------------------------------------------------------------ #
     # The uniform public API.
@@ -421,15 +422,16 @@ class Session:
         return self.cache.stats() if self.cache is not None else None
 
     def invalidate_cache(self, generation: int | None = None) -> bool:
-        """Drop every cached hash table and cool the JVM pool.
+        """Drop every cached hash table and prepared job, and cool the
+        JVM pool.
 
         ``generation=`` threads a frontend-issued generation stamp
         through to the cache shard (see
         :meth:`GenerationalStore.invalidate`): a stale or duplicate stamp
-        is a no-op for the cache *and* the JVM pool, so per-worker
-        shards invalidate independently without a global barrier and
-        a replayed message never re-cools warm JVMs. Returns whether
-        anything was invalidated.
+        is a no-op for the cache, the prepared jobs *and* the JVM pool,
+        so per-worker shards invalidate independently without a global
+        barrier and a replayed message never re-cools warm JVMs.
+        Returns whether anything was invalidated.
         """
         applied = True
         if self.cache is not None:
@@ -446,6 +448,9 @@ class Session:
             pool = self._jvm_pool()
             if pool is not None:
                 pool.clear()
+            prepared = getattr(self._engine, "prepared_jobs", None)
+            if prepared is not None:
+                prepared.invalidate()
         return applied
 
     def reload_catalog(self, data: Any, *,
@@ -462,10 +467,11 @@ class Session:
                 "repro.api.connect() to enable reload_catalog()")
         self._engine = self._rebuild(data)
         self.invalidate_cache(generation=generation)
-        self._install_jvm_pool()
+        self._install_warm_state()
 
     def close(self) -> None:
-        """Release session state (cached hash tables, warm JVMs)."""
+        """Release session state (cached hash tables, prepared jobs,
+        warm JVMs)."""
         self.invalidate_cache()
 
     # ------------------------------------------------------------------ #
@@ -555,16 +561,19 @@ class Session:
         runner = getattr(self._engine, "runner", None)
         return getattr(runner, "jvm_pool", None)
 
-    def _install_jvm_pool(self) -> None:
-        # Cross-job JVM reuse rides along with the cache: both are
-        # session-owned warm state, invalidated together. Hive gets no
-        # pool — the baseline deliberately never reuses JVMs. An
-        # already-warm pool (several sessions sharing one engine) is
-        # kept, not reset.
+    def _install_warm_state(self) -> None:
+        # Cross-job JVM reuse and prepared jobs ride along with the
+        # cache: all three are session-owned warm state, invalidated
+        # together. Hive gets neither — the baseline deliberately never
+        # reuses JVMs. An already-warm pool or store (several sessions
+        # sharing one engine) is kept, not reset.
         if self.cache is not None and self.backend == "clydesdale":
-            runner = self._engine.runner
-            if getattr(runner, "jvm_pool", None) is None:
-                runner.jvm_pool = {}
+            engine = self._engine
+            if getattr(engine.runner, "jvm_pool", None) is None:
+                engine.runner.jvm_pool = {}
+            if engine.prepared_jobs is None:
+                engine.prepared_jobs = PreparedJobStore(
+                    self.cache.budget_bytes, sanitize=self.cache.sanitize)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cached = "on" if self.cache is not None else "off"

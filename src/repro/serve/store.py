@@ -2,19 +2,21 @@
 
 The paper's JVM reuse keeps one set of dimension hash tables per node
 and lets every task share it; the serving layer stretches that idea
-across queries three times — built hash tables, whole results, and
-materialized aggregates — and all three are configurations of the one
-:class:`GenerationalStore` here:
+across queries four times — built hash tables, prepared jobs, whole
+results, and materialized aggregates — and all four are configurations
+of the one :class:`GenerationalStore` here:
 
-=================  ==============================  ===========  ==================  =====================
-configuration      key (``core.canonical``)        budget       eviction            stamped by
-=================  ==============================  ===========  ==================  =====================
-``HashTableCache``  region = node, ``table_key``    per region   LRU                 worker session, with
-                                                                                     the frontend's stamp
-``ResultCache``     ``exact``                       whole store  LRU                 frontend
-``AggStore``        region = ``family``, (group     whole store  least benefit of    session / frontend
-                    set, aggregate identities)                   the oldest entries
-=================  ==============================  ===========  ==================  =====================
+====================  ==============================  ===========  ==================  =====================
+configuration         key (``core.canonical``)        budget       eviction            stamped by
+====================  ==============================  ===========  ==================  =====================
+``HashTableCache``    region = node, ``table_key``    per region   LRU                 worker session, with
+                                                                                       the frontend's stamp
+``PreparedJobStore``  (``exact``, features)           whole store  LRU                 session, with the
+                                                                                       cache
+``ResultCache``       ``exact``                       whole store  LRU                 frontend
+``AggStore``          region = ``family``, (group     whole store  least benefit of    session / frontend
+                      set, aggregate identities)                   the oldest entries
+====================  ==============================  ===========  ==================  =====================
 
 What the store owns, once: the lock (one leaf rank, ``serve.store`` —
 a store never takes another lock while holding its own) and its
@@ -29,8 +31,8 @@ work that raced a catalog reload can never be stored as fresh.
 Invalidation clears eagerly: a hit never survives a generation bump.
 
 Values are opaque and callers construct their own hashable keys;
-consumers in ``repro.core`` reach a store through ``conf.ht_cache``,
-never by importing this package.
+consumers in ``repro.core`` reach a store through ``conf.ht_cache`` or
+``ClydesdaleEngine.prepared_jobs``, never by importing this package.
 """
 
 from __future__ import annotations
@@ -95,6 +97,10 @@ class GenerationalStore:
                 f"{type(self).__name__} budget must be positive, "
                 f"got {budget_bytes}")
         self.budget_bytes = int(budget_bytes)
+        #: Whether the lock and guarded fields are runtime-checked (a
+        #: store that serves another, like a session's prepared jobs
+        #: beside its cache, is checked the same way).
+        self.sanitize = bool(sanitize)
         #: region -> entries, least recently used first; never empty.
         self._regions: dict[Hashable,
                             OrderedDict[Hashable, StoreEntry]] = {}

@@ -127,6 +127,17 @@ def group_descriptors(meta: TableMeta) -> list[dict]:
     return out
 
 
+def anchor_hosts(fs: MiniDFS, directory: str, group: int,
+                 columns: Sequence[str]) -> tuple[str, ...]:
+    """The hosts of a row group's first located column file — where
+    every column of the group lives under co-located placement."""
+    for name in columns:
+        locations = fs.block_locations(column_path(directory, group, name))
+        if locations:
+            return locations[0].hosts
+    return ()
+
+
 class RowBlock:
     """A batch of rows in columnar form — what B-CIF readers return.
 
@@ -171,7 +182,15 @@ class RowBlock:
 
 class CIFSplit(InputSplit):
     """One fact-table row group (the CIF unit of scheduling), with the
-    projected schema it was planned with: readers never reload .meta."""
+    projected schema it was planned with: readers never reload .meta.
+
+    ``decoded`` is what readers of this split decoded, per (column,
+    decoder): the file bytes and the buffer decoded from them. A reader
+    still reads every file, and reuses a buffer only when the read
+    returned the very bytes object it was decoded from, so a split kept
+    across runs (a prepared job) decodes each file once while every run
+    still pays, and can fail, the read. Concurrent readers may both
+    decode a file and both store it; either entry is correct."""
 
     def __init__(self, directory: str, group: int, base_row: int,
                  num_rows: int, schema: Schema, length: int,
@@ -184,6 +203,7 @@ class CIFSplit(InputSplit):
         self.columns = schema.names
         self._length = length
         self._hosts = hosts
+        self.decoded: dict[tuple, tuple[bytes, Sequence]] = {}
 
     @property
     def length(self) -> int:
@@ -209,12 +229,17 @@ class _CIFReaderBase(RecordReader):
         self._schema = schema = split.schema
         self._bytes = 0
         decode = self._decode
+        decoded = split.decoded
         self._columns: dict[str, Sequence] = {}
         for column in schema.columns:
             path = column_path(split.directory, split.group, column.name)
             data = fs.read_file(path, reader_node=reader_node)
             self._bytes += len(data)
-            self._columns[column.name] = decode(column.dtype, data)
+            key = (column.name, decode)
+            held = decoded.get(key)
+            if held is None or held[0] is not data:
+                held = decoded[key] = (data, decode(column.dtype, data))
+            self._columns[column.name] = held[1]
         lengths = {len(v) for v in self._columns.values()}
         if len(lengths) > 1:
             raise StorageError(
@@ -309,17 +334,11 @@ class ColumnInputFormat(InputFormat):
     @staticmethod
     def _extent(fs: MiniDFS, directory: str, group: int,
                 columns: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
-        """A row group's projected byte length and the hosts of its
-        first located column file (co-located with the rest)."""
-        length = 0
-        hosts: tuple[str, ...] = ()
-        for name in columns:
-            path = column_path(directory, group, name)
-            length += fs.file_length(path)
-            if not hosts:
-                locations = fs.block_locations(path)
-                hosts = locations[0].hosts if locations else ()
-        return length, hosts
+        """A row group's projected byte length and its anchor hosts
+        (:func:`anchor_hosts`)."""
+        length = sum(fs.file_length(column_path(directory, group, name))
+                     for name in columns)
+        return length, anchor_hosts(fs, directory, group, columns)
 
     def get_record_reader(self, fs: MiniDFS, split: InputSplit,
                           conf: JobConf,

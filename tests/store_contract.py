@@ -1,12 +1,14 @@
-"""One store contract, three configurations.
+"""One store contract, four configurations.
 
-``HashTableCache``, ``ResultCache`` and ``AggStore`` are configurations
-of :class:`repro.serve.store.GenerationalStore`; the two mixins here
+``HashTableCache``, ``PreparedJobStore``, ``ResultCache`` and
+``AggStore`` are configurations of
+:class:`repro.serve.store.GenerationalStore`; the two mixins here
 state what every configuration owes its callers — budget/eviction
 accounting and the generation-stamp protocol — once.  A test class
 picks a configuration by setting ``config`` (``TestHashTableCache`` /
 ``TestGenerationStamps`` in ``test_serve.py``, ``TestResultCache`` in
-``test_frontend.py``, ``TestAdmission`` in ``test_aggstore.py``).
+``test_frontend.py``, ``TestAdmission`` in ``test_aggstore.py``,
+``TestPreparedJobStore`` in ``test_prepared_jobs.py``).
 
 The aggregate store is driven through its real surface
 (``admit``/``fetch``): a region becomes a query family, a key a
@@ -29,7 +31,7 @@ from repro.core.expressions import Col, Comparison
 from repro.core.query import Aggregate, StarQuery
 from repro.core.result import QueryResult
 from repro.serve.aggstore import AggStore
-from repro.serve.cache import HashTableCache, ResultCache
+from repro.serve.cache import HashTableCache, PreparedJobStore, ResultCache
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,7 @@ def _agg_get(store, region, key):
 
 HT_CACHE = StoreConfig(HashTableCache, _plain_put, _plain_get, True)
 RESULT_CACHE = StoreConfig(ResultCache, _plain_put, _plain_get, False)
+PREPARED_JOBS = StoreConfig(PreparedJobStore, _plain_put, _plain_get, False)
 AGG_STORE = StoreConfig(AggStore, _agg_put, _agg_get, False)
 
 

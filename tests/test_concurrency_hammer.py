@@ -14,6 +14,7 @@ overrides the gang size locally.
 
 import dataclasses
 import os
+import sys
 import threading
 
 import pytest
@@ -37,9 +38,10 @@ THREADS = int(os.environ.get("CLYDESDALE_HAMMER_THREADS", "8"))
 ROUNDS = 60
 
 
-def _hammer(worker, parties=THREADS):
+def _hammer(worker, parties=THREADS, timeout=300.0):
     """Run ``worker(thread_index)`` on a barrier-started gang; re-raise
-    the first failure so assertion errors inside threads fail the test."""
+    the first failure so assertion errors inside threads fail the test,
+    and fail it when a thread is still running after ``timeout`` s."""
     barrier = threading.Barrier(parties)
     failures = []
 
@@ -55,7 +57,8 @@ def _hammer(worker, parties=THREADS):
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout)
+    assert not any(t.is_alive() for t in threads), "hammer thread hung"
     if failures:
         raise failures[0]
 
@@ -116,6 +119,64 @@ class TestCacheHammer:
         stats = cache.stats()
         assert stats.rejected == THREADS * ROUNDS
         assert stats.puts == 0 and stats.entries == 0
+
+
+class TestPreparedJobHammer:
+    def test_sessions_share_pool_and_prepared_jobs(self, ssb_data,
+                                                   queries, reference):
+        """``THREADS`` sessions over one engine run the 13 queries at
+        once, each in its own order, through the shared join-thread pool
+        and the engine's prepared jobs, with both stores sanitized."""
+        from repro.core.engine import ClydesdaleEngine
+        from repro.serve.session import Session
+        # Small row groups: every map task has several readers, so its
+        # join threads really come from the pool.
+        engine = ClydesdaleEngine.with_ssb_data(data=ssb_data,
+                                                row_group_size=1_000)
+        sessions = [Session(engine, cache=HashTableCache(
+            64 * 2**20, sanitize=True), name=f"s{i}")
+            for i in range(THREADS)]
+        assert engine.prepared_jobs.sanitize
+        names = sorted(queries)
+        expected = {name: reference.execute(queries[name]).rows
+                    for name in names}
+        answered = [0] * THREADS
+
+        def worker(index):
+            order = names[index % len(names):] + names[:index % len(names)]
+            for name in order * 2:
+                rows = sessions[index].execute(queries[name]).rows
+                assert rows == expected[name], name
+                answered[index] += 1
+
+        _hammer(worker)
+        assert answered == [2 * len(names)] * THREADS
+        stats = engine.prepared_jobs.stats()
+        assert stats.entries == len(names)
+        assert stats.stale_drops == 0
+
+    def test_pool_runs_every_body_once_under_contention(self):
+        """Tasks fanning out at once, with thread switches forced
+        often: every body runs exactly once per hand-off and no task
+        waits on another's threads (a lost parking would hang here)."""
+        from repro.core.joinjob import JOIN_THREADS
+        ran = [0] * THREADS
+        tally_lock = threading.Lock()
+
+        def worker(index):
+            def body():
+                with tally_lock:
+                    ran[index] += 1
+            for _ in range(ROUNDS):
+                JOIN_THREADS.fan_out(body, 3)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _hammer(worker, timeout=120.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert ran == [3 * ROUNDS] * THREADS
 
 
 def _frontend(ssb_data, limits=()):
